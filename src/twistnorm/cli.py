@@ -19,7 +19,7 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ class RunConfig:
     trials: int = 10_000
     grid_resolution: int = 41
     box_halfwidth: float = 2.0
-    tolerances: dict = field(default_factory=dict)
     output: str | None = None
 
     def __post_init__(self):
@@ -62,9 +61,6 @@ class RunConfig:
             raise ValueError("resolution must be odd and >= 9")
         if not self.box_halfwidth > 0:
             raise ValueError("box halfwidth must be positive")
-        for name, v in self.tolerances.items():
-            if not v > 0:
-                raise ValueError(f"tolerance {name} must be positive")
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":

@@ -11,9 +11,9 @@ composition
 for a certified Orlicz function f and a Lipschitz theta with
 theta(0) = 0.  Phi is even and quasi-convex but not convex; this module
 certifies the quasi-convexity constant empirically, computes the lower
-convex envelope on a centred box by one linear program per grid node,
-compares maps up to multiplicative constants, and smooths maps by
-averaging over scaled balls.
+convex envelope on a centred box as the lower convex hull of the lifted
+grid nodes, compares maps up to multiplicative constants, and smooths
+maps by averaging over scaled balls.
 
 Grid-backed maps evaluate by multilinear interpolation inside their box
 and by positively homogeneous degree-1 ray extension outside it;
@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NumericSignal
 from .scalarfn import OrliczFn, ScalarConstants
@@ -362,6 +362,8 @@ class GridMap:
 
     Outside the box a query is pulled back along its ray to the boundary
     and the boundary value is scaled linearly (degree-1 extension).
+    Every axis must be a uniform grid centred at 0, as ``_grid_axes``
+    builds them; interpolation locates cells by index arithmetic.
     """
 
     axes: tuple
@@ -369,6 +371,17 @@ class GridMap:
     radially_monotone: bool = False
     convex: bool = False
     label: str = ""
+
+    def __post_init__(self):
+        if np.shape(self.table) != tuple(len(ax) for ax in self.axes):
+            raise ValueError("grid table shape must match the axis sizes")
+        for ax in self.axes:
+            h = float(ax[-1]) if np.ndim(ax) == 1 and len(ax) >= 2 else 0.0
+            if not (h > 0 and np.allclose(ax, np.linspace(-h, h, len(ax)),
+                                          rtol=0.0, atol=1e-12 * h)):
+                raise ValueError(
+                    "grid axes must be uniform and centred at 0 "
+                    "(np.linspace(-h, h, n) with h > 0, n >= 2)")
 
     @property
     def dim(self) -> int:
@@ -397,22 +410,25 @@ class GridMap:
 
     def _interp(self, pts: np.ndarray) -> np.ndarray:
         flat = pts.reshape(-1, self.dim)
-        idx = []
+        table = self.table.ravel()
+        base = np.zeros(flat.shape[0], dtype=np.intp)   # flat cell index
         frac = []
         for i, ax in enumerate(self.axes):
-            j = np.searchsorted(ax, flat[:, i], side="right") - 1
-            j = np.clip(j, 0, ax.size - 2)
-            idx.append(j)
+            h = ax[-1]
+            j = np.floor((flat[:, i] + h) * ((ax.size - 1) / (2.0 * h)))
+            # fmax/fmin send a NaN coordinate to cell 0, not to a bad index
+            j = np.fmin(np.fmax(j, 0.0), ax.size - 2).astype(np.intp)
+            base = base * ax.size + j
             frac.append((flat[:, i] - ax[j]) / (ax[j + 1] - ax[j]))
         out = np.zeros(flat.shape[0])
         for corner in range(2 ** self.dim):
             w = np.ones(flat.shape[0])
-            loc = []
-            for i in range(self.dim):
+            off = 0
+            for i, ax in enumerate(self.axes):
                 hi = (corner >> i) & 1
-                w = w * (frac[i] if hi else (1.0 - frac[i]))
-                loc.append(idx[i] + hi)
-            out += w * self.table[tuple(loc)]
+                w *= frac[i] if hi else 1.0 - frac[i]
+                off = off * ax.size + hi
+            out += w * table[base + off]
         return out.reshape(pts.shape[:-1])
 
     def as_young(self) -> YoungMap:
@@ -493,33 +509,72 @@ def _grid_axes(dim: int, halfwidth, resolution: int):
 
 def convex_envelope(m: YoungMap, halfwidth, resolution: int,
                     l_hat: float | None = None) -> EnvelopeGrid:
-    """Grid lower convex envelope by one LP per node.
+    """Grid lower convex envelope as the lower convex hull of the lifted nodes.
 
     Each node value is min sum(alpha_i * v_i) over convex weights on the
-    grid nodes reproducing the query point.  Basic optimal solutions of
-    the dual-simplex solver put weight on at most dim+1 nodes, which the
-    support counter verifies.  The result upper-bounds the true envelope
-    and never exceeds the sampled values.
+    grid nodes reproducing the node, which is the height of the lower
+    convex hull of the points (node, value) above it.  The hull comes
+    from Qhull (scipy.spatial.ConvexHull) in integer grid coordinates;
+    each node is located in a non-degenerate lower simplex whose
+    projection contains it, where its barycentric weights are exact
+    rationals.  The support count is the number of positive weights:
+    1 at a node that is itself a hull vertex, at most dim+1.  The result
+    never exceeds the sampled values; a map whose lifted nodes span no
+    full-dimensional hull (for example one vanishing on the whole grid)
+    raises NumericSignal.
     """
     axes = _grid_axes(m.dim, halfwidth, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=-1)
+    shape = tuple(ax.size for ax in axes)
+    where = (f"lower hull of {m.label or 'map'} on the "
+             f"{'x'.join(map(str, shape))} grid")
+    ticks = np.indices(shape).reshape(m.dim, -1).T          # (N, dim) ints
+    nodes = np.stack([ax[k] for ax, k in zip(axes, ticks.T)], axis=-1)
     values = m.evaluate(nodes)
     if not np.all(np.isfinite(values)):
         raise NumericSignal("map produced non-finite values on the envelope grid")
-    n = nodes.shape[0]
-    A_eq = np.vstack([nodes.T, np.ones((1, n))])
-    env = np.empty(n)
-    support_max = 0
-    for i in range(n):
-        b_eq = np.append(nodes[i], 1.0)
-        res = linprog(values, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None),
-                      method="highs-ds")
-        if not res.success:
-            raise NumericSignal(
-                f"envelope LP failed at node {nodes[i]}: {res.message}")
-        env[i] = res.fun
-        support_max = max(support_max, int(np.count_nonzero(res.x > 1e-8)))
+    try:
+        hull = ConvexHull(np.column_stack([ticks, values]))
+    except QhullError as exc:
+        reason = str(exc).splitlines()[0]
+        raise NumericSignal(f"{where} failed: {reason}") from exc
+    # Lower simplices face down; vertical and zero-volume ones project to
+    # lattice simplices of determinant 0 and are dropped.  With integer
+    # corners, weights are adj @ (k - k0) / det with integer adj and det.
+    simplices = hull.simplices[hull.equations[:, -2] < 0]
+    corners = ticks[simplices]                               # (F, dim+1, dim)
+    span = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
+    det = np.rint(np.linalg.det(span)).astype(np.int64)
+    keep = det != 0
+    simplices, corners, span, det = (simplices[keep], corners[keep],
+                                     span[keep], det[keep])
+    adj = np.rint(np.linalg.inv(span) * det[:, None, None]).astype(np.int64)
+    adj *= np.sign(det)[:, None, None]
+    det = np.abs(det)
+    # every (simplex, node) pair with the node in the simplex's bounding box
+    lo = corners.min(axis=1)
+    sizes = corners.max(axis=1) - lo + 1
+    counts = np.prod(sizes, axis=1)
+    owner = np.repeat(np.arange(len(simplices)), counts)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    k = np.empty((owner.size, m.dim), dtype=np.int64)
+    for i in reversed(range(m.dim)):
+        k[:, i] = lo[owner, i] + rank % sizes[owner, i]
+        rank //= sizes[owner, i]
+    num = np.einsum("tij,tj->ti", adj[owner], k - corners[owner, 0])
+    weights = np.column_stack([det[owner] - num.sum(axis=1), num])
+    inside = np.all(weights >= 0, axis=1)
+    owner, k, weights = owner[inside], k[inside], weights[inside]
+    # a node on a shared face has the same weights in every simplex holding it
+    located, first = np.unique(np.ravel_multi_index(tuple(k.T), shape),
+                               return_index=True)
+    if located.size != values.size:
+        raise NumericSignal(f"{where} left {values.size - located.size} "
+                            "nodes outside every lower simplex")
+    owner, weights = owner[first], weights[first]
+    env = np.einsum("ti,ti->t", weights,
+                    values[simplices[owner]]) / det[owner]
+    support_max = int(np.count_nonzero(weights, axis=1).max())
     if np.any(env > values + 1e-9):
         raise NumericSignal("envelope exceeded sampled values beyond tolerance")
     env = np.minimum(np.maximum(env, 0.0), values)

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twistnorm
 from twistnorm import BlockSeq, VecSeq, cli
 
 
@@ -209,20 +212,34 @@ def test_help_exits_zero():
     assert run() == 2          # a command is required
 
 
-# -- installed console script ---------------------------------------------------
+# -- console script and module entry point ------------------------------------
+
+def run_module(*argv):
+    """``python -m twistnorm``, importing the package this process imported."""
+    root = str(Path(twistnorm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "twistnorm", *argv],
+                          capture_output=True, text=True, env=env)
+
 
 def test_console_script_runs(seq_file):
-    proc = subprocess.run(
-        ["twistnorm", "norm", "--preset", "zp:2", "--seq", str(seq_file)],
-        capture_output=True, text=True)
+    proc = run_module("norm", "--preset", "zp:2", "--seq", str(seq_file))
     assert proc.returncode == 0
     assert "5.0" in proc.stdout
 
 
 def test_console_script_numeric_signal():
-    proc = subprocess.run(
-        ["twistnorm", "certify", "quasiconvex", "--preset", "zp:2",
-         "--type-p", "2.5", "--trials", "10"],
-        capture_output=True, text=True)
+    proc = run_module("certify", "quasiconvex", "--preset", "zp:2",
+                      "--type-p", "2.5", "--trials", "10")
     assert proc.returncode == 3
     assert proc.stderr.strip() != ""
+
+
+def test_console_script_entry_point_declared():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"]["twistnorm"] == "twistnorm.cli:main"

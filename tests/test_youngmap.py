@@ -1,13 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from twistnorm import (NumericSignal, convex_envelope, equivalence_constant,
-                       identity_theta, kalton_peck_map, kp_theoretical_bound,
-                       mollify, power, quasiconvexity_constant, radial_power,
-                       scale_theta, soft_clip_theta, young_from_orlicz)
-from twistnorm.youngmap import _ratio
+from twistnorm import (GridMap, NumericSignal, YoungMap, convex_envelope,
+                       equivalence_constant, identity_theta, kalton_peck_map,
+                       kp_theoretical_bound, mollify, power,
+                       quasiconvexity_constant, radial_power, scale_theta,
+                       soft_clip_theta, young_from_orlicz)
+from twistnorm.youngmap import _grid_axes, _ratio
 
 # frozen expected values
 KP_BOUND_Z2 = 7.3307290635716065          # max(1 + 2 + 8 * 4/e^2, 4)
@@ -155,6 +158,107 @@ def test_envelope_csv_round_trip(tmp_path):
     assert len(lines) == 1 + 9
     row = lines[1].split(",")
     assert float(row[0]) == pytest.approx(-1.0)
+
+
+def lp_envelope(m, halfwidth, resolution):
+    """Reference envelope: one LP per node over convex weights on all nodes."""
+    axes = _grid_axes(m.dim, halfwidth, resolution)
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                     axis=-1)
+    values = m.evaluate(nodes)
+    A_eq = np.vstack([nodes.T, np.ones((1, len(nodes)))])
+    env = np.empty(len(nodes))
+    support_max = 0
+    for i, node in enumerate(nodes):
+        res = linprog(values, A_eq=A_eq, b_eq=np.append(node, 1.0),
+                      bounds=(0.0, None), method="highs-ds")
+        assert res.success
+        env[i] = res.fun
+        support_max = max(support_max, int(np.count_nonzero(res.x > 1e-8)))
+    env = np.minimum(np.maximum(env, 0.0), values)
+    active = env > 1e-12
+    return env, support_max, float((values[active] / env[active]).max())
+
+
+@pytest.mark.parametrize("case", ["kp-z2", "kp-softclip:2,1", "double-well",
+                                  "radial_power(2,2)"])
+def test_envelope_hull_matches_lp_oracle(case, f2):
+    m, halfwidth, resolution = {
+        "kp-z2": (kalton_peck_map(f2, identity_theta()), 2.0, 13),
+        "kp-softclip:2,1": (kalton_peck_map(f2, soft_clip_theta(1.0)), 2.0, 9),
+        "double-well": (double_well(), 3.0, 49),
+        "radial_power(2,2)": (radial_power(2, 2.0), 2.0, 15),
+    }[case]
+    grid = convex_envelope(m, halfwidth, resolution)
+    env, _, ratio_max = lp_envelope(m, halfwidth, resolution)
+    assert np.max(np.abs(grid.envelope - env)) <= 1e-10
+    assert grid.support_max <= m.dim + 1
+    assert grid.ratio_max == pytest.approx(ratio_max, rel=1e-12)
+
+
+def test_envelope_of_cospherical_lattice_is_identity():
+    # lattice points of |x|^2 are cospherical: Qhull's triangulated lower
+    # hull has zero-volume simplices and ties, which must not leak out
+    grid = convex_envelope(radial_power(3, 2.0), 2.0, 9)
+    assert np.max(np.abs(grid.envelope - grid.values)) <= 1e-12
+    assert grid.support_max == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_envelope_of_flat_map_raises(dim):
+    zero = YoungMap(dim=dim, fn=lambda pts: np.zeros(pts.shape[:-1]),
+                    label="zero map")
+    shape = "x".join(["9"] * dim)
+    with pytest.raises(NumericSignal, match=f"zero map on the {shape} grid"):
+        convex_envelope(zero, 1.0, 9)
+
+
+def searchsorted_interp(gm, pts):
+    """Reference multilinear interpolation locating cells by searchsorted."""
+    idx, frac = [], []
+    for i, ax in enumerate(gm.axes):
+        j = np.clip(np.searchsorted(ax, pts[:, i], side="right") - 1,
+                    0, ax.size - 2)
+        idx.append(j)
+        frac.append((pts[:, i] - ax[j]) / (ax[j + 1] - ax[j]))
+    out = np.zeros(len(pts))
+    for corner in itertools.product((0, 1), repeat=gm.dim):
+        w = np.ones(len(pts))
+        for i, hi in enumerate(corner):
+            w = w * (frac[i] if hi else 1.0 - frac[i])
+        out += w * gm.table[tuple(j + hi for j, hi in zip(idx, corner))]
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_interp_matches_searchsorted(dim):
+    rng = np.random.default_rng(11 + dim)
+    axes = _grid_axes(dim, np.linspace(1.7, 2.3, dim), 11)
+    gm = GridMap(axes=axes, table=0.5 + rng.random((11,) * dim))
+    hw = gm.halfwidth
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                     axis=-1)
+    faces = hw * (2.0 * rng.random((64, dim)) - 1.0)
+    axis = rng.integers(0, dim, 64)
+    scale = np.array([-1.0, 1.0, -1.0 - 1e-12, 1.0 + 1e-12])[np.arange(64) % 4]
+    faces[np.arange(64), axis] = scale * hw[axis]
+    pts = np.concatenate([hw * (2.0 * rng.random((2000, dim)) - 1.0),
+                          nodes, faces])
+    ours = gm._interp(pts)
+    ref = searchsorted_interp(gm, pts)
+    assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-13
+    assert np.array_equal(gm._interp(nodes), gm.table.ravel())
+
+
+def test_grid_map_rejects_bad_axes():
+    with pytest.raises(ValueError):
+        GridMap(axes=(np.array([-1.0, -0.5, 0.2, 1.0]),), table=np.zeros(4))
+    with pytest.raises(ValueError):
+        GridMap(axes=(np.linspace(0.0, 2.0, 5),), table=np.zeros(5))
+    with pytest.raises(ValueError):
+        GridMap(axes=(np.linspace(-2.0, 2.0, 5),), table=np.zeros(4))
+    ok = GridMap(axes=(np.linspace(-2.0, 2.0, 5),), table=np.zeros(5))
+    assert ok.dim == 1
 
 
 def test_grid_map_interp_and_ray_extension():

@@ -2,6 +2,8 @@
 
 Layers, bottom up:
 
+- ``sampling``  — keyed seeded random streams, fixed-size chunks, and the
+  sampling laws behind every randomized certificate;
 - ``scalarfn``  — scalar Orlicz functions and their certified constants;
 - ``youngmap``  — even maps on R^n, the twisted two-variable map, grid
   convex envelopes, quasi-convexity certificates, mollification;
@@ -29,8 +31,9 @@ from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, MollifyResult,
                        young_from_orlicz)
 from .twisted import (PairSeq, QuasiLinearityResult, TwistedSpace,
                       build_space, equivalence_certificate, from_preset,
-                      kp_F, quasi_linearity_constant, quasi_triangle_constant,
-                      s_functional, twisted_norm, twisted_norm_batch)
+                      kp_F, parse_preset, quasi_linearity_constant,
+                      quasi_triangle_constant, s_functional, twisted_norm,
+                      twisted_norm_batch)
 from .renorm import (BlockSeq, GaugeSpec, RenormPipeline, StarNorm,
                      SubstitutionReport, SuffReport, build_phitilde,
                      build_pipeline, build_star_norm, lambda_norm,

@@ -24,24 +24,23 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sampling
 from .errors import NumericSignal
-from .renorm import (BlockSeq, build_pipeline, lambda_norm,
+from .renorm import (PIPELINES, BlockSeq, build_pipeline, lambda_norm,
                      match_lambda_norm, prefix_substitution_check,
                      star_iterate, suff_criterion_check, triangle_violation)
 from .scalarfn import certify, power
 from .seqspace import VecSeq, luxemburg_norm
 from .twisted import (PairSeq, equivalence_certificate, from_preset,
-                      quasi_linearity_constant, quasi_triangle_constant,
-                      twisted_norm)
-from .youngmap import (convex_envelope, identity_theta, kalton_peck_map,
-                       kp_theoretical_bound, quasiconvexity_constant,
-                       soft_clip_theta)
+                      parse_preset, quasi_linearity_constant,
+                      quasi_triangle_constant, twisted_norm)
+from .youngmap import (convex_envelope, kalton_peck_map,
+                       kp_theoretical_bound, quasiconvexity_constant)
 
 __all__ = ["main", "RunConfig"]
 
 
 SPACE_PRESETS = "z2, zp:<p>, kp-softclip:<p>,<b>"
-PIPELINE_PRESETS = ("t2-pipeline", "t4-pipeline", "r2-pipeline")
 
 
 @dataclass(frozen=True)
@@ -114,24 +113,10 @@ def _space_preset(args, with_envelope: bool):
                        with_envelope=with_envelope)
 
 
-def _pipeline_preset(name: str, seed: int):
-    if name not in PIPELINE_PRESETS:
-        raise ValueError(f"unknown pipeline preset {name!r}; expected one of "
-                         f"{', '.join(PIPELINE_PRESETS)}")
-    return build_pipeline(name, rng_seed=seed)
-
-
-def _rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), int(k)])))
-
-
 def _random_blocks(rng: np.random.Generator, dim: int,
                    max_blocks: int = 4) -> BlockSeq:
     k = int(rng.integers(1, max_blocks + 1))
-    mags = 10.0 ** (-2.0 + 3.0 * rng.random((k, dim)))
-    signs = np.where(rng.random((k, dim)) < 0.5, -1.0, 1.0)
-    return BlockSeq(dim, mags * signs)
+    return BlockSeq(dim, sampling.signed_log_uniform(rng, (k, dim), 1e-2, 10.0))
 
 
 # --------------------------------------------------------------------------
@@ -190,17 +175,7 @@ def cmd_envelope(args) -> int:
 
 
 def _certify_quasiconvex(args, cfg: RunConfig) -> tuple[bool, dict]:
-    name = args.preset.strip()
-    if name == "z2":
-        p, theta = 2.0, identity_theta()
-    elif name.startswith("zp:"):
-        p, theta = float(name[3:]), identity_theta()
-    elif name.startswith("kp-softclip:"):
-        a, b = name[len("kp-softclip:"):].split(",")
-        p, theta = float(a), soft_clip_theta(float(b))
-    else:
-        raise ValueError(f"unknown space preset {name!r}; expected "
-                         + SPACE_PRESETS)
+    p, theta, _ = parse_preset(args.preset)
     claimed = args.type_p if args.type_p is not None else p
     f = certify(power(p), claimed)
     phi = kalton_peck_map(f, theta)
@@ -247,7 +222,7 @@ def _certify_quasilinear(args, cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _certify_triangle(args, cfg: RunConfig) -> tuple[bool, dict]:
-    pipe = _pipeline_preset(args.pipeline, cfg.seed)
+    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
     worst = triangle_violation(pipe.norm, cfg.trials, cfg.seed)
     ok = bool(worst <= 1e-10)
     return ok, {
@@ -258,11 +233,11 @@ def _certify_triangle(args, cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _certify_suff(args, cfg: RunConfig) -> tuple[bool, dict]:
-    pipe = _pipeline_preset(args.pipeline, cfg.seed)
+    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
     worst = math.inf
     checked = 0
     for k in range(cfg.trials):
-        rng = _rng(cfg.seed, k)
+        rng = sampling.rng(cfg.seed, k)
         xi = _random_blocks(rng, pipe.norm.dim)
         target = float(rng.random()) or 0.5
         xi = match_lambda_norm(pipe.norm, xi, target)
@@ -278,10 +253,10 @@ def _certify_suff(args, cfg: RunConfig) -> tuple[bool, dict]:
 
 
 def _certify_property_m(args, cfg: RunConfig) -> tuple[bool, dict]:
-    pipe = _pipeline_preset(args.pipeline, cfg.seed)
+    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
     worst = 0.0
     for k in range(cfg.trials):
-        rng = _rng(cfg.seed, 10_000_019 + k)
+        rng = sampling.rng(cfg.seed, 10_000_019 + k)
         u = _random_blocks(rng, pipe.norm.dim)
         v = _random_blocks(rng, pipe.norm.dim)
         tail = _random_blocks(rng, pipe.norm.dim)
@@ -319,7 +294,7 @@ def cmd_certify(args) -> int:
 
 def cmd_renorm(args) -> int:
     cfg = RunConfig.from_args(args)
-    pipe = _pipeline_preset(args.pipeline, cfg.seed)
+    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
     if args.action == "build":
         worst = triangle_violation(pipe.norm, cfg.trials, cfg.seed)
         body = {
@@ -354,7 +329,7 @@ def cmd_renorm(args) -> int:
 
 def cmd_lambda_norm(args) -> int:
     cfg = RunConfig.from_args(args)
-    pipe = _pipeline_preset(args.pipeline, cfg.seed)
+    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
     xi = BlockSeq.from_json(_read(args.blocks))
     lam = lambda_norm(pipe.norm, xi)
     print(f"lambda norm = {lam!r}")
@@ -407,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=sorted(_CERTIFIERS))
     p.add_argument("--preset", default="z2", help=SPACE_PRESETS)
     p.add_argument("--pipeline", default="t2-pipeline",
-                   help=", ".join(PIPELINE_PRESETS))
+                   help=", ".join(PIPELINES))
     p.add_argument("--dim-max", type=int, default=64)
     p.add_argument("--type-p", type=float, default=None,
                    help="override the claimed growth exponent")
@@ -417,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("renorm", help="build a renorm pipeline or check blocks")
     p.add_argument("action", choices=["build", "check"])
     p.add_argument("--pipeline", default="t2-pipeline",
-                   help=", ".join(PIPELINE_PRESETS))
+                   help=", ".join(PIPELINES))
     p.add_argument("--blocks", default=None, help="block JSON (check only)")
     _add_common(p)
     p.set_defaults(func=cmd_renorm)
 
     p = sub.add_parser("lambda-norm", help="iterated-norm supremum of blocks")
     p.add_argument("--pipeline", default="t2-pipeline",
-                   help=", ".join(PIPELINE_PRESETS))
+                   help=", ".join(PIPELINES))
     p.add_argument("--blocks", required=True, help="block JSON file")
     _add_common(p)
     p.set_defaults(func=cmd_lambda_norm)

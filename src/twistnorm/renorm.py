@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sampling
 from .errors import NumericSignal
 from .seqspace import _bracket_bisect
 from .youngmap import YoungMap, radial_power
@@ -51,6 +52,7 @@ __all__ = [
     "match_lambda_norm",
     "BlockSeq",
     "RenormPipeline",
+    "PIPELINES",
     "build_pipeline",
     "triangle_violation",
 ]
@@ -271,12 +273,6 @@ class StarNorm:
         return float(self.evaluate(pt[None, :])[0])
 
 
-def _sample_rays(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    mags = 10.0 ** (-2.0 + 4.0 * rng.random((n, dim)))
-    signs = np.where(rng.random((n, dim)) < 0.5, -1.0, 1.0)
-    return mags * signs
-
-
 def build_star_norm(phitilde: YoungMap, g: GaugeSpec, rng_seed: int = 1234,
                     n_rays: int = 1000, n_tgrid: int = 1000,
                     n_monotone: int = 100_000) -> StarNorm:
@@ -288,11 +284,11 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec, rng_seed: int = 1234,
     N(1, 0) = 1 exactly; (d) the x0 = 0 closed form matches the
     x0 -> 0 limit to 1e-6 relative.  Any failure raises NumericSignal.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
+    rng = sampling.rng(rng_seed)
     dim = phitilde.dim
 
     # (a) the decreasing bullet
-    rays = _sample_rays(rng, n_rays, dim)
+    rays = sampling.signed_log_uniform(rng, (n_rays, dim), 1e-2, 1e2)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     t = np.geomspace(1e-6, 1e6, n_tgrid)
     pts = rays[:, None, :] * t[None, :, None]
@@ -308,7 +304,8 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec, rng_seed: int = 1234,
     norm = StarNorm(dim=dim, young=phitilde, g=g)
 
     # (b) monotone in the first coordinate
-    blocks = _sample_rays(rng, n_monotone, dim)
+    blocks = sampling.signed_log_uniform(rng, (n_monotone, dim),
+                                          1e-2, 1e2)
     a = 10.0 ** (-3.0 + 6.0 * rng.random(n_monotone))
     b = a * (1.0 + rng.random(n_monotone))
     na = norm.evaluate(np.concatenate([a[:, None], blocks], axis=-1))
@@ -324,7 +321,7 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec, rng_seed: int = 1234,
         raise NumericSignal(f"N(1, 0) = {unit!r}, expected exactly 1")
 
     # (d) x0 = 0 branch against its limit
-    probes = _sample_rays(rng, 64, dim)
+    probes = sampling.signed_log_uniform(rng, (64, dim), 1e-2, 1e2)
     closed = norm.evaluate(np.concatenate(
         [np.zeros((64, 1)), probes], axis=-1))
     eps = 1e-8
@@ -350,19 +347,18 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec, rng_seed: int = 1234,
 
 
 def triangle_violation(norm: StarNorm, trials: int, rng_seed: int) -> float:
-    """Max relative triangle violation of N over seeded random pairs."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        [int(rng_seed), 77])))
+    """Max relative triangle violation of N over seeded random pairs.
+
+    Chunk i of the trials draws from the stream keyed ``77 + i``.
+    """
     worst = 0.0
-    done = 0
-    while done < trials:
-        n = min(262144, trials - done)
-        p = _sample_rays(rng, n, norm.dim + 1)
-        q = _sample_rays(rng, n, norm.dim + 1)
+    for rng, n in sampling.chunks(rng_seed, trials, 77):
+        shape = (n, norm.dim + 1)
+        p = sampling.signed_log_uniform(rng, shape, 1e-2, 1e2)
+        q = sampling.signed_log_uniform(rng, shape, 1e-2, 1e2)
         lhs = norm.evaluate(p + q)
         rhs = norm.evaluate(p) + norm.evaluate(q)
         worst = max(worst, float(((lhs - rhs) / rhs).max()))
-        done += n
     return worst
 
 
@@ -568,6 +564,7 @@ _PIPELINE_BASES = {
     "t4-pipeline": lambda: radial_power(1, 4.0),
     "r2-pipeline": lambda: radial_power(2, 2.0),
 }
+PIPELINES = tuple(_PIPELINE_BASES)
 
 
 def build_pipeline(name: str, rng_seed: int = 1234) -> RenormPipeline:

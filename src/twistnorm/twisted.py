@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericSignal
-from .scalarfn import DEFAULT_PLAN, OrliczFn, certify
+from . import sampling
+from .scalarfn import DEFAULT_PLAN, OrliczFn, certify, power
 from .seqspace import VecSeq, luxemburg_norm, luxemburg_norm_batch
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, YoungMap,
                        convex_envelope, identity_theta, kalton_peck_map,
@@ -33,6 +34,7 @@ from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, YoungMap,
 __all__ = [
     "TwistedSpace",
     "build_space",
+    "parse_preset",
     "from_preset",
     "PairSeq",
     "kp_F",
@@ -93,21 +95,17 @@ def build_space(f: OrliczFn, theta: LipschitzTheta, halfwidth: float = 2.0,
                         label=label or f"twisted({f.describe()}, {theta.describe()})")
 
 
-def from_preset(name: str, halfwidth: float = 2.0, resolution: int = 41,
-                with_envelope: bool = True, plan=DEFAULT_PLAN) -> TwistedSpace:
-    """Named spaces: z2 | zp:<p> | kp-softclip:<p>,<b>."""
-    from .scalarfn import power
+def parse_preset(name: str) -> tuple:
+    """Named spaces: z2 | zp:<p> | kp-softclip:<p>,<b> -> (p, theta, label)."""
     name = name.strip()
     if name == "z2":
-        return build_space(power(2.0), identity_theta(), halfwidth,
-                           resolution, with_envelope, plan, label="z2")
+        return 2.0, identity_theta(), "z2"
     if name.startswith("zp:"):
         try:
             p = float(name[3:])
         except ValueError:
             raise ValueError(f"bad preset {name!r}: zp:<p> needs a number")
-        return build_space(power(p), identity_theta(), halfwidth,
-                           resolution, with_envelope, plan, label=name)
+        return p, identity_theta(), name
     if name.startswith("kp-softclip:"):
         parts = name[len("kp-softclip:"):].split(",")
         if len(parts) != 2:
@@ -117,10 +115,17 @@ def from_preset(name: str, halfwidth: float = 2.0, resolution: int = 41,
             p, b = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"bad preset {name!r}: non-numeric parameters")
-        return build_space(power(p), soft_clip_theta(b), halfwidth,
-                           resolution, with_envelope, plan, label=name)
+        return p, soft_clip_theta(b), name
     raise ValueError(f"unknown preset {name!r}; "
                      "expected z2, zp:<p> or kp-softclip:<p>,<b>")
+
+
+def from_preset(name: str, halfwidth: float = 2.0, resolution: int = 41,
+                with_envelope: bool = True, plan=DEFAULT_PLAN) -> TwistedSpace:
+    """The space of a named preset (see ``parse_preset``)."""
+    p, theta, label = parse_preset(name)
+    return build_space(power(p), theta, halfwidth, resolution, with_envelope,
+                       plan, label=label)
 
 
 # --------------------------------------------------------------------------
@@ -282,37 +287,6 @@ def s_functional(space: TwistedSpace, p: PairSeq, k: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# seeded random pair law
-
-
-_CHUNK = 65536
-
-
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), int(chunk)])))
-
-
-def _random_rows(rng: np.random.Generator, n: int, dim: int,
-                 max_support: int = 8) -> np.ndarray:
-    """Dense rows with support of size <= max_support inside {1..dim}.
-
-    Magnitudes are log-uniform in [1e-4, 1e2] with uniform signs.
-    """
-    k = min(max_support, dim)
-    out = np.zeros((n, dim))
-    sizes = rng.integers(1, k + 1, size=n)
-    order = np.argsort(rng.random((n, dim)), axis=1)
-    cols = order[:, :k]
-    mask = np.arange(k)[None, :] < sizes[:, None]
-    mags = 10.0 ** (-4.0 + 6.0 * rng.random((n, k)))
-    signs = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
-    vals = np.where(mask, signs * mags, 0.0)
-    np.put_along_axis(out, cols, vals, axis=1)
-    return out
-
-
-# --------------------------------------------------------------------------
 # certificates
 
 
@@ -330,6 +304,44 @@ def _dims_for(dim_max: int) -> list:
     return dims or [dim_max]
 
 
+def _sampled_sup(trials: int, dim_max: int, rng_seed: int, stride: int,
+                 draw) -> tuple:
+    """Per-dimension sups of a sampled ratio num / den, with a witness.
+
+    The trial budget is split evenly across ``_dims_for(dim_max)``; the
+    dimension at position k draws its chunks from the streams keyed
+    ``k * stride + i``.  ``draw(rng, n, d)`` returns ``num``, ``den`` and
+    a dict of the sampled rows; pairs with ``den == 0`` are skipped.
+    Returns ``(sup, per_dim, witness)``, the witness holding the dimension,
+    the rows of the best pair and its ratio.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    dims = _dims_for(dim_max)
+    share = max(1, trials // len(dims))
+    per_dim = {}
+    best = 0.0
+    witness = {}
+    for d_pos, d in enumerate(dims):
+        top = 0.0
+        for rng, n in sampling.chunks(rng_seed, share, d_pos * stride):
+            num, den, rows = draw(rng, n, d)
+            ok = np.flatnonzero(den > 0.0)
+            if ok.size:
+                r = num[ok] / den[ok]
+                i = int(np.argmax(r))
+                if r[i] > top:
+                    top = float(r[i])
+                    if top > best:
+                        best = top
+                        witness = {"dim": d,
+                                   **{k: v[ok[i]].tolist()
+                                      for k, v in rows.items()},
+                                   "ratio": top}
+        per_dim[d] = top
+    return best, per_dim, witness
+
+
 def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
                              rng_seed: int) -> QuasiLinearityResult:
     """Empirical sup of ||F(x+y) - F(x) - F(y)|| / (||x|| + ||y||).
@@ -338,43 +350,17 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
     capped at dim_max) so stability across dimension is visible in the
     per-dimension table.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    dims = _dims_for(dim_max)
-    per_dim = {}
-    best = 0.0
-    witness = {}
-    share = max(1, trials // len(dims))
-    for d_pos, d in enumerate(dims):
-        done = 0
-        chunk = 0
-        top = 0.0
-        while done < share:
-            n = min(_CHUNK, share - done)
-            rng = _chunk_rng(rng_seed, d_pos * 1_000_003 + chunk)
-            X = _random_rows(rng, n, d)
-            Y = _random_rows(rng, n, d)
-            dev = (_F_dense(space, X + Y) - _F_dense(space, X)
-                   - _F_dense(space, Y))
-            num = luxemburg_norm_batch(space.f, dev[..., None])
-            den = (luxemburg_norm_batch(space.f, X[..., None])
-                   + luxemburg_norm_batch(space.f, Y[..., None]))
-            ok = den > 0.0
-            if ok.any():
-                r = num[ok] / den[ok]
-                i = int(np.argmax(r))
-                if r[i] > top:
-                    top = float(r[i])
-                    if top > best:
-                        best = top
-                        rows = np.flatnonzero(ok)
-                        j = rows[i]
-                        witness = {"dim": d,
-                                   "x": X[j].tolist(), "y": Y[j].tolist(),
-                                   "ratio": top}
-            done += n
-            chunk += 1
-        per_dim[d] = top
+    def draw(rng, n, d):
+        X = sampling.random_rows(rng, n, d)
+        Y = sampling.random_rows(rng, n, d)
+        dev = _F_dense(space, X + Y) - _F_dense(space, X) - _F_dense(space, Y)
+        num = luxemburg_norm_batch(space.f, dev[..., None])
+        den = (luxemburg_norm_batch(space.f, X[..., None])
+               + luxemburg_norm_batch(space.f, Y[..., None]))
+        return num, den, {"x": X, "y": Y}
+
+    best, per_dim, witness = _sampled_sup(trials, dim_max, rng_seed,
+                                          1_000_003, draw)
     return QuasiLinearityResult(c_hat=best, witness=witness, per_dim=per_dim,
                                 trials=trials, seed=rng_seed)
 
@@ -382,33 +368,15 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
 def quasi_triangle_constant(space: TwistedSpace, trials: int, dim_max: int,
                             rng_seed: int) -> dict:
     """Empirical sup of ||p+q|| / (||p|| + ||q||) for the quasi-norm."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    dims = _dims_for(dim_max)
-    per_dim = {}
-    best = 0.0
-    share = max(1, trials // len(dims))
-    for d_pos, d in enumerate(dims):
-        done = 0
-        chunk = 0
-        top = 0.0
-        while done < share:
-            n = min(_CHUNK, share - done)
-            rng = _chunk_rng(rng_seed, d_pos * 2_000_003 + chunk)
-            X1 = _random_rows(rng, n, d)
-            Y1 = _random_rows(rng, n, d)
-            X2 = _random_rows(rng, n, d)
-            Y2 = _random_rows(rng, n, d)
-            num = twisted_norm_batch(space, X1 + X2, Y1 + Y2)
-            den = (twisted_norm_batch(space, X1, Y1)
-                   + twisted_norm_batch(space, X2, Y2))
-            ok = den > 0.0
-            if ok.any():
-                top = max(top, float((num[ok] / den[ok]).max()))
-            done += n
-            chunk += 1
-        per_dim[d] = top
-        best = max(best, top)
+    def draw(rng, n, d):
+        X1, Y1, X2, Y2 = (sampling.random_rows(rng, n, d) for _ in range(4))
+        num = twisted_norm_batch(space, X1 + X2, Y1 + Y2)
+        den = (twisted_norm_batch(space, X1, Y1)
+               + twisted_norm_batch(space, X2, Y2))
+        return num, den, {}
+
+    best, per_dim, _ = _sampled_sup(trials, dim_max, rng_seed, 2_000_003,
+                                    draw)
     return {"Q_hat": best, "per_dim": per_dim, "trials": trials,
             "seed": rng_seed}
 
@@ -419,10 +387,13 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
 
     Samples seeded random pairs, computes r = quasi-norm / Luxemburg norm
     of the interleaved pair in the envelope map, and reports the extremes
-    after ``trials`` samples and again after doubling; each extreme must
-    move by less than 5% for the certificate to be stable.  If any
-    argument scaled by its Psi-norm escapes the envelope box, the box is
-    doubled, the envelope recomputed, and the sampling restarted.
+    over ``2 * trials`` pairs and over a first part of them; each extreme
+    must move by less than 5% for the certificate to be stable.  The first
+    part ends at the first chunk boundary at or after ``trials`` pairs
+    (chunks of ``sampling.CHUNK``), so when ``2 * trials <= CHUNK`` it is
+    the whole sample and ``stability`` is 0.  If any argument scaled by
+    its Psi-norm escapes the envelope box, the box is doubled, the
+    envelope recomputed, and the sampling restarted.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -430,17 +401,13 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
     for _ in range(7):
         psi = space.psi_map
         hw = space.box_halfwidth
-        lo1 = hi1 = None          # extremes after `trials`
+        lo1 = hi1 = None          # extremes at the first part's end
         lo = hi = None            # running extremes
         contained = True
         done = 0
-        chunk = 0
-        total = 2 * trials
-        while done < total:
-            n = min(_CHUNK, total - done)
-            rng = _chunk_rng(rng_seed, chunk)
-            X = _random_rows(rng, n, dim_max)
-            Y = _random_rows(rng, n, dim_max)
+        for rng, n in sampling.chunks(rng_seed, 2 * trials):
+            X = sampling.random_rows(rng, n, dim_max)
+            Y = sampling.random_rows(rng, n, dim_max)
             tw = twisted_norm_batch(space, X, Y)
             pairs = np.stack([X, Y], axis=-1)
             pn = luxemburg_norm_batch(psi, pairs)
@@ -454,7 +421,6 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
                 lo = float(r.min()) if lo is None else min(lo, float(r.min()))
                 hi = float(r.max()) if hi is None else max(hi, float(r.max()))
             done += n
-            chunk += 1
             if done >= trials and lo1 is None:
                 lo1, hi1 = lo, hi
         if not contained:

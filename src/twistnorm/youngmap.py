@@ -31,6 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.spatial import ConvexHull, QhullError
 
+from . import sampling
 from .errors import NumericSignal
 from .scalarfn import OrliczFn, ScalarConstants
 
@@ -234,21 +235,6 @@ class QuasiconvexityResult:
                 "lambda": float(lam)}
 
 
-_CHUNK = 65536
-
-
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), int(chunk)])))
-
-
-def _signed_log_uniform(rng, shape, lo: float, hi: float) -> np.ndarray:
-    mag = 10.0 ** (math.log10(lo)
-                   + (math.log10(hi) - math.log10(lo)) * rng.random(shape))
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return sign * mag
-
-
 def _ratio(m: YoungMap, t1, t2, lam) -> np.ndarray:
     mid = lam[..., None] * t1 + (1.0 - lam[..., None]) * t2
     num = m.evaluate(mid)
@@ -305,11 +291,7 @@ def quasiconvexity_constant(m: YoungMap, trials: int, rng_seed: int,
         raise ValueError("trials must be positive")
     best = -math.inf
     best_w = None
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        n = min(_CHUNK, trials - done)
-        rng = _chunk_rng(rng_seed, chunk_idx)
+    for rng, n in sampling.chunks(rng_seed, trials):
         thirds = n // 3
         t1 = np.empty((n, m.dim))
         t2 = np.empty((n, m.dim))
@@ -318,21 +300,23 @@ def quasiconvexity_constant(m: YoungMap, trials: int, rng_seed: int,
         t2[:thirds] = halfwidth * (2.0 * rng.random((thirds, m.dim)) - 1.0)
         # signed log magnitudes
         k = 2 * thirds
-        t1[thirds:k] = _signed_log_uniform(rng, (thirds, m.dim), 1e-6, halfwidth)
-        t2[thirds:k] = _signed_log_uniform(rng, (thirds, m.dim), 1e-6, halfwidth)
+        for t in (t1, t2):
+            t[thirds:k] = sampling.signed_log_uniform(
+                rng, (thirds, m.dim), 1e-6, halfwidth)
         # directed pairs: shared x, small y of mixed sign pattern
         rest = n - k
         if m.dim == 2 and rest > 0:
-            x = _signed_log_uniform(rng, (rest,), 1e-3, halfwidth)
-            y1 = _signed_log_uniform(rng, (rest,), 1e-6, halfwidth)
+            x = sampling.signed_log_uniform(rng, (rest,), 1e-3, halfwidth)
+            y1 = sampling.signed_log_uniform(rng, (rest,), 1e-6, halfwidth)
             flip = np.where(rng.random(rest) < 0.5, 1.0, -1.0)
             y2 = flip * np.sign(y1) * 10.0 ** (
                 -6.0 + (math.log10(halfwidth) + 6.0) * rng.random(rest))
             t1[k:] = np.stack([x, y1], axis=-1)
             t2[k:] = np.stack([x, y2], axis=-1)
         elif rest > 0:
-            t1[k:] = _signed_log_uniform(rng, (rest, m.dim), 1e-6, halfwidth)
-            t2[k:] = _signed_log_uniform(rng, (rest, m.dim), 1e-6, halfwidth)
+            for t in (t1, t2):
+                t[k:] = sampling.signed_log_uniform(
+                    rng, (rest, m.dim), 1e-6, halfwidth)
         lam = rng.random(n)
         lam[::16] = 0.5
         # exact identity pairs guarantee L_hat >= 1
@@ -343,8 +327,6 @@ def quasiconvexity_constant(m: YoungMap, trials: int, rng_seed: int,
         if r[i] > best:
             best = float(r[i])
             best_w = (t1[i].copy(), t2[i].copy(), float(lam[i]))
-        done += n
-        chunk_idx += 1
     if best_w is None or not np.isfinite(best):
         raise NumericSignal("quasi-convexity search found no valid denominator")
     best, best_w = _polish_witness(m, *best_w)

@@ -200,6 +200,8 @@ def test_schema_errors_exit_two(tmp_path, seq_file):
     assert run("norm", "--preset", "zp:x", "--seq", str(seq_file)) == 2
     assert run("renorm", "check", "--pipeline", "t2-pipeline") == 2
     assert run("renorm", "build", "--pipeline", "bogus") == 2
+    assert run("certify", "quasiconvex", "--preset", "kp-softclip:2,1,3",
+               "--trials", "10") == 2
     assert run("certify", "no-such-kind") == 2
     assert run("norm", "--seq", str(seq_file), "--trials", "0") == 2
     wide = tmp_path / "wide.json"

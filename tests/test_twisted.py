@@ -5,9 +5,10 @@ import pytest
 
 from twistnorm import (PairSeq, VecSeq, build_space, equivalence_certificate,
                        from_preset, identity_theta, kp_F, luxemburg_norm,
-                       modular, quasi_linearity_constant,
-                       quasi_triangle_constant, s_functional, twisted_norm,
-                       twisted_norm_batch)
+                       luxemburg_norm_batch, modular, parse_preset,
+                       quasi_linearity_constant, quasi_triangle_constant,
+                       s_functional, twisted_norm, twisted_norm_batch)
+from twistnorm import sampling
 
 # frozen expected values
 DISJOINT_DEVIATION_RATIO = 0.2450645358672141   # sqrt(2)*log(sqrt(2)) / 2
@@ -241,6 +242,24 @@ def test_equivalence_certificate_report(z2_small):
         equivalence_certificate(z2_small, trials=0, dim_max=16, rng_seed=1)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the first-half extremes are taken at the first chunk boundary at or "
+    "after `trials` pairs, which is the end of the sample when "
+    "2 * trials <= sampling.CHUNK, so `stability` reads 0"))
+def test_equivalence_first_half_is_the_first_trials_pairs(z2_small):
+    trials, dim = 200, 16
+    rep = equivalence_certificate(z2_small, trials=trials, dim_max=dim,
+                                  rng_seed=3)
+    space = z2_small.with_box(rep["box_halfwidth"])
+    (rng, n), = sampling.chunks(3, 2 * trials)     # 400 pairs, one chunk
+    X = sampling.random_rows(rng, n, dim)
+    Y = sampling.random_rows(rng, n, dim)
+    r = (twisted_norm_batch(space, X, Y)
+         / luxemburg_norm_batch(space.psi_map, np.stack([X, Y], axis=-1)))
+    assert rep["ratio"] == [r.min(), r.max()]
+    assert rep["ratio_first_half"] == [r[:trials].min(), r[:trials].max()]
+
+
 def test_equivalence_needs_envelope(z2_noenv):
     with pytest.raises(ValueError):
         equivalence_certificate(z2_noenv, trials=10, dim_max=16, rng_seed=1)
@@ -260,9 +279,14 @@ def test_from_preset_names():
     assert sp.f.p == 3.0
     sc = from_preset("kp-softclip:2,0.5", with_envelope=False)
     assert sc.theta.K == 1.0
-    for bad in ("zp:x", "frob", "kp-softclip:2", "kp-softclip:a,b"):
+    p, theta, label = parse_preset(" kp-softclip:3,0.5 ")
+    assert (p, theta.K, label) == (3.0, 1.0, "kp-softclip:3,0.5")
+    for bad in ("zp:x", "frob", "kp-softclip:2", "kp-softclip:a,b",
+                "kp-softclip:2,1,3"):
         with pytest.raises(ValueError):
             from_preset(bad, with_envelope=False)
+        with pytest.raises(ValueError):
+            parse_preset(bad)
 
 
 def test_space_accessors(z2_noenv):

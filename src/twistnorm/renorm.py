@@ -106,15 +106,19 @@ def minkowski_gauge(g: GaugeSpec, x) -> float:
     return float(g.gauge(x[None, :])[0])
 
 
+def _sphere_dirs(dim: int, n: int) -> np.ndarray:
+    """Unit directions: +-1 for dim 1, n equally spaced angles for dim 2."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]])
+    if dim == 2:
+        ang = 2.0 * math.pi * np.arange(n) / n
+        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    raise ValueError("sphere directions are built for dimensions 1 and 2 only")
+
+
 def _unit_gauge_sphere(g: GaugeSpec, n_sphere: int) -> np.ndarray:
     """Points with gauge exactly 1 (2 points for n=1, angular grid for n=2)."""
-    if g.base.dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif g.base.dim == 2:
-        ang = 2.0 * math.pi * np.arange(n_sphere) / n_sphere
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    else:
-        raise ValueError("gauge spheres are built for dimensions 1 and 2 only")
+    dirs = _sphere_dirs(g.base.dim, n_sphere)
     return dirs / g.gauge(dirs)[..., None]
 
 
@@ -175,15 +179,8 @@ def _tau(base: YoungMap, y: np.ndarray) -> float:
 
 def _alpha_ceiling(base: YoungMap, n_sphere: int) -> float:
     """inf over the ||y||_2 = 1/2 sphere of base(tau(y) y)."""
-    if base.dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif base.dim == 2:
-        ang = 2.0 * math.pi * np.arange(n_sphere) / n_sphere
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    else:
-        raise ValueError("alpha selection supports dimensions 1 and 2 only")
     best = math.inf
-    for d in dirs:
+    for d in _sphere_dirs(base.dim, n_sphere):
         y = 0.5 * d
         t = _tau(base, y)
         best = min(best, float(base.evaluate((t * y)[None, :])[0]))
@@ -486,18 +483,18 @@ def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
 
     Precondition: the two prefix norms agree to 1e-12 (relative to their
     size) and each prefix attains its norm at its final step.  Then the
-    norms of u + tail and v + tail must agree within tol.
+    norms of u + tail and v + tail must agree within tol.  Each prefix is
+    iterated once; its norm is the max of that walk.
     """
-    lu = lambda_norm(norm, u)
-    lv = lambda_norm(norm, v)
+    walks = {"u": star_iterate(norm, u), "v": star_iterate(norm, v)}
+    lu, lv = (max(vals) if vals else 0.0 for vals in walks.values())
     scale = max(1.0, lu, lv)
     if abs(lu - lv) > 1e-12 * scale:
         return SubstitutionReport(
             precondition_ok=False,
             reason=f"prefix norms differ: {lu!r} vs {lv!r}",
             norm_u=lu, norm_v=lv, difference=math.nan, ok=False)
-    for name, seq, val in (("u", u, lu), ("v", v, lv)):
-        vals = star_iterate(norm, seq)
+    for name, vals in walks.items():
         if vals and vals[-1] != max(vals):
             return SubstitutionReport(
                 precondition_ok=False,
@@ -512,9 +509,14 @@ def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
                               ok=bool(diff <= tol))
 
 
-def match_lambda_norm(norm: StarNorm, xi: BlockSeq, target: float,
-                      rel_tol: float = 1e-15) -> BlockSeq:
-    """Rescale xi by bisection until its Lambda norm hits `target`."""
+def match_lambda_norm(norm: StarNorm, xi: BlockSeq,
+                      target: float) -> BlockSeq:
+    """Rescale xi so its Lambda norm is `target`.
+
+    The Lambda norm is positively 1-homogeneous (N is a norm, so each
+    iterated value scales with the blocks), hence one rescale by
+    target / Lambda(xi) suffices.
+    """
     if target < 0:
         raise ValueError("target must be nonnegative")
     if target == 0.0:
@@ -522,25 +524,7 @@ def match_lambda_norm(norm: StarNorm, xi: BlockSeq, target: float,
     base = lambda_norm(norm, xi)
     if base == 0.0:
         raise ValueError("cannot scale a zero sequence to a positive norm")
-    s0 = target / base
-    lo, hi = s0 / 2.0, s0 * 2.0
-    # lambda_norm is increasing in the scale
-    while lambda_norm(norm, xi.scaled(lo)) > target:
-        lo /= 2.0
-    while lambda_norm(norm, xi.scaled(hi)) < target:
-        hi *= 2.0
-    for _ in range(200):
-        if hi / lo - 1.0 <= rel_tol:
-            break
-        mid = math.sqrt(lo * hi)
-        got = lambda_norm(norm, xi.scaled(mid))
-        if got == target:
-            return xi.scaled(mid)
-        if got < target:
-            lo = mid
-        else:
-            hi = mid
-    return xi.scaled(math.sqrt(lo * hi))
+    return xi.scaled(target / base)
 
 
 # --------------------------------------------------------------------------

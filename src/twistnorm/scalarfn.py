@@ -110,6 +110,31 @@ def _refined_sup(per_round: Callable[[int], float], plan: SamplingPlan,
     return float(max(sups))
 
 
+def _table_sup(rows: np.ndarray, num_fn, den_fn) -> float:
+    """Max of num_fn(b) / den_fn(b) over the blocks b = rows[i:i+256, None].
+
+    Entries with den <= 0 or a non-finite numerator are skipped; a table
+    without a usable entry gives -inf.
+    """
+    best = -math.inf
+    for i in range(0, rows.size, 256):
+        block = rows[i:i + 256, None]
+        num = num_fn(block)
+        den = den_fn(block)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.where((den > 0.0) & np.isfinite(num), num / den, -math.inf)
+        best = max(best, float(r.max()))
+    return best
+
+
+def _scale_sup(f: "OrliczFn", B: float, axis: Callable[[int], np.ndarray],
+               plan: SamplingPlan, what: str) -> float:
+    """Refined grid supremum of f(B*x)/f(x) over x on axis(round)."""
+    return _refined_sup(
+        lambda k: _table_sup(axis(k), lambda x: f.value(B * x), f.value),
+        plan, what)
+
+
 # --------------------------------------------------------------------------
 # the function families
 
@@ -322,18 +347,11 @@ def estimate_type_constant(f: OrliczFn, p: float,
         raise ValueError("type exponent must exceed 1")
 
     def per_round(k: int) -> float:
-        lam = plan.unit_axis(k)
         s = plan.global_axis(k)
         phi_s = f.value(s)
-        best = -math.inf
-        for i in range(0, lam.size, 256):
-            lb = lam[i:i + 256, None]
-            num = f.value(lb * s[None, :])
-            den = lb ** p * phi_s[None, :]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r = np.where((den > 0.0) & np.isfinite(num), num / den, -math.inf)
-            best = max(best, float(r.max()))
-        return best
+        return _table_sup(plan.unit_axis(k),
+                          lambda lam: f.value(lam * s[None, :]),
+                          lambda lam: lam ** p * phi_s[None, :])
 
     return _refined_sup(per_round, plan,
                         f"type constant (p={p:g}) for {f.describe()}")
@@ -371,17 +389,9 @@ def delta2_constant(f: OrliczFn, domain: str = "global",
     """Grid supremum of f(2x)/f(x), globally or with x pushed toward 0."""
     if domain not in ("global", "at_zero"):
         raise ValueError("domain must be 'global' or 'at_zero'")
-
-    def per_round(k: int) -> float:
-        x = plan.global_axis(k) if domain == "global" else plan.unit_axis(k)
-        num = f.value(2.0 * x)
-        den = f.value(x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.where((den > 0.0) & np.isfinite(num), num / den, -math.inf)
-        return float(r.max())
-
-    return _refined_sup(per_round, plan,
-                        f"doubling constant ({domain}) for {f.describe()}")
+    axis = plan.global_axis if domain == "global" else plan.unit_axis
+    return _scale_sup(f, 2.0, axis, plan,
+                      f"doubling constant ({domain}) for {f.describe()}")
 
 
 def subadditivity_constant(f: OrliczFn, plan: SamplingPlan = DEFAULT_PLAN,
@@ -398,15 +408,8 @@ def subadditivity_constant(f: OrliczFn, plan: SamplingPlan = DEFAULT_PLAN,
     def per_round(k: int) -> float:
         x = plan.global_axis(k)
         phi_x = f.value(x)
-        best = -math.inf
-        for i in range(0, x.size, 256):
-            xr = x[i:i + 256, None]
-            num = f.value(xr + x[None, :])
-            den = phi_x[i:i + 256, None] + phi_x[None, :]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r = np.where((den > 0.0) & np.isfinite(num), num / den, -math.inf)
-            best = max(best, float(r.max()))
-        return best
+        return _table_sup(x, lambda xr: f.value(xr + x[None, :]),
+                          lambda xr: f.value(xr) + phi_x[None, :])
 
     return _refined_sup(per_round, plan,
                         f"subadditivity constant for {f.describe()}",
@@ -418,17 +421,8 @@ def scale_constant(f: OrliczFn, B: float,
     """Grid supremum of f(B*x)/f(x) for a fixed scale B > 0."""
     if not B > 0:
         raise ValueError("scale must be positive")
-
-    def per_round(k: int) -> float:
-        x = plan.global_axis(k)
-        num = f.value(B * x)
-        den = f.value(x)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.where((den > 0.0) & np.isfinite(num), num / den, -math.inf)
-        return float(r.max())
-
-    return _refined_sup(per_round, plan,
-                        f"scale constant (B={B:g}) for {f.describe()}")
+    return _scale_sup(f, B, plan.global_axis, plan,
+                      f"scale constant (B={B:g}) for {f.describe()}")
 
 
 def estimate_indices(f: OrliczFn, plan: SamplingPlan = DEFAULT_PLAN,

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NumericSignal
 from . import sampling
 from .scalarfn import DEFAULT_PLAN, OrliczFn, certify, power
-from .seqspace import VecSeq, luxemburg_norm, luxemburg_norm_batch
+from .seqspace import VecSeq, luxemburg_norm_batch
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, YoungMap,
                        convex_envelope, identity_theta, kalton_peck_map,
                        soft_clip_theta)
@@ -143,45 +143,34 @@ class PairSeq:
     def __post_init__(self):
         x = np.asarray(self.xv, dtype=float).reshape(-1)
         y = np.asarray(self.yv, dtype=float).reshape(-1)
-        idx = tuple(int(i) for i in self.indices)
-        if x.size != len(idx) or y.size != len(idx):
+        if x.size != len(self.indices) or y.size != len(self.indices):
             raise ValueError("indices, xv and yv must have equal lengths")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("entries must be finite")
-        if any(i < 1 for i in idx):
-            raise ValueError("indices must be positive integers")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
-        keep = (x != 0.0) | (y != 0.0)
-        idx = tuple(i for i, k in zip(idx, keep) if k)
-        x = np.ascontiguousarray(x[keep])
-        y = np.ascontiguousarray(y[keep])
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "xv", x)
-        object.__setattr__(self, "yv", y)
+        # VecSeq validates the entries and indices and drops (0, 0) rows
+        v = VecSeq(2, self.indices, np.stack([x, y], axis=-1))
+        object.__setattr__(self, "indices", v.indices)
+        object.__setattr__(self, "xv", v.vectors[:, 0])
+        object.__setattr__(self, "yv", v.vectors[:, 1])
+
+    @classmethod
+    def _from_vec2(cls, v: VecSeq) -> "PairSeq":
+        return cls(v.indices, v.vectors[:, 0], v.vectors[:, 1])
 
     @classmethod
     def from_xy(cls, x: VecSeq, y: VecSeq) -> "PairSeq":
         if x.dim != 1 or y.dim != 1:
             raise ValueError("pairs are built from two scalar sequences")
-        idx = sorted(set(x.indices) | set(y.indices))
-        pos = {i: r for r, i in enumerate(idx)}
-        xv = np.zeros(len(idx))
-        yv = np.zeros(len(idx))
-        for i, v in zip(x.indices, x.vectors):
-            xv[pos[i]] = v[0]
-        for i, v in zip(y.indices, y.vectors):
-            yv[pos[i]] = v[0]
-        return cls(tuple(idx), xv, yv)
+        # (x, 0) + (0, y): every sum adds a zero, so it is exact
+        zx, zy = np.zeros_like(x.vectors), np.zeros_like(y.vectors)
+        xs = VecSeq(2, x.indices, np.hstack([x.vectors, zx]))
+        ys = VecSeq(2, y.indices, np.hstack([zy, y.vectors]))
+        return cls._from_vec2(xs.add(ys))
 
     @classmethod
     def from_json(cls, text: str) -> "PairSeq":
         v = VecSeq.from_json(text)
         if v.dim != 2:
             raise ValueError("a pair file is a dim-2 sequence of (x, y) entries")
-        return cls(v.indices, v.vectors[:, 0].copy(), v.vectors[:, 1].copy())
+        return cls._from_vec2(v)
 
     def to_json(self) -> str:
         return self.as_vec2().to_json()
@@ -209,9 +198,7 @@ class PairSeq:
         return PairSeq(self.indices, self.xv * float(c), self.yv * float(c))
 
     def add(self, other: "PairSeq") -> "PairSeq":
-        merged = self.as_vec2().add(other.as_vec2())
-        return PairSeq(merged.indices, merged.vectors[:, 0].copy(),
-                       merged.vectors[:, 1].copy())
+        return PairSeq._from_vec2(self.as_vec2().add(other.as_vec2()))
 
     def __add__(self, other):
         return self.add(other)
@@ -255,12 +242,11 @@ def kp_F(space: TwistedSpace, y: VecSeq) -> VecSeq:
 
 
 def twisted_norm(space: TwistedSpace, p: PairSeq) -> float:
-    """||y|| + ||x - F(y)|| in the Luxemburg norm of the space's function."""
-    if p.is_zero():
-        return 0.0
-    ny = luxemburg_norm(space.f, p.y_seq)
-    diff = p.x_seq.sub(kp_F(space, p.y_seq))
-    return ny + luxemburg_norm(space.f, diff)
+    """||y|| + ||x - F(y)|| in the Luxemburg norm of the space's function.
+
+    The one-row case of ``twisted_norm_batch``.
+    """
+    return float(twisted_norm_batch(space, p.xv[None], p.yv[None])[0])
 
 
 def twisted_norm_batch(space: TwistedSpace, X: np.ndarray,

@@ -489,6 +489,13 @@ def _grid_axes(dim: int, halfwidth, resolution: int):
     return tuple(np.linspace(-h, h, resolution) for h in hw)
 
 
+def _grid_nodes(axes) -> tuple:
+    """Integer indices (N, dim) and coordinates (N, dim) of the grid nodes,
+    in C order."""
+    ticks = np.indices(tuple(ax.size for ax in axes)).reshape(len(axes), -1).T
+    return ticks, np.stack([ax[k] for ax, k in zip(axes, ticks.T)], axis=-1)
+
+
 def convex_envelope(m: YoungMap, halfwidth, resolution: int,
                     l_hat: float | None = None) -> EnvelopeGrid:
     """Grid lower convex envelope as the lower convex hull of the lifted nodes.
@@ -509,8 +516,7 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int,
     shape = tuple(ax.size for ax in axes)
     where = (f"lower hull of {m.label or 'map'} on the "
              f"{'x'.join(map(str, shape))} grid")
-    ticks = np.indices(shape).reshape(m.dim, -1).T          # (N, dim) ints
-    nodes = np.stack([ax[k] for ax, k in zip(axes, ticks.T)], axis=-1)
+    ticks, nodes = _grid_nodes(axes)
     values = m.evaluate(nodes)
     if not np.all(np.isfinite(values)):
         raise NumericSignal("map produced non-finite values on the envelope grid")
@@ -578,8 +584,7 @@ def equivalence_constant(a, b, halfwidth, resolution: int) -> float:
     if ma.dim != mb.dim:
         raise ValueError("maps must share a dimension")
     axes = _grid_axes(ma.dim, halfwidth, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=-1)
+    _, nodes = _grid_nodes(axes)
     va = ma.evaluate(nodes)
     vb = mb.evaluate(nodes)
     pa = va > 1e-12
@@ -651,8 +656,7 @@ def mollify(m: YoungMap, radius_fraction: float, halfwidth,
     if not 0.0 <= radius_fraction < 1.0:
         raise ValueError("radius fraction must lie in [0, 1)")
     axes = _grid_axes(m.dim, halfwidth, resolution)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in mesh], axis=-1)
+    _, nodes = _grid_nodes(axes)
     base_vals = m.evaluate(nodes)
     offsets, weights = _ball_offsets(m.dim)
     step = max(float(ax[1] - ax[0]) for ax in axes)

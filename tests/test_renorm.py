@@ -9,6 +9,7 @@ from twistnorm import (BlockSeq, GaugeSpec, NumericSignal, YoungMap,
                        minkowski_gauge, prefix_substitution_check,
                        radial_power, select_alpha, star_iterate,
                        suff_criterion_check, triangle_violation)
+from twistnorm import renorm, sampling
 from twistnorm.renorm import _alpha_ceiling, _tau
 
 SQRT2 = math.sqrt(2.0)
@@ -247,6 +248,47 @@ def test_match_lambda_norm(t2_pipe):
         match_lambda_norm(n, BlockSeq(1, np.zeros((0, 1))), 1.0)
     with pytest.raises(ValueError):
         match_lambda_norm(n, xi, -1.0)
+
+
+def _count_walks(monkeypatch):
+    """Count calls of renorm.star_iterate, the one walk over a sequence."""
+    calls = []
+    walk = renorm.star_iterate
+
+    def counted(norm, xi):
+        calls.append(xi.n_blocks)
+        return walk(norm, xi)
+
+    monkeypatch.setattr(renorm, "star_iterate", counted)
+    return calls
+
+
+def test_match_lambda_norm_walks_once(t2_pipe, monkeypatch):
+    calls = _count_walks(monkeypatch)
+    match_lambda_norm(t2_pipe.norm, BlockSeq(1, [[0.3], [-0.5]]), 0.8)
+    assert len(calls) == 1
+
+
+def test_prefix_substitution_walks_each_sequence_once(t2_pipe, monkeypatch):
+    n = t2_pipe.norm
+    u = BlockSeq(1, [[0.6]])
+    v = match_lambda_norm(n, BlockSeq(1, [[0.3], [0.4]]), lambda_norm(n, u))
+    calls = _count_walks(monkeypatch)
+    rep = prefix_substitution_check(n, u, v, BlockSeq(1, [[0.5], [0.2]]))
+    assert rep.precondition_ok
+    assert calls == [1, 2, 3, 4]      # u, v, then u and v with the tail
+
+
+@pytest.mark.parametrize("pipe", ["t4_pipe", "r2_pipe"])
+def test_match_lambda_norm_accuracy(pipe, request):
+    norm = request.getfixturevalue(pipe).norm
+    for k in range(20):
+        rng = sampling.rng(17, k)
+        xi = BlockSeq(norm.dim, sampling.signed_log_uniform(
+            rng, (int(rng.integers(1, 5)), norm.dim), 1e-2, 10.0))
+        target = float(10.0 ** (-2.0 + 4.0 * rng.random()))
+        got = lambda_norm(norm, match_lambda_norm(norm, xi, target))
+        assert abs(got - target) <= 1e-12 * max(1.0, target)
 
 
 # -- the sufficiency inequality ------------------------------------------------------

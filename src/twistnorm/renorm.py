@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize.elementwise import find_minimum
 
 from . import sampling
 from .errors import NumericSignal
@@ -141,50 +142,48 @@ def level_constant(g: GaugeSpec, n_sphere: int = 720, h: float = 1e-6) -> float:
 # alpha selection
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 90) -> float:
-    """Argmin of a unimodal function on [lo, hi] by golden-section."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+def _tau(base: YoungMap, y: np.ndarray) -> np.ndarray:
+    """Largest useful ray parameters, rows (N, dim) -> (N,):
+    min(argmin_t (1 + base(t y)) / t, 1 / ||y||_2).
 
+    The argmin is located on a 64-point log grid over [1e-8, 1] * cap and
+    refined by a bracketed minimiser; rows whose grid minimum is at the
+    cap keep the cap.  A minimum below the grid, or a refinement that
+    does not converge, raises NumericSignal.
+    """
+    cap = 1.0 / np.linalg.norm(y, axis=-1)
+    grid = np.geomspace(cap * 1e-8, cap, 64, axis=-1)
+    vals = (1.0 + base.evaluate(grid[..., None] * y[:, None, :])) / grid
+    j = np.argmin(vals, axis=-1)
+    low = j == 0
+    if low.any():
+        raise NumericSignal(
+            f"ray minimum of (1 + base(t y)) / t lies below t = 1e-8 / ||y|| "
+            f"for {int(low.sum())} of {j.size} directions, first y = "
+            f"{y[low][0].tolist()}")
+    tau = cap.copy()
+    rows = np.flatnonzero(j < grid.shape[-1] - 1)
+    if rows.size:
+        def expr(t, *coords):
+            return (1.0 + base.evaluate(t[..., None]
+                                        * np.stack(coords, axis=-1))) / t
 
-def _tau(base: YoungMap, y: np.ndarray) -> float:
-    """Largest useful ray parameter: min(argmin_t (1+base(ty))/t, 1/||y||_2)."""
-    cap = 1.0 / float(np.linalg.norm(y))
-
-    def expr(t: float) -> float:
-        return (1.0 + float(base.evaluate((t * y)[None, :])[0])) / t
-
-    grid = np.geomspace(cap * 1e-8, cap, 64)
-    vals = np.array([expr(t) for t in grid])
-    j = int(np.argmin(vals))
-    if j == grid.size - 1:
-        return cap
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, grid.size - 1)]
-    return min(_golden_min(expr, lo, hi), cap)
+        bracket = tuple(grid[rows, j[rows] + k] for k in (-1, 0, 1))
+        res = find_minimum(expr, bracket, args=tuple(y[rows].T))
+        bad = ~res.success
+        if bad.any():
+            raise NumericSignal(
+                f"ray minimum did not converge for {int(bad.sum())} of "
+                f"{rows.size} bracketed directions (status "
+                f"{sorted(set(res.status[bad].tolist()))})")
+        tau[rows] = np.minimum(res.x, cap[rows])
+    return tau
 
 
 def _alpha_ceiling(base: YoungMap, n_sphere: int) -> float:
     """inf over the ||y||_2 = 1/2 sphere of base(tau(y) y)."""
-    best = math.inf
-    for d in _sphere_dirs(base.dim, n_sphere):
-        y = 0.5 * d
-        t = _tau(base, y)
-        best = min(best, float(base.evaluate((t * y)[None, :])[0]))
-    return best
+    y = 0.5 * _sphere_dirs(base.dim, n_sphere)
+    return float(base.evaluate(_tau(base, y)[:, None] * y).min())
 
 
 def select_alpha(base: YoungMap, n_sphere: int = 720) -> GaugeSpec:
@@ -214,14 +213,14 @@ def select_alpha(base: YoungMap, n_sphere: int = 720) -> GaugeSpec:
 
 
 def build_phitilde(g: GaugeSpec) -> YoungMap:
-    """base inside the unit gauge ball, alpha + M(gauge - 1) outside."""
+    """base on {base <= alpha}, the unit gauge ball; alpha + M(gauge - 1)
+    outside it, where alone the gauge is computed."""
     base, alpha, M = g.base, g.alpha, g.M
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        gz = g.gauge(pts)
-        inside = gz <= 1.0
-        out = np.where(inside, base.evaluate(pts),
-                       alpha + M * (gz - 1.0))
+        out = base.evaluate(pts).copy()
+        outside = out > alpha
+        out[outside] = alpha + M * (g.gauge(pts[outside]) - 1.0)
         return out
 
     made = YoungMap(dim=base.dim, fn=fn, radially_monotone=True, convex=True,

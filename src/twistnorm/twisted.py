@@ -213,21 +213,12 @@ class PairSeq:
 # the quasi-linear map and the quasi-norm
 
 
-def _F_dense(space: TwistedSpace, Y: np.ndarray) -> np.ndarray:
-    """F applied to dense rows: (B, d) -> (B, d); zero rows stay zero."""
+def _twist(theta: LipschitzTheta, Y: np.ndarray, rho) -> np.ndarray:
+    """Y * theta(log(rho / |Y|)) entrywise, 0 where Y = 0; rho is per row."""
     out = np.zeros_like(Y)
-    rho = luxemburg_norm_batch(space.f, Y[..., None])
-    live = rho > 0.0
-    if not live.any():
-        return out
-    Yl = Y[live]
-    absY = np.abs(Yl)
-    nz = absY > 0.0
-    arg = np.zeros_like(Yl)
-    arg[nz] = np.log((rho[live, None] / np.where(nz, absY, 1.0))[nz])
-    vals = np.zeros_like(Yl)
-    vals[nz] = Yl[nz] * space.theta.value(arg[nz])
-    out[live] = vals
+    nz = Y != 0.0
+    r = np.broadcast_to(np.asarray(rho, dtype=float)[..., None], Y.shape)
+    out[nz] = Y[nz] * theta.value(np.log(r[nz] / np.abs(Y[nz])))
     return out
 
 
@@ -237,8 +228,8 @@ def kp_F(space: TwistedSpace, y: VecSeq) -> VecSeq:
         raise ValueError("F acts on scalar sequences")
     if y.is_zero():
         return VecSeq.from_entries(1, [])
-    vals = _F_dense(space, y.vectors[:, 0][None, :])[0]
-    return VecSeq(1, y.indices, vals[:, None])
+    rho = luxemburg_norm_batch(space.f, y.vectors[None])
+    return VecSeq(1, y.indices, _twist(space.theta, y.vectors.T, rho).T)
 
 
 def twisted_norm(space: TwistedSpace, p: PairSeq) -> float:
@@ -253,7 +244,7 @@ def twisted_norm_batch(space: TwistedSpace, X: np.ndarray,
                        Y: np.ndarray) -> np.ndarray:
     """Quasi-norms of dense pair rows: (B, d), (B, d) -> (B,)."""
     ny = luxemburg_norm_batch(space.f, Y[..., None])
-    diff = X - _F_dense(space, Y)
+    diff = X - _twist(space.theta, Y, ny)
     return ny + luxemburg_norm_batch(space.f, diff[..., None])
 
 
@@ -263,13 +254,8 @@ def s_functional(space: TwistedSpace, p: PairSeq, k: float) -> float:
         raise ValueError("the scale k must be positive")
     if p.is_zero():
         return 0.0
-    y = np.array(p.yv)
-    x = np.array(p.xv)
-    ay = np.abs(y)
-    shift = np.zeros_like(y)
-    nz = ay > 0.0
-    shift[nz] = y[nz] * space.theta.value(np.log(k / ay[nz]))
-    return float(space.f.value(y).sum() + space.f.value(x - shift).sum())
+    shift = _twist(space.theta, p.yv, k)
+    return float(space.f.value(p.yv).sum() + space.f.value(p.xv - shift).sum())
 
 
 # --------------------------------------------------------------------------
@@ -339,11 +325,13 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
     def draw(rng, n, d):
         X = sampling.random_rows(rng, n, d)
         Y = sampling.random_rows(rng, n, d)
-        dev = _F_dense(space, X + Y) - _F_dense(space, X) - _F_dense(space, Y)
+        S = X + Y
+        nx, ny, ns = (luxemburg_norm_batch(space.f, Z[..., None])
+                      for Z in (X, Y, S))
+        dev = (_twist(space.theta, S, ns) - _twist(space.theta, X, nx)
+               - _twist(space.theta, Y, ny))
         num = luxemburg_norm_batch(space.f, dev[..., None])
-        den = (luxemburg_norm_batch(space.f, X[..., None])
-               + luxemburg_norm_batch(space.f, Y[..., None]))
-        return num, den, {"x": X, "y": Y}
+        return num, nx + ny, {"x": X, "y": Y}
 
     best, per_dim, witness = _sampled_sup(trials, dim_max, rng_seed,
                                           1_000_003, draw)

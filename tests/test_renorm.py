@@ -76,9 +76,39 @@ def test_select_alpha_quartic(t4_pipe):
 def test_quartic_ray_geometry():
     base = radial_power(1, 4.0)
     # the argmin of a smooth flat-bottomed expression is only sqrt(eps) sharp
-    assert _tau(base, np.array([0.5])) == pytest.approx(
-        (16.0 / 3.0) ** 0.25, rel=1e-7)
+    tau = _tau(base, np.array([[0.5], [-0.5]]))
+    assert tau == pytest.approx([(16.0 / 3.0) ** 0.25] * 2, rel=1e-7)
     assert _alpha_ceiling(base, 8) == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_square_ray_minimum_is_the_cap(dim):
+    # (1 + t^2 / 4) / t decreases up to t = 2 = 1 / ||y||: every ray is capped
+    y = 0.5 * renorm._sphere_dirs(dim, 720)
+    tau = _tau(radial_power(dim, 2.0), y)
+    assert np.array_equal(tau, 1.0 / np.linalg.norm(y, axis=-1))
+
+
+def test_ray_minimum_below_the_grid_raises():
+    # (1 + 1e30 t^2 / 4) / t is least at t = 2e-15, below the 2e-8 grid floor;
+    # the true ceiling is 1, and the grid endpoint would report 1e14
+    steep = YoungMap(dim=1, fn=lambda p: 1e30 * p[..., 0] ** 2,
+                     radially_monotone=True, convex=True)
+    with pytest.raises(NumericSignal, match="below"):
+        _alpha_ceiling(steep, 8)
+    with pytest.raises(NumericSignal):
+        select_alpha(steep)
+
+
+def test_ray_refinement_failure_raises(monkeypatch):
+    real = renorm.find_minimum
+
+    def one_step(*args, **kwargs):
+        return real(*args, **kwargs, maxiter=1)
+
+    monkeypatch.setattr(renorm, "find_minimum", one_step)
+    with pytest.raises(NumericSignal, match="did not converge"):
+        _tau(radial_power(1, 4.0), np.array([[0.5]]))
 
 
 def test_select_alpha_radial(r2_pipe):
@@ -108,6 +138,53 @@ def test_phitilde_square_anchors(t2_pipe):
     assert pt.evaluate(np.array([[1.0]]))[0] == pytest.approx(want, rel=1e-9)
     assert pt.evaluate(np.array([[2.0]]))[0] == pytest.approx(
         0.5 + t2_pipe.g.M * (2.0 * SQRT2 - 1.0), rel=1e-9)
+
+
+def phitilde_by_gauge(g, pts):
+    """Reference extension: the gauge, not the base, picks the branch."""
+    gz = g.gauge(pts)
+    return np.where(gz <= 1.0, g.base.evaluate(pts), g.alpha + g.M * (gz - 1.0))
+
+
+@pytest.mark.parametrize("name, p", [("t2", 2), ("t4", 4), ("r2", 2)])
+def test_phitilde_matches_gauge_branching(name, p, t2_pipe, t4_pipe, r2_pipe):
+    pipe = {"t2": t2_pipe, "t4": t4_pipe, "r2": r2_pipe}[name]
+    g = pipe.g
+    rng = sampling.rng(11)
+    wide = sampling.signed_log_uniform(rng, (4000, g.base.dim), 1e-6, 1e6)
+    # dim 1 has a two-point sphere: repeat it to 256 seam points
+    sphere = np.resize(renorm._unit_gauge_sphere(g, 256), (256, g.base.dim))
+    near = sphere * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (256, 1)))
+    pts = np.concatenate([wide, sphere, near])
+    want = phitilde_by_gauge(g, pts)
+    got = pipe.phitilde.evaluate(pts)
+    same = (g.gauge(pts) <= 1.0) == (g.base.evaluate(pts) <= g.alpha)
+    assert same[:4000].all() and not same.all()
+    assert np.array_equal(got[same], want[same])
+    # the branch tests disagree only on the seam, where the gauge's 1e-12
+    # bisection width, magnified p times by a base of degree p, bounds the gap
+    assert np.all(np.abs(got - want) <= p * 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["t2", "r2"])
+def test_phitilde_gauges_only_outside(name, t2_pipe, r2_pipe, monkeypatch):
+    pipe = {"t2": t2_pipe, "r2": r2_pipe}[name]
+    g = pipe.g
+    seen = []
+    real = GaugeSpec.gauge
+
+    def recorded(self, pts):
+        seen.append(np.array(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(GaugeSpec, "gauge", recorded)
+    pts = sampling.signed_log_uniform(sampling.rng(12), (3000, g.base.dim),
+                                      1e-3, 1e3)
+    pipe.phitilde.evaluate(pts)
+    gauged = np.concatenate(seen)
+    outside = g.base.evaluate(pts) > g.alpha
+    assert 0 < len(gauged) == outside.sum() < len(pts)
+    assert np.array_equal(gauged, pts[outside])
 
 
 def test_phitilde_continuous_at_seam(t2_pipe):

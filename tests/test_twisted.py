@@ -8,7 +8,7 @@ from twistnorm import (PairSeq, VecSeq, build_space, equivalence_certificate,
                        luxemburg_norm_batch, modular, parse_preset,
                        quasi_linearity_constant, quasi_triangle_constant,
                        s_functional, twisted_norm, twisted_norm_batch)
-from twistnorm import sampling
+from twistnorm import sampling, twisted
 
 # frozen expected values
 DISJOINT_DEVIATION_RATIO = 0.2450645358672141   # sqrt(2)*log(sqrt(2)) / 2
@@ -209,6 +209,35 @@ def test_quasi_linearity_vanishes_when_x_equals_y(z2_noenv):
     dev = kp_F(z2_noenv, y + y).sub(kp_F(z2_noenv, y)).sub(kp_F(z2_noenv, y))
     num = luxemburg_norm(z2_noenv.f, dev)
     assert num <= 1e-11 * luxemburg_norm(z2_noenv.f, y)
+
+
+def counting_lux(monkeypatch):
+    """Count the Luxemburg bisections the twisted module starts."""
+    calls = []
+    real = twisted.luxemburg_norm_batch
+
+    def counted(m, vectors):
+        calls.append(vectors.shape)
+        return real(m, vectors)
+
+    monkeypatch.setattr(twisted, "luxemburg_norm_batch", counted)
+    return calls
+
+
+def test_twisted_norm_batch_bisects_twice(z2_noenv, monkeypatch):
+    # F twists by the ||y|| the quasi-norm already holds
+    rng = sampling.rng(4)
+    X, Y = (sampling.random_rows(rng, 32, 16) for _ in range(2))
+    calls = counting_lux(monkeypatch)
+    twisted_norm_batch(z2_noenv, X, Y)
+    assert len(calls) == 2
+
+
+def test_quasi_linearity_draw_bisects_four_times(z2_noenv, monkeypatch):
+    # ||x||, ||y||, ||x + y|| once each, then the deviation
+    calls = counting_lux(monkeypatch)
+    quasi_linearity_constant(z2_noenv, trials=100, dim_max=16, rng_seed=5)
+    assert len(calls) == 4
 
 
 def test_quasi_triangle_constant(z2_noenv):

@@ -67,15 +67,18 @@ def _gauge_eval(base: YoungMap, alpha: float, pts: np.ndarray) -> np.ndarray:
     """Per-point gauge by bisection: smallest rho with base(x / rho) <= alpha."""
     flat = pts.reshape(-1, base.dim)
     out = np.zeros(flat.shape[0])
-    norms = np.linalg.norm(flat, axis=-1)
-    live = norms > 0.0
+    amax = np.abs(flat).max(axis=-1)
+    live = amax > 0.0
     if live.any():
-        work = flat[live]
+        # exact power-of-two scaling, as in seqspace.luxemburg_norm_batch
+        e = np.frexp(amax[live])[1]
+        work = np.ldexp(flat[live], -e[:, None])
 
         def modular_fn(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
             return base.evaluate(work[rows] / rho[:, None])
 
-        out[live] = _bracket_bisect(modular_fn, norms[live], target=alpha)
+        out[live] = np.ldexp(_bracket_bisect(
+            modular_fn, np.linalg.norm(work, axis=-1), target=alpha), e)
     return out.reshape(pts.shape[:-1])
 
 

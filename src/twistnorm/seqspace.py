@@ -9,13 +9,16 @@ is nondecreasing along rays, the modular of a sequence at scale rho is
 and the Luxemburg norm is the smallest rho with modular(s, rho) <= 1.
 The norm is computed by a vectorized geometric bracket (doubling and
 halving, capped at 2**64 in either direction) followed by bisection in
-log scale to a relative width of 1e-12; batches of sequences are solved
-simultaneously.
+log scale to a relative width of 1e-12 in at most 54 steps.  Batches of
+sequences are solved simultaneously on their nonzero cells only, each
+row at the exact power-of-two scale that puts its largest entry in
+[1/2, 1), so no row underflows or overflows (Blue, ACM TOMS 4, 1978).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,10 +240,19 @@ def _bracket_bisect(modular_fn, start: np.ndarray, target: float = 1.0,
         halvings += 1
     # invariant: modular(lo) > target >= modular(hi); bisect in log scale
     rows = all_rows[~exact]
+    # hi / lo <= 2**max_pow here and each step halves log(hi / lo)
+    max_steps = math.ceil(math.log2(max_pow * math.log(2.0) / rel_tol)) + 8
+    steps = 0
     while True:
         rows = rows[hi[rows] / lo[rows] - 1.0 > rel_tol]
         if rows.size == 0:
-            break
+            return np.sqrt(lo * hi)
+        if steps >= max_steps:
+            raise BracketError(
+                f"log bisection still open after {max_steps} steps on "
+                f"{rows.size} rows, e.g. lo={lo[rows[0]]!r}, "
+                f"hi={hi[rows[0]]!r}")
+        steps += 1
         mid = np.sqrt(lo[rows] * hi[rows])
         val = modular_fn(mid, rows)
         hit = val == target
@@ -250,31 +262,36 @@ def _bracket_bisect(modular_fn, start: np.ndarray, target: float = 1.0,
         below = ~hit & ~above
         lo[rows[above]] = mid[above]
         hi[rows[below]] = mid[below]
-    return np.sqrt(lo * hi)
 
 
 def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     """Luxemburg norms of a dense batch, shape (B, k, dim) -> (B,).
 
-    Rows of zeros are inert padding (the map sends 0 to 0), so ragged
-    collections can be padded to a common length.
+    Zero cells anywhere in a row are dropped before bisecting (the map
+    sends 0 to 0), so ragged collections can be padded to a common length,
+    and the cost scales with the widest row's nonzero count, not with k.
     """
     _check_monotone(m)
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 3 or vectors.shape[-1] != _map_dim(m):
         raise ValueError("batch must have shape (B, k, dim) matching the map")
     out = np.zeros(vectors.shape[0])
-    row_sup = (np.linalg.norm(vectors, axis=-1).max(axis=-1)
-               if vectors.shape[1] else out)
-    live = row_sup > 0.0
+    nonzero = np.any(vectors != 0.0, axis=-1)
+    live = nonzero.any(axis=-1)
     if not live.any():
         return out
-    work = vectors[live]
+    nonzero = nonzero[live]
+    order = np.argsort(~nonzero, axis=-1, kind="stable")
+    order = order[:, :nonzero.sum(axis=-1).max(), None]
+    work = np.take_along_axis(vectors[live], order, axis=1)
+    e = np.frexp(np.abs(work).max(axis=(1, 2)))[1]
+    work = np.ldexp(work, -e[:, None, None])
 
     def modular_fn(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return _eval_rows(m, work[rows] / rho[:, None, None]).sum(axis=-1)
 
-    out[live] = _bracket_bisect(modular_fn, row_sup[live])
+    start = np.linalg.norm(work, axis=-1).max(axis=-1)
+    out[live] = np.ldexp(_bracket_bisect(modular_fn, start), e)
     return out
 
 

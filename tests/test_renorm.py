@@ -46,6 +46,17 @@ def test_gauge_bisection_matches_closed_form(t2_pipe):
     assert np.allclose(slow.gauge(pts), fast, rtol=1e-10)
 
 
+@pytest.mark.parametrize("v", [1e-300, 1e-160, 5e-324, 1e160, 1e300])
+def test_gauge_bisection_extreme_scales(v):
+    # r2's base; the gauge of {|x|**2 <= 1/2} is sqrt(2) |x|
+    g = GaugeSpec(base=radial_power(2, 2.0), alpha=0.5, M=1.0)
+    pts = np.array([[v, v / 3.0], [-v, 0.0], [0.0, 3.0 * v]])
+    want = [SQRT2 * math.hypot(*x) for x in pts]
+    # abs: a subnormal result is rounded to a multiple of 5e-324
+    assert renorm._gauge_eval(g.base, g.alpha, pts) == pytest.approx(
+        want, rel=1e-11, abs=5e-324)
+
+
 def test_gauge_dimension_check(t2_pipe):
     with pytest.raises(ValueError):
         minkowski_gauge(t2_pipe.g, [1.0, 2.0])

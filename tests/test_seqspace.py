@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistnorm import (BracketError, VecSeq, YoungMap, certify, luxemburg_norm,
-                       luxemburg_norm_batch, membership_margin, modular, power,
-                       power_log, radial_power)
+from twistnorm import (BracketError, VecSeq, YoungMap, build_space, certify,
+                       identity_theta, luxemburg_norm, luxemburg_norm_batch,
+                       membership_margin, modular, power, power_log,
+                       radial_power)
+from twistnorm.seqspace import _bracket_bisect, _eval_rows
 
 HSET = settings(max_examples=40, deadline=None)
 
@@ -169,6 +171,125 @@ def test_bracket_error_when_modular_saturates():
                     radially_monotone=True)
     with pytest.raises(BracketError):
         luxemburg_norm(flat, seq1(1.0))
+
+
+# -- extreme scales -----------------------------------------------------------
+
+def lp_closed_form(vals, p):
+    """(sum |v|**p)**(1/p), scaled by the largest |v| so nothing under/overflows."""
+    a = np.abs(np.asarray(vals, dtype=float))
+    top = a.max()
+    return float(top * np.sum((a / top) ** p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("vals", [[1e-300], [1e-160], [3e-160, 1e-160],
+                                  [5e-324], [1e160], [1e300]])
+def test_luxemburg_extreme_scales_match_lp(p, vals):
+    got = luxemburg_norm(power(p), seq1(*vals))
+    assert got == pytest.approx(lp_closed_form(vals, p), rel=1e-11)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_luxemburg_homogeneous_across_scales(p):
+    f = power(p)
+    s = seq1(1.0, -2.0, 0.5, 7.25)
+    n = luxemburg_norm(f, s)
+    for k in (-1000, -500, -1, 1, 500, 1000):
+        # power-of-two scaling is exact, so the norm scales exactly
+        assert luxemburg_norm(f, s.scaled(2.0 ** k)) == n * 2.0 ** k
+
+
+def test_bracket_bisect_underflowing_bracket_raises():
+    # sqrt(lo * hi) underflows to 0 near 1e-200; the step cap must end it
+    def modular_fn(rho, rows):
+        return (1e-200 / rho) ** 2
+
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        with pytest.raises(BracketError, match="rows, e.g. lo="):
+            _bracket_bisect(modular_fn, np.array([3e-200]))
+
+
+# -- packing: differential oracle and work count -------------------------------
+
+def dense_luxemburg_norm_batch(m, vectors):
+    """Reference: every cell of the batch, unscaled, on every step."""
+    vectors = np.asarray(vectors, dtype=float)
+    out = np.zeros(vectors.shape[0])
+    row_sup = (np.linalg.norm(vectors, axis=-1).max(axis=-1)
+               if vectors.shape[1] else out)
+    live = row_sup > 0.0
+    if not live.any():
+        return out
+    work = vectors[live]
+
+    def modular_fn(rho, rows):
+        return _eval_rows(m, work[rows] / rho[:, None, None]).sum(axis=-1)
+
+    out[live] = _bracket_bisect(modular_fn, row_sup[live])
+    return out
+
+
+def ragged_batch(rng, n, width, dim):
+    """Rows of 0..8 nonzero cells anywhere, plus a zero row and a last-cell row."""
+    out = np.zeros((n, width, dim))
+    for b in range(n - 2):
+        k = int(rng.integers(0, min(8, width) + 1))
+        cols = rng.choice(width, size=k, replace=False)
+        out[b, cols] = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(
+            -3, 2, (k, 1))
+    out[n - 1, width - 1] = 2.5                      # lone nonzero, last cell
+    return out                                        # row n - 2 is all zero
+
+
+def assert_matches_dense(m, batch):
+    packed = luxemburg_norm_batch(m, batch)
+    dense = dense_luxemburg_norm_batch(m, batch)
+    assert np.allclose(packed, dense, rtol=1e-12, atol=0.0)
+    # numpy sums fewer than 8 cells in order, and any two in either order,
+    # so these rows see the same modular values and the same iterates
+    same = ((np.any(batch != 0.0, axis=-1).sum(axis=-1) <= 2)
+            | (batch.shape[1] < 8))
+    assert np.array_equal(packed[same], dense[same])
+    return packed
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("width", [1, 16, 256])
+def test_packed_batch_matches_dense(p, width):
+    rng = np.random.default_rng(int(width * 10 + p * 2))
+    batch = ragged_batch(rng, 40, width, 1)
+    out = assert_matches_dense(power(p), batch)
+    assert out[-2] == 0.0
+    assert out[-1] == 2.5
+
+
+def test_packed_psi_norm_matches_dense(f2):
+    psi = build_space(f2, identity_theta(), halfwidth=2.0,
+                      resolution=9).psi_map
+    rng = np.random.default_rng(31)
+    for width in (1, 16, 64):
+        pairs = ragged_batch(rng, 30, width, 2)
+        # turn some cells into (x, 0) and (0, y) cells
+        pairs[::3, :, 0] = 0.0
+        pairs[1::3, :, 1] = 0.0
+        assert_matches_dense(psi, pairs)
+
+
+def test_packing_evaluates_only_nonzero_cells():
+    widths = []
+
+    def counted(pts):
+        widths.append(pts.shape[-2])
+        return pts[..., 0] ** 2
+
+    m = YoungMap(dim=1, fn=counted, radially_monotone=True)
+    rng = np.random.default_rng(47)
+    batch = ragged_batch(rng, 64, 256, 1)
+    out = luxemburg_norm_batch(m, batch)
+    assert widths and max(widths) <= 8
+    want = np.sqrt(np.sum(batch[..., 0] ** 2, axis=-1))
+    assert np.allclose(out, want, rtol=1e-11, atol=0.0)
 
 
 # -- structural properties, randomized ----------------------------------------

@@ -97,9 +97,10 @@ class GaugeSpec:
             pts = pts.reshape(1)
         if pts.shape[-1] != self.base.dim:
             raise ValueError(f"points must end in axis of size {self.base.dim}")
-        if self.unit_scale is not None:
-            return np.linalg.norm(pts, axis=-1) * self.unit_scale
-        return _gauge_eval(self.base, self.alpha, pts)
+        if self.unit_scale is None:
+            return _gauge_eval(self.base, self.alpha, pts)
+        # hypot squares no entry, so |x| neither overflows nor underflows
+        return np.hypot.reduce(pts, axis=-1, initial=0.0) * self.unit_scale
 
 
 def minkowski_gauge(g: GaugeSpec, x) -> float:
@@ -124,6 +125,12 @@ def _unit_gauge_sphere(g: GaugeSpec, n_sphere: int) -> np.ndarray:
     """Points with gauge exactly 1 (2 points for n=1, angular grid for n=2)."""
     dirs = _sphere_dirs(g.base.dim, n_sphere)
     return dirs / g.gauge(dirs)[..., None]
+
+
+def _seam_gap(g: GaugeSpec, n_sphere: int) -> float:
+    """max |base - alpha| over the unit gauge sphere; 0 for an exact gauge."""
+    return float(np.abs(g.base.evaluate(_unit_gauge_sphere(g, n_sphere))
+                        - g.alpha).max())
 
 
 def level_constant(g: GaugeSpec, n_sphere: int = 720, h: float = 1e-6) -> float:
@@ -191,7 +198,13 @@ def _alpha_ceiling(base: YoungMap, n_sphere: int) -> float:
 
 def select_alpha(base: YoungMap, n_sphere: int = 720) -> GaugeSpec:
     """Halving search for the first alpha = 2**-j with M <= 1 and
-    alpha below the sampled ray-infimum ceiling."""
+    alpha below the sampled ray-infimum ceiling.
+
+    At each alpha tried, gauge(e1) is bisected once and the closed form
+    |x| * gauge(e1) is kept when the base equals alpha to 1e-9 on its unit
+    gauge sphere (every even map in dimension 1, every radial map);
+    otherwise the gauge is bisected point by point.
+    """
     if not base.convex:
         raise ValueError("alpha selection needs a convex base map")
     if base.dim not in (1, 2):
@@ -199,13 +212,14 @@ def select_alpha(base: YoungMap, n_sphere: int = 720) -> GaugeSpec:
     ceiling = _alpha_ceiling(base, n_sphere)
     alpha = 1.0
     for _ in range(60):
-        unit = None
-        if base.dim == 1:
-            unit = float(_gauge_eval(base, alpha, np.array([[1.0]]))[0])
+        unit = float(_gauge_eval(base, alpha, np.eye(1, base.dim))[0])
         trial = GaugeSpec(base=base, alpha=alpha, M=math.nan, unit_scale=unit)
+        if _seam_gap(trial, n_sphere) > 1e-9:
+            trial = GaugeSpec(base=base, alpha=alpha, M=math.nan)
         M = level_constant(trial, n_sphere=n_sphere)
         if M <= 1.0 + 1e-9 and alpha <= ceiling + 1e-12:
-            return GaugeSpec(base=base, alpha=alpha, M=M, unit_scale=unit)
+            return GaugeSpec(base=base, alpha=alpha, M=M,
+                             unit_scale=trial.unit_scale)
         alpha /= 2.0
     raise NumericSignal(
         "no alpha = 2**-j with level constant <= 1 within 60 halvings")
@@ -230,11 +244,10 @@ def build_phitilde(g: GaugeSpec) -> YoungMap:
                     smooth_off_origin=base.smooth_off_origin,
                     label=f"extension of {base.label} at alpha={alpha:g}")
     # continuity across the seam: on the unit gauge sphere base == alpha
-    sphere = _unit_gauge_sphere(g, 64)
-    seam = np.abs(base.evaluate(sphere) - alpha)
-    if seam.max() > 1e-9:
+    seam = _seam_gap(g, 64)
+    if seam > 1e-9:
         raise NumericSignal(
-            f"extension discontinuous across the level set (gap {seam.max():.2e})")
+            f"extension discontinuous across the level set (gap {seam:.2e})")
     return made
 
 

@@ -38,23 +38,56 @@ def test_gauge_closed_form_square(t2_pipe):
     assert minkowski_gauge(g, [x]) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_gauge_bisection_matches_closed_form(t2_pipe):
-    base = t2_pipe.base
-    slow = GaugeSpec(base=base, alpha=0.5, M=1.0, unit_scale=None)
-    pts = np.array([[0.3], [-1.7], [4.0]])
-    fast = t2_pipe.g.gauge(pts)
-    assert np.allclose(slow.gauge(pts), fast, rtol=1e-10)
+def test_gauge_bisection_matches_closed_form(t2_pipe, t4_pipe, r2_pipe):
+    # the per-point bisection is the oracle for |x| * gauge(e1)
+    for pipe in (t2_pipe, t4_pipe, r2_pipe):
+        g = pipe.g
+        assert g.unit_scale is not None
+        pts = sampling.signed_log_uniform(sampling.rng(13), (2000, g.base.dim),
+                                          1e-6, 1e6)
+        slow = renorm._gauge_eval(g.base, g.alpha, pts)
+        assert np.all(np.abs(g.gauge(pts) - slow) <= 1e-12 * slow)
 
 
-@pytest.mark.parametrize("v", [1e-300, 1e-160, 5e-324, 1e160, 1e300])
+EXTREMES = [1e-300, 1e-160, 5e-324, 1e160, 1e300]
+
+
+def _extreme_points(dim, v):
+    if dim == 1:
+        return np.array([[v], [-v], [3.0 * v]])
+    return np.array([[v, v / 3.0], [-v, 0.0], [0.0, 3.0 * v]])
+
+
+@pytest.mark.parametrize("v", EXTREMES)
 def test_gauge_bisection_extreme_scales(v):
     # r2's base; the gauge of {|x|**2 <= 1/2} is sqrt(2) |x|
     g = GaugeSpec(base=radial_power(2, 2.0), alpha=0.5, M=1.0)
-    pts = np.array([[v, v / 3.0], [-v, 0.0], [0.0, 3.0 * v]])
+    pts = _extreme_points(2, v)
     want = [SQRT2 * math.hypot(*x) for x in pts]
     # abs: a subnormal result is rounded to a multiple of 5e-324
     assert renorm._gauge_eval(g.base, g.alpha, pts) == pytest.approx(
         want, rel=1e-11, abs=5e-324)
+
+
+@pytest.mark.parametrize("v", EXTREMES)
+@pytest.mark.parametrize("name", ["t2", "r2"])
+def test_closed_gauge_extreme_scales(name, v, t2_pipe, r2_pipe):
+    g = {"t2": t2_pipe, "r2": r2_pipe}[name].g
+    pts = _extreme_points(g.base.dim, v)
+    want = [SQRT2 * math.hypot(*x) for x in pts]
+    assert g.gauge(pts) == pytest.approx(want, rel=1e-11, abs=5e-324)
+
+
+@pytest.mark.parametrize("name", ["t2", "r2"])
+def test_star_norm_tiny_first_coordinate(name, t2_pipe, r2_pipe):
+    # x / x0 = 1e290: the gauge of the ratio must not overflow to inf
+    norm = {"t2": t2_pipe, "r2": r2_pipe}[name].norm
+    block = np.zeros(norm.dim)
+    block[0] = 1e-10
+    # base(1e290) overflows to inf, which puts the point on the gauge branch
+    with np.errstate(over="ignore"):
+        value = norm.value(1e-300, block)
+    assert value == pytest.approx(norm.g.M * SQRT2 * 1e-10, rel=1e-11)
 
 
 def test_gauge_dimension_check(t2_pipe):
@@ -125,6 +158,43 @@ def test_ray_refinement_failure_raises(monkeypatch):
 def test_select_alpha_radial(r2_pipe):
     assert r2_pipe.g.alpha == 0.5
     assert r2_pipe.g.M == pytest.approx(1.0, abs=1e-8)
+
+
+def test_r2_build_gauges_only_e1(monkeypatch):
+    calls = []
+    real = renorm._gauge_eval
+
+    def counted(base, alpha, pts):
+        calls.append((alpha, np.array(pts)))
+        return real(base, alpha, pts)
+
+    monkeypatch.setattr(renorm, "_gauge_eval", counted)
+    assert build_pipeline("r2-pipeline").g.alpha == 0.5
+    # one bisection of e1 per alpha tried
+    assert [a for a, _ in calls] == [1.0, 0.5]
+    assert all(np.array_equal(pts, [[1.0, 0.0]]) for _, pts in calls)
+
+
+def _ellipse(c):
+    # x**2 + c y**2 is convex and even; radial only for c = 1
+    return YoungMap(dim=2, fn=lambda p: p[..., 0] ** 2 + c * p[..., 1] ** 2,
+                    radially_monotone=True, convex=True, smooth_off_origin=True)
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0, 1.0000001])
+def test_select_alpha_closed_form_only_where_exact(c, monkeypatch):
+    base = _ellipse(c)
+    g = select_alpha(base)
+    assert (g.unit_scale is not None) == (c == 1.0)
+    build_phitilde(g)
+    # oracle: the same search with the gauge bisected point by point
+    monkeypatch.setattr(renorm, "_seam_gap", lambda g, n: math.inf)
+    slow = select_alpha(base)
+    assert slow.unit_scale is None
+    assert slow.alpha == g.alpha
+    assert slow.M == pytest.approx(g.M, rel=1e-11)
+    if g.unit_scale is None:
+        assert slow.M == g.M
 
 
 def test_select_alpha_validation():

@@ -309,14 +309,13 @@ def cmd_renorm(args) -> int:
               f"M={pipe.g.M:.12g} triangle_max={worst:.3e}")
         write_report(cfg.output, body)
         return 0
-    # check: iterate the supplied block file and run the step criterion
+    # check: the step criterion walks the blocks once; its values give Lambda
     xi = BlockSeq.from_json(_read(args.blocks))
-    values = star_iterate(pipe.norm, xi)
-    lam = lambda_norm(pipe.norm, xi)
     rep = suff_criterion_check(pipe.norm, pipe.phitilde, xi)
+    lam = max(rep.values) if rep.values else 0.0
     body = {
         "command": "renorm check", "pipeline": args.pipeline,
-        "input": args.blocks, "values": values, "lambda_norm": lam,
+        "input": args.blocks, "values": rep.values, "lambda_norm": lam,
         "suff_ok": rep.ok, "steps_checked": rep.checked,
         "min_margin": (None if rep.min_margin == math.inf
                        else rep.min_margin),
@@ -331,12 +330,13 @@ def cmd_lambda_norm(args) -> int:
     cfg = RunConfig.from_args(args)
     pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
     xi = BlockSeq.from_json(_read(args.blocks))
-    lam = lambda_norm(pipe.norm, xi)
+    values = star_iterate(pipe.norm, xi)
+    lam = max(values) if values else 0.0
     print(f"lambda norm = {lam!r}")
     write_report(cfg.output, {
         "command": "lambda-norm", "pipeline": args.pipeline,
-        "input": args.blocks, "lambda_norm": lam,
-        "values": star_iterate(pipe.norm, xi), **cfg.provenance(),
+        "input": args.blocks, "lambda_norm": lam, "values": values,
+        **cfg.provenance(),
     })
     return 0
 

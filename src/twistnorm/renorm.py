@@ -18,6 +18,10 @@ pipeline
      construction: the per-step product inequality and the invariance
      of continuations under prefix substitution.
 
+The gauge is |x| * gauge(e1) where that is exact (see select_alpha);
+otherwise it is the Luxemburg norm of the one-term sequence (x) under
+base / alpha, from seqspace.luxemburg_norm_batch.
+
 Certification failures raise NumericSignal at build time; the check
 functions return reports instead of raising.
 """
@@ -33,7 +37,7 @@ from scipy.optimize.elementwise import find_minimum
 
 from . import sampling
 from .errors import NumericSignal
-from .seqspace import _bracket_bisect
+from .seqspace import luxemburg_norm_batch
 from .youngmap import YoungMap, radial_power
 
 __all__ = [
@@ -64,21 +68,11 @@ __all__ = [
 
 
 def _gauge_eval(base: YoungMap, alpha: float, pts: np.ndarray) -> np.ndarray:
-    """Per-point gauge by bisection: smallest rho with base(x / rho) <= alpha."""
-    flat = pts.reshape(-1, base.dim)
-    out = np.zeros(flat.shape[0])
-    amax = np.abs(flat).max(axis=-1)
-    live = amax > 0.0
-    if live.any():
-        # exact power-of-two scaling, as in seqspace.luxemburg_norm_batch
-        e = np.frexp(amax[live])[1]
-        work = np.ldexp(flat[live], -e[:, None])
-
-        def modular_fn(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return base.evaluate(work[rows] / rho[:, None])
-
-        out[live] = np.ldexp(_bracket_bisect(
-            modular_fn, np.linalg.norm(work, axis=-1), target=alpha), e)
+    """Per-point gauge: smallest rho with base(x / rho) <= alpha, which is
+    the Luxemburg norm of the one-term sequence (x) under base / alpha."""
+    lux = YoungMap(dim=base.dim, fn=lambda x: base.evaluate(x) / alpha,
+                   radially_monotone=True)
+    out = luxemburg_norm_batch(lux, pts.reshape(-1, base.dim)[:, None, :])
     return out.reshape(pts.shape[:-1])
 
 
@@ -111,6 +105,9 @@ def minkowski_gauge(g: GaugeSpec, x) -> float:
     return float(g.gauge(x[None, :])[0])
 
 
+N_SPHERE = 720     # directions of the dim-2 spheres in select_alpha
+
+
 def _sphere_dirs(dim: int, n: int) -> np.ndarray:
     """Unit directions: +-1 for dim 1, n equally spaced angles for dim 2."""
     if dim == 1:
@@ -133,18 +130,18 @@ def _seam_gap(g: GaugeSpec, n_sphere: int) -> float:
                         - g.alpha).max())
 
 
-def level_constant(g: GaugeSpec, n_sphere: int = 720, h: float = 1e-6) -> float:
+def level_constant(g: GaugeSpec) -> float:
     """M = sup <grad(base)(x), x> over the unit gauge sphere.
 
-    Central differences with step h; refuses to difference across the
-    origin (points inside the 1e-4 ball signal instead).
+    Central differences; refuses to difference across the origin (points
+    inside the 1e-4 ball signal instead).
     """
-    pts = _unit_gauge_sphere(g, n_sphere)
+    pts = _unit_gauge_sphere(g, N_SPHERE)
     if np.any(np.linalg.norm(pts, axis=-1) < 1e-4):
         raise NumericSignal(
             "unit gauge sphere dips into the 1e-4 ball; gradients would "
             "difference across the origin")
-    grad = g.base.gradient(pts, h=h)
+    grad = g.base.gradient(pts)
     return float(np.max(np.sum(grad * pts, axis=-1)))
 
 
@@ -196,7 +193,7 @@ def _alpha_ceiling(base: YoungMap, n_sphere: int) -> float:
     return float(base.evaluate(_tau(base, y)[:, None] * y).min())
 
 
-def select_alpha(base: YoungMap, n_sphere: int = 720) -> GaugeSpec:
+def select_alpha(base: YoungMap) -> GaugeSpec:
     """Halving search for the first alpha = 2**-j with M <= 1 and
     alpha below the sampled ray-infimum ceiling.
 
@@ -209,14 +206,14 @@ def select_alpha(base: YoungMap, n_sphere: int = 720) -> GaugeSpec:
         raise ValueError("alpha selection needs a convex base map")
     if base.dim not in (1, 2):
         raise ValueError("alpha selection supports dimensions 1 and 2 only")
-    ceiling = _alpha_ceiling(base, n_sphere)
+    ceiling = _alpha_ceiling(base, N_SPHERE)
     alpha = 1.0
     for _ in range(60):
         unit = float(_gauge_eval(base, alpha, np.eye(1, base.dim))[0])
         trial = GaugeSpec(base=base, alpha=alpha, M=math.nan, unit_scale=unit)
-        if _seam_gap(trial, n_sphere) > 1e-9:
+        if _seam_gap(trial, N_SPHERE) > 1e-9:
             trial = GaugeSpec(base=base, alpha=alpha, M=math.nan)
-        M = level_constant(trial, n_sphere=n_sphere)
+        M = level_constant(trial)
         if M <= 1.0 + 1e-9 and alpha <= ceiling + 1e-12:
             return GaugeSpec(base=base, alpha=alpha, M=M,
                              unit_scale=trial.unit_scale)
@@ -241,7 +238,6 @@ def build_phitilde(g: GaugeSpec) -> YoungMap:
         return out
 
     made = YoungMap(dim=base.dim, fn=fn, radially_monotone=True, convex=True,
-                    smooth_off_origin=base.smooth_off_origin,
                     label=f"extension of {base.label} at alpha={alpha:g}")
     # continuity across the seam: on the unit gauge sphere base == alpha
     seam = _seam_gap(g, 64)
@@ -285,24 +281,24 @@ class StarNorm:
         return float(self.evaluate(pt[None, :])[0])
 
 
-def build_star_norm(phitilde: YoungMap, g: GaugeSpec, rng_seed: int = 1234,
-                    n_rays: int = 1000, n_tgrid: int = 1000,
-                    n_monotone: int = 100_000) -> StarNorm:
+def build_star_norm(phitilde: YoungMap, g: GaugeSpec,
+                    rng_seed: int = 1234) -> StarNorm:
     """Certify the construction, then return the norm.
 
-    Checks: (a) t -> (1 + phitilde(t x)) / t nonincreasing along seeded
-    rays on a 1e-6..1e6 log grid, 1e-10 relative per step; (b) first-
-    coordinate monotonicity on seeded tuples, 1e-12 relative; (c)
-    N(1, 0) = 1 exactly; (d) the x0 = 0 closed form matches the
-    x0 -> 0 limit to 1e-6 relative.  Any failure raises NumericSignal.
+    Checks: (a) t -> (1 + phitilde(t x)) / t nonincreasing along 1000
+    seeded rays on a 1000-point 1e-6..1e6 log grid, 1e-10 relative per
+    step; (b) first-coordinate monotonicity on 100 000 seeded tuples,
+    1e-12 relative; (c) N(1, 0) = 1 exactly; (d) the x0 = 0 closed form
+    matches the x0 -> 0 limit to 1e-6 relative.  Any failure raises
+    NumericSignal.
     """
     rng = sampling.rng(rng_seed)
     dim = phitilde.dim
 
     # (a) the decreasing bullet
-    rays = sampling.signed_log_uniform(rng, (n_rays, dim), 1e-2, 1e2)
+    rays = sampling.signed_log_uniform(rng, (1000, dim), 1e-2, 1e2)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
-    t = np.geomspace(1e-6, 1e6, n_tgrid)
+    t = np.geomspace(1e-6, 1e6, 1000)
     pts = rays[:, None, :] * t[None, :, None]
     vals = (1.0 + phitilde.evaluate(pts)) / t[None, :]
     steps = vals[:, 1:] - vals[:, :-1]
@@ -316,10 +312,9 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec, rng_seed: int = 1234,
     norm = StarNorm(dim=dim, young=phitilde, g=g)
 
     # (b) monotone in the first coordinate
-    blocks = sampling.signed_log_uniform(rng, (n_monotone, dim),
-                                          1e-2, 1e2)
-    a = 10.0 ** (-3.0 + 6.0 * rng.random(n_monotone))
-    b = a * (1.0 + rng.random(n_monotone))
+    blocks = sampling.signed_log_uniform(rng, (100_000, dim), 1e-2, 1e2)
+    a = 10.0 ** (-3.0 + 6.0 * rng.random(100_000))
+    b = a * (1.0 + rng.random(100_000))
     na = norm.evaluate(np.concatenate([a[:, None], blocks], axis=-1))
     nb = norm.evaluate(np.concatenate([b[:, None], blocks], axis=-1))
     mono_max = float(((na - nb) / np.maximum(nb, 1e-300)).max())

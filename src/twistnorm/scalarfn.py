@@ -284,9 +284,9 @@ def from_spec(spec: dict) -> OrliczFn:
     raise ValueError(f"unknown function kind {kind!r}")
 
 
-def left_difference_quotient(f: OrliczFn, h: float = 1e-7) -> float:
-    """Numeric stand-in for the left derivative at 1."""
-    return float((f.value(1.0) - f.value(1.0 - h)) / h)
+def left_difference_quotient(f: OrliczFn) -> float:
+    """Numeric stand-in for the left derivative at 1, with step 1e-7."""
+    return float((f.value(1.0) - f.value(1.0 - 1e-7)) / 1e-7)
 
 
 # --------------------------------------------------------------------------
@@ -425,16 +425,14 @@ def scale_constant(f: OrliczFn, B: float,
                       f"scale constant (B={B:g}) for {f.describe()}")
 
 
-def estimate_indices(f: OrliczFn, plan: SamplingPlan = DEFAULT_PLAN,
-                     q_min: float = 1.0, q_max: float = 10.0,
-                     q_step: float = 0.05, cap: float = 2.0,
-                     floor: float = 0.5) -> tuple[float, float]:
+def estimate_indices(f: OrliczFn,
+                     plan: SamplingPlan = DEFAULT_PLAN) -> tuple[float, float]:
     """Grid estimates of the lower and upper growth indices.
 
-    For each exponent q on the grid the ratio f(lam*t)/(f(lam)*t**q) is
-    sampled over 0 < lam, t <= 1.  The lower index estimate is the
-    largest q whose supremum stays below ``cap``; the upper one is the
-    smallest q whose infimum stays above ``floor``.
+    For each exponent q in 1, 1.05, ..., 10 the ratio f(lam*t)/(f(lam)*t**q)
+    is sampled over 0 < lam, t <= 1.  The lower index estimate is the
+    largest q whose supremum stays below 2; the upper one is the smallest
+    q whose infimum stays above 1/2 (1 and 10 when no q qualifies).
     """
     lam = plan.unit_axis()
     t = plan.unit_axis()
@@ -445,16 +443,16 @@ def estimate_indices(f: OrliczFn, plan: SamplingPlan = DEFAULT_PLAN,
         R = f.value(lb * t[None, :]) / f.value(lb)
         colmax = np.maximum(colmax, R.max(axis=0))
         colmin = np.minimum(colmin, R.min(axis=0))
-    qs = np.arange(q_min, q_max + q_step / 2.0, q_step)
-    alpha = q_min
-    beta = q_max
+    qs = np.arange(1.0, 10.0 + 0.05 / 2.0, 0.05)
+    alpha = 1.0
+    beta = 10.0
     beta_found = False
     with np.errstate(over="ignore"):
         for q in qs:
             w = t ** (-q)
-            if float((colmax * w).max()) <= cap:
+            if float((colmax * w).max()) <= 2.0:
                 alpha = q
-            if not beta_found and float((colmin * w).min()) >= floor:
+            if not beta_found and float((colmin * w).min()) >= 0.5:
                 beta = q
                 beta_found = True
     if beta < alpha - 1e-12:

@@ -13,6 +13,7 @@ log scale to a relative width of 1e-12 in at most 54 steps.  Batches of
 sequences are solved simultaneously on their nonzero cells only, each
 row at the exact power-of-two scale that puts its largest entry in
 [1/2, 1), so no row underflows or overflows (Blue, ACM TOMS 4, 1978).
+The renorming gauge is a one-term Luxemburg norm and is solved here too.
 """
 
 from __future__ import annotations
@@ -204,9 +205,14 @@ def membership_margin(m, s: VecSeq, rho: float = 1.0) -> float:
     return 1.0 - modular(m, s, rho)
 
 
-def _bracket_bisect(modular_fn, start: np.ndarray, target: float = 1.0,
-                    rel_tol: float = 1e-12, max_pow: int = 64) -> np.ndarray:
-    """Solve modular_fn(rho, rows) = target per row, rho in start * 2**[-64, 64].
+REL_TOL = 1e-12    # relative bracket width at which bisection stops
+MAX_POW = 64       # the bracket search ranges over start * 2**[-64, 64]
+# hi / lo <= 2**64 after bracketing and each step halves log(hi / lo)
+MAX_STEPS = math.ceil(math.log2(MAX_POW * math.log(2.0) / REL_TOL)) + 8
+
+
+def _bracket_bisect(modular_fn, start: np.ndarray) -> np.ndarray:
+    """Solve modular_fn(rho, rows) = 1 per row, rho in start * 2**[-64, 64].
 
     modular_fn(rho, rows) returns the modular of the selected rows at the
     matching scales and must be nonincreasing in rho.  Rows leave the
@@ -216,49 +222,47 @@ def _bracket_bisect(modular_fn, start: np.ndarray, target: float = 1.0,
     hi = np.array(start, dtype=float)
     all_rows = np.arange(hi.size)
     first = modular_fn(hi, all_rows)
-    exact = first == target      # the guess solves the equation outright
-    rows = all_rows[first > target]
+    exact = first == 1.0         # the guess solves the equation outright
+    rows = all_rows[first > 1.0]
     doublings = 0
     while rows.size:
-        if doublings >= max_pow:
+        if doublings >= MAX_POW:
             raise BracketError(
                 "no scale with modular <= 1 within 2**64 of the starting guess")
         hi[rows] *= 2.0
         doublings += 1
-        rows = rows[modular_fn(hi[rows], rows) > target]
+        rows = rows[modular_fn(hi[rows], rows) > 1.0]
     lo = hi.copy()
     rows = all_rows[~exact]
     halvings = 0
     while True:
-        rows = rows[modular_fn(lo[rows], rows) <= target]
+        rows = rows[modular_fn(lo[rows], rows) <= 1.0]
         if rows.size == 0:
             break
-        if halvings >= max_pow:
+        if halvings >= MAX_POW:
             raise BracketError(
                 "no scale with modular > 1 within 2**-64 of the starting guess")
         lo[rows] /= 2.0
         halvings += 1
-    # invariant: modular(lo) > target >= modular(hi); bisect in log scale
+    # invariant: modular(lo) > 1 >= modular(hi); bisect in log scale
     rows = all_rows[~exact]
-    # hi / lo <= 2**max_pow here and each step halves log(hi / lo)
-    max_steps = math.ceil(math.log2(max_pow * math.log(2.0) / rel_tol)) + 8
     steps = 0
     while True:
-        rows = rows[hi[rows] / lo[rows] - 1.0 > rel_tol]
+        rows = rows[hi[rows] / lo[rows] - 1.0 > REL_TOL]
         if rows.size == 0:
             return np.sqrt(lo * hi)
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             raise BracketError(
-                f"log bisection still open after {max_steps} steps on "
+                f"log bisection still open after {MAX_STEPS} steps on "
                 f"{rows.size} rows, e.g. lo={lo[rows[0]]!r}, "
                 f"hi={hi[rows[0]]!r}")
         steps += 1
         mid = np.sqrt(lo[rows] * hi[rows])
         val = modular_fn(mid, rows)
-        hit = val == target
+        hit = val == 1.0
         lo[rows[hit]] = mid[hit]
         hi[rows[hit]] = mid[hit]
-        above = ~hit & (val > target)
+        above = ~hit & (val > 1.0)
         below = ~hit & ~above
         lo[rows[above]] = mid[above]
         hi[rows[below]] = mid[below]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericSignal
 from . import sampling
-from .scalarfn import DEFAULT_PLAN, OrliczFn, certify, power
+from .scalarfn import OrliczFn, certify, power
 from .seqspace import VecSeq, luxemburg_norm_batch
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, YoungMap,
                        convex_envelope, identity_theta, kalton_peck_map,
@@ -84,10 +84,10 @@ class TwistedSpace:
 
 def build_space(f: OrliczFn, theta: LipschitzTheta, halfwidth: float = 2.0,
                 resolution: int = 41, with_envelope: bool = True,
-                plan=DEFAULT_PLAN, label: str = "") -> TwistedSpace:
+                label: str = "") -> TwistedSpace:
     """Certify f if needed, build the twisted map, optionally its envelope."""
     if f.constants is None:
-        f = certify(f, f.p, plan)
+        f = certify(f, f.p)
     phi = kalton_peck_map(f, theta)
     psi = convex_envelope(phi, halfwidth, resolution) if with_envelope else None
     return TwistedSpace(f=f, theta=theta, phi_kp=phi, psi=psi,
@@ -121,11 +121,11 @@ def parse_preset(name: str) -> tuple:
 
 
 def from_preset(name: str, halfwidth: float = 2.0, resolution: int = 41,
-                with_envelope: bool = True, plan=DEFAULT_PLAN) -> TwistedSpace:
+                with_envelope: bool = True) -> TwistedSpace:
     """The space of a named preset (see ``parse_preset``)."""
     p, theta, label = parse_preset(name)
     return build_space(power(p), theta, halfwidth, resolution, with_envelope,
-                       plan, label=label)
+                       label=label)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Young-type maps on R^n: construction, envelopes and certificates.
 
 A ``YoungMap`` is an even map m: R^n -> [0, inf) with m(0) = 0, carried
-around with declared structural flags (radial monotonicity, convexity,
-smoothness off the origin).  The central construction is the twisted
-composition
+around with declared structural flags (radial monotonicity, convexity).
+The central construction is the twisted composition
 
     Phi(x, y) = f(y) + f(x - y * theta(log(1/|y|)))      (y != 0)
     Phi(x, 0) = f(x)
@@ -119,6 +118,9 @@ def _as_points(pts, dim: int) -> np.ndarray:
     return a
 
 
+GRAD_STEP = 1e-6    # central-difference step of YoungMap.gradient
+
+
 @dataclass(frozen=True)
 class YoungMap:
     """An even nonnegative map on R^n with declared structure flags."""
@@ -127,9 +129,6 @@ class YoungMap:
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     radially_monotone: bool = False
     convex: bool = False
-    smooth_off_origin: bool = False
-    grad_fn: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False)
     label: str = ""
 
     def evaluate(self, pts) -> np.ndarray:
@@ -138,16 +137,14 @@ class YoungMap:
     def __call__(self, pts):
         return self.evaluate(pts)
 
-    def gradient(self, pts, h: float = 1e-6) -> np.ndarray:
-        """Gradient, by central differences unless one was supplied."""
+    def gradient(self, pts) -> np.ndarray:
+        """Gradient by central differences with step GRAD_STEP."""
         pts = _as_points(pts, self.dim)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(pts), dtype=float)
         out = np.empty(pts.shape, dtype=float)
         for i in range(self.dim):
             e = np.zeros(self.dim)
-            e[i] = h
-            out[..., i] = (self.fn(pts + e) - self.fn(pts - e)) / (2.0 * h)
+            e[i] = GRAD_STEP
+            out[..., i] = (self.fn(pts + e) - self.fn(pts - e)) / (2.0 * e[i])
         return out
 
 
@@ -158,23 +155,21 @@ def young_from_orlicz(f: OrliczFn) -> YoungMap:
         fn=lambda pts: f.value(pts[..., 0]),
         radially_monotone=True,
         convex=True,
-        smooth_off_origin=True,
         label=f.describe(),
     )
 
 
 def radial_power(dim: int, p: float) -> YoungMap:
-    """||x||_2**p; convex for p >= 1."""
+    """||x||_2**p, with ||x||_2 by hypot (no underflow); convex for p >= 1."""
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
     if not p >= 1:
         raise ValueError("exponent must be >= 1")
     return YoungMap(
         dim=dim,
-        fn=lambda pts: np.linalg.norm(pts, axis=-1) ** p,
+        fn=lambda pts: np.hypot.reduce(pts, axis=-1, initial=0.0) ** p,
         radially_monotone=True,
         convex=True,
-        smooth_off_origin=True,
         label=f"radial_power({dim},{p:g})",
     )
 
@@ -204,7 +199,6 @@ def kalton_peck_map(f: OrliczFn, theta: LipschitzTheta) -> YoungMap:
         fn=fn,
         radially_monotone=False,
         convex=False,
-        smooth_off_origin=False,
         label=f"kp({f.describe()}, theta={theta.describe()})",
     )
 
@@ -243,14 +237,14 @@ def _ratio(m: YoungMap, t1, t2, lam) -> np.ndarray:
         return np.where(den >= 1e-300, num / den, -math.inf)
 
 
-def _polish_witness(m: YoungMap, t1, t2, lam, rounds: int = 60):
-    """Deterministic pattern search around a witness; only improvements kept."""
+def _polish_witness(m: YoungMap, t1, t2, lam):
+    """Deterministic pattern search (60 rounds) keeping only improvements."""
     t1 = np.array(t1, dtype=float)
     t2 = np.array(t2, dtype=float)
     lam = float(lam)
     best = float(_ratio(m, t1[None], t2[None], np.array([lam]))[0])
     step = 0.25
-    for _ in range(rounds):
+    for _ in range(60):
         improved = False
         for arr, i in [(t1, i) for i in range(m.dim)] + \
                       [(t2, i) for i in range(m.dim)]:
@@ -464,11 +458,6 @@ class EnvelopeGrid:
                        radially_monotone=True, convex=True,
                        label=f"envelope of {self.label}")
 
-    def values_map(self) -> GridMap:
-        shape = tuple(ax.size for ax in self.axes)
-        return GridMap(axes=self.axes, table=self.values.reshape(shape),
-                       label=self.label)
-
     def to_csv(self, path) -> None:
         cols = [f"x{i + 1}" for i in range(self.dim)] + ["value", "envelope"]
         data = np.column_stack([self.nodes, self.values, self.envelope])
@@ -613,20 +602,20 @@ class MollifyResult:
     annulus: tuple[float, float]
 
 
-def _ball_offsets(dim: int, n_radial: int = 16, n_angular: int = 24):
+def _ball_offsets(dim: int):
     """Unit-ball quadrature nodes and weights with uniform (volume) measure."""
     if dim == 1:
         g, w = leggauss(33)
         return g[:, None], w / w.sum()
-    g, w = leggauss(n_radial)
+    g, w = leggauss(16)
     u = (g + 1.0) / 2.0          # uniform in volume fraction
     wu = w / w.sum()
     if dim == 2:
         r = np.sqrt(u)
-        ang = 2.0 * math.pi * (np.arange(n_angular) + 0.5) / n_angular
+        ang = 2.0 * math.pi * (np.arange(24) + 0.5) / 24
         pts = np.stack([np.outer(r, np.cos(ang)).ravel(),
                         np.outer(r, np.sin(ang)).ravel()], axis=-1)
-        wts = np.repeat(wu / n_angular, n_angular)
+        wts = np.repeat(wu / 24, 24)
         return pts, wts
     # dim 3: radius from volume fraction, product rule on the sphere
     r = u ** (1.0 / 3.0)

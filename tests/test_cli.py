@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twistnorm
-from twistnorm import BlockSeq, VecSeq, cli
+from twistnorm import BlockSeq, VecSeq, build_pipeline, cli, renorm
 
 
 def run(*argv):
@@ -188,6 +188,30 @@ def test_renorm_check(blocks_file, tmp_path):
     body = body_of(out)
     assert body["suff_ok"] is True
     assert body["lambda_norm"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [("renorm", "check"), ("lambda-norm",)])
+def test_block_commands_walk_once(argv, tmp_path, monkeypatch):
+    blocks = tmp_path / "blocks.json"
+    xi = BlockSeq(1, [[0.3], [-0.2], [0.4]])
+    blocks.write_text(xi.to_json())
+    calls = []
+    walk = renorm.star_iterate
+
+    def counted(norm, seq):
+        calls.append(seq.n_blocks)
+        return walk(norm, seq)
+
+    monkeypatch.setattr(renorm, "star_iterate", counted)
+    monkeypatch.setattr(cli, "star_iterate", counted)
+    out = tmp_path / "report.json"
+    assert run(*argv, "--pipeline", "t2-pipeline", "--blocks", str(blocks),
+               "--out", str(out)) == 0
+    assert calls == [3]
+    values = walk(build_pipeline("t2-pipeline").norm, xi)
+    body = body_of(out)
+    assert body["values"] == values
+    assert body["lambda_norm"] == max(values)
 
 
 # -- failure modes ------------------------------------------------------------

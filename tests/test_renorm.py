@@ -69,6 +69,16 @@ def test_gauge_bisection_extreme_scales(v):
         want, rel=1e-11, abs=5e-324)
 
 
+def test_gauge_bisection_non_dyadic_alpha():
+    # base / 0.3 rounds, unlike base / 2**-j; the gauge is |x| / sqrt(0.3)
+    g = GaugeSpec(radial_power(2, 2.0), 0.3, math.nan)
+    pts = np.concatenate(
+        [sampling.signed_log_uniform(sampling.rng(13), (2000, 2), 1e-6, 1e6)]
+        + [_extreme_points(2, v) for v in EXTREMES])
+    want = np.hypot(pts[:, 0], pts[:, 1]) / math.sqrt(0.3)
+    assert g.gauge(pts) == pytest.approx(want, rel=1e-12, abs=5e-324)
+
+
 @pytest.mark.parametrize("v", EXTREMES)
 @pytest.mark.parametrize("name", ["t2", "r2"])
 def test_closed_gauge_extreme_scales(name, v, t2_pipe, r2_pipe):
@@ -178,7 +188,7 @@ def test_r2_build_gauges_only_e1(monkeypatch):
 def _ellipse(c):
     # x**2 + c y**2 is convex and even; radial only for c = 1
     return YoungMap(dim=2, fn=lambda p: p[..., 0] ** 2 + c * p[..., 1] ** 2,
-                    radially_monotone=True, convex=True, smooth_off_origin=True)
+                    radially_monotone=True, convex=True)
 
 
 @pytest.mark.parametrize("c", [1.0, 4.0, 1.0000001])

@@ -328,6 +328,16 @@ def test_young_from_orlicz_matches(f2):
     assert m.radially_monotone and m.convex
 
 
+@pytest.mark.parametrize("dim, p, pt, want", [
+    (2, 1.0, [1e-170, 0.0], 1e-170),
+    (1, 1.5, [1e-170], 1e-255),
+])
+def test_radial_power_tiny_points(dim, p, pt, want):
+    # |x| must not underflow to 0 by squaring its entries
+    assert radial_power(dim, p)(np.array([pt]))[0] == pytest.approx(
+        want, rel=1e-15, abs=0.0)
+
+
 def test_radial_power_validation():
     with pytest.raises(ValueError):
         radial_power(4, 2.0)

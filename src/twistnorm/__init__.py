@@ -16,11 +16,10 @@ Layers, bottom up:
 """
 
 from .errors import BracketError, NumericSignal, UnboundedConstant
-from .scalarfn import (DEFAULT_PLAN, OrliczFn, SamplingPlan, ScalarConstants,
-                       certify, delta2_constant, derive_M_prime,
-                       estimate_indices, estimate_type_constant, extend,
-                       from_spec, power, power_log, scale_constant,
-                       subadditivity_constant)
+from .scalarfn import (OrliczFn, ScalarConstants, certify, delta2_constant,
+                       derive_M_prime, estimate_indices,
+                       estimate_type_constant, extend, from_spec, power,
+                       power_log, scale_constant, subadditivity_constant)
 from .seqspace import (VecSeq, luxemburg_norm, luxemburg_norm_batch,
                        membership_margin, modular)
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, MollifyResult,

@@ -33,12 +33,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize.elementwise import find_minimum
 
 from . import sampling
 from .errors import NumericSignal
 from .seqspace import luxemburg_norm_batch
-from .youngmap import YoungMap, radial_power
+from .youngmap import YoungMap, euclidean_norm, radial_power
 
 __all__ = [
     "GaugeSpec",
@@ -93,8 +92,7 @@ class GaugeSpec:
             raise ValueError(f"points must end in axis of size {self.base.dim}")
         if self.unit_scale is None:
             return _gauge_eval(self.base, self.alpha, pts)
-        # hypot squares no entry, so |x| neither overflows nor underflows
-        return np.hypot.reduce(pts, axis=-1, initial=0.0) * self.unit_scale
+        return euclidean_norm(pts) * self.unit_scale
 
 
 def minkowski_gauge(g: GaugeSpec, x) -> float:
@@ -158,6 +156,8 @@ def _tau(base: YoungMap, y: np.ndarray) -> np.ndarray:
     cap keep the cap.  A minimum below the grid, or a refinement that
     does not converge, raises NumericSignal.
     """
+    from scipy.optimize.elementwise import find_minimum
+
     cap = 1.0 / np.linalg.norm(y, axis=-1)
     grid = np.geomspace(cap * 1e-8, cap, 64, axis=-1)
     vals = (1.0 + base.evaluate(grid[..., None] * y[:, None, :])) / grid
@@ -437,6 +437,9 @@ def lambda_norm(norm: StarNorm, xi: BlockSeq) -> float:
     return max(vals) if vals else 0.0
 
 
+CHECK_TOL = 1e-9   # slack of the step and prefix-substitution checks
+
+
 @dataclass(frozen=True)
 class SuffReport:
     ok: bool
@@ -447,8 +450,9 @@ class SuffReport:
 
 
 def suff_criterion_check(norm: StarNorm, phi: YoungMap,
-                         xi: BlockSeq, tol: float = 1e-9) -> SuffReport:
-    """Per-step inequality value_k >= value_{k-1} (1 + phi(block_k)).
+                         xi: BlockSeq) -> SuffReport:
+    """Per-step inequality value_k >= value_{k-1} (1 + phi(block_k)), to
+    within CHECK_TOL.
 
     Checked at every step whose previous iterated value lies in (0, 1];
     the report also carries the running product of (1 + phi(block_k)).
@@ -468,7 +472,7 @@ def suff_criterion_check(norm: StarNorm, phi: YoungMap,
             margin = values[k] - prev * (1.0 + float(phis[k]))
             checked += 1
             min_margin = min(min_margin, margin)
-            if margin < -tol:
+            if margin < -CHECK_TOL:
                 ok = False
     if checked == 0:
         min_margin = math.inf
@@ -487,16 +491,18 @@ class SubstitutionReport:
 
 
 def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
-                              tail: BlockSeq,
-                              tol: float = 1e-9) -> SubstitutionReport:
+                              tail: BlockSeq) -> SubstitutionReport:
     """Continuations agree when prefixes have matching iterated value.
 
     Precondition: the two prefix norms agree to 1e-12 (relative to their
     size) and each prefix attains its norm at its final step.  Then the
-    norms of u + tail and v + tail must agree within tol.  Each prefix is
-    iterated once; its norm is the max of that walk.
+    norms of u + tail and v + tail must agree within CHECK_TOL.  Only
+    u + tail and v + tail are iterated: the first len(u) and len(v) values
+    of those walks are the walks of the prefixes.
     """
-    walks = {"u": star_iterate(norm, u), "v": star_iterate(norm, v)}
+    full_u = star_iterate(norm, u.extend(tail))
+    full_v = star_iterate(norm, v.extend(tail))
+    walks = {"u": full_u[:u.n_blocks], "v": full_v[:v.n_blocks]}
     lu, lv = (max(vals) if vals else 0.0 for vals in walks.values())
     scale = max(1.0, lu, lv)
     if abs(lu - lv) > 1e-12 * scale:
@@ -511,12 +517,11 @@ def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
                 reason=f"prefix {name} does not attain its norm at its last "
                        "block",
                 norm_u=lu, norm_v=lv, difference=math.nan, ok=False)
-    full_u = lambda_norm(norm, u.extend(tail))
-    full_v = lambda_norm(norm, v.extend(tail))
-    diff = abs(full_u - full_v)
+    diff = abs((max(full_u) if full_u else 0.0)
+               - (max(full_v) if full_v else 0.0))
     return SubstitutionReport(precondition_ok=True, reason="",
                               norm_u=lu, norm_v=lv, difference=diff,
-                              ok=bool(diff <= tol))
+                              ok=bool(diff <= CHECK_TOL))
 
 
 def match_lambda_norm(norm: StarNorm, xi: BlockSeq,

@@ -42,13 +42,12 @@ def signed_log_uniform(rng: np.random.Generator, shape, lo: float,
     return sign * mag
 
 
-def random_rows(rng: np.random.Generator, n: int, dim: int,
-                max_support: int = 8) -> np.ndarray:
-    """Dense rows with support of size <= max_support inside {1..dim}.
+def random_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """Dense rows with support of size <= 8 inside {1..dim}.
 
     Magnitudes are log-uniform in [1e-4, 1e2] with uniform signs.
     """
-    k = min(max_support, dim)
+    k = min(8, dim)
     out = np.zeros((n, dim))
     sizes = rng.integers(1, k + 1, size=n)
     cols = np.argsort(rng.random((n, dim)), axis=1)[:, :k]

@@ -12,7 +12,7 @@ families are provided:
 Growth constants (doubling, subadditivity, the type-p bound, scaling
 bounds and the Matuszewska-Orlicz style indices) are certified on
 explicit log-spaced grids.  Every supremum is re-sampled on denser and
-wider grids; a value that keeps growing by more than ``growth_tol`` in
+wider grids; a value that grows by more than 10% (``GROWTH_TOL``) in
 every round is reported as unbounded instead of being returned as a
 number.  Closed forms are registered for the power family and win over
 grid estimates; both members of the pair are kept in the report.
@@ -26,15 +26,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NumericSignal, UnboundedConstant
 
 __all__ = [
     "OrliczFn",
     "ScalarConstants",
-    "SamplingPlan",
-    "DEFAULT_PLAN",
     "power",
     "power_log",
     "extend",
@@ -51,59 +48,39 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# sampling plans
+# sampling
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Log-spaced sampling policy for supremum certification.
-
-    ``points`` log-spaced points per axis on [lo, hi] for global sups and
-    [zero_lo, 1] for behaviour at zero.  Each refinement round doubles the
-    density and stretches the sampled range by ``range_stretch`` at the
-    open ends; a sup that grows by more than ``growth_tol`` in every round
-    is declared unbounded.
-    """
-
-    points: int = 512
-    lo: float = 1e-9
-    hi: float = 1e9
-    zero_lo: float = 1e-12
-    rounds: int = 3
-    growth_tol: float = 0.10
-    range_stretch: float = 1e3
-
-    def global_axis(self, round_: int = 0) -> np.ndarray:
-        stretch = self.range_stretch ** round_
-        return np.geomspace(self.lo / stretch, self.hi * stretch,
-                            self.points * 2 ** round_)
-
-    def unit_axis(self, round_: int = 0) -> np.ndarray:
-        # upper end pinned at 1: only the zero end stretches
-        stretch = self.range_stretch ** round_
-        return np.geomspace(self.zero_lo / stretch, 1.0,
-                            self.points * 2 ** round_)
-
-    def provenance(self) -> dict:
-        return {
-            "points": self.points,
-            "lo": self.lo,
-            "hi": self.hi,
-            "zero_lo": self.zero_lo,
-            "rounds": self.rounds,
-            "growth_tol": self.growth_tol,
-            "range_stretch": self.range_stretch,
-        }
+# Log-spaced axes for supremum certification: POINTS points on [LO, HI] for
+# global sups and on [ZERO_LO, 1] for behaviour at zero.  Each of the ROUNDS
+# refinement rounds doubles the density and stretches the open ends by
+# RANGE_STRETCH; a sup that grows by more than GROWTH_TOL in every round is
+# declared unbounded.
+POINTS = 512
+LO = 1e-9
+HI = 1e9
+ZERO_LO = 1e-12
+ROUNDS = 3
+GROWTH_TOL = 0.10
+RANGE_STRETCH = 1e3
 
 
-DEFAULT_PLAN = SamplingPlan()
+def _global_axis(round_: int = 0) -> np.ndarray:
+    stretch = RANGE_STRETCH ** round_
+    return np.geomspace(LO / stretch, HI * stretch, POINTS * 2 ** round_)
 
 
-def _refined_sup(per_round: Callable[[int], float], plan: SamplingPlan,
-                 what: str, signal_unbounded: bool = True) -> float:
-    sups = [per_round(k) for k in range(plan.rounds + 1)]
+def _unit_axis(round_: int = 0) -> np.ndarray:
+    # upper end pinned at 1: only the zero end stretches
+    stretch = RANGE_STRETCH ** round_
+    return np.geomspace(ZERO_LO / stretch, 1.0, POINTS * 2 ** round_)
+
+
+def _refined_sup(per_round: Callable[[int], float], what: str,
+                 signal_unbounded: bool = True) -> float:
+    sups = [per_round(k) for k in range(ROUNDS + 1)]
     if signal_unbounded:
-        growing = all(b > a * (1.0 + plan.growth_tol)
+        growing = all(b > a * (1.0 + GROWTH_TOL)
                       for a, b in zip(sups, sups[1:]))
         if growing:
             raise UnboundedConstant(what, sups)
@@ -128,11 +105,11 @@ def _table_sup(rows: np.ndarray, num_fn, den_fn) -> float:
 
 
 def _scale_sup(f: "OrliczFn", B: float, axis: Callable[[int], np.ndarray],
-               plan: SamplingPlan, what: str) -> float:
+               what: str) -> float:
     """Refined grid supremum of f(B*x)/f(x) over x on axis(round)."""
     return _refined_sup(
         lambda k: _table_sup(axis(k), lambda x: f.value(B * x), f.value),
-        plan, what)
+        what)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +232,7 @@ def power_log(p: float) -> OrliczFn:
     return f
 
 
-def extend(f: OrliczFn, p: float, plan: SamplingPlan = DEFAULT_PLAN) -> OrliczFn:
+def extend(f: OrliczFn, p: float) -> OrliczFn:
     """Continue f above 1 by f(1)*t**q with q = max(f'(1)/f(1), p).
 
     Requires the doubling condition at zero; a diverging at-zero doubling
@@ -263,7 +240,7 @@ def extend(f: OrliczFn, p: float, plan: SamplingPlan = DEFAULT_PLAN) -> OrliczFn
     """
     if not p > 1.0:
         raise ValueError("extension exponent must exceed 1")
-    delta2_constant(f, "at_zero", plan)  # raises when not satisfied
+    delta2_constant(f, "at_zero")  # raises when not satisfied
     q = max(f.left_derivative_at_1 / f.value_at_1, p)
     g = OrliczFn("extension", float(p), base=f, q=float(q))
     _validate_shape(g)
@@ -340,61 +317,45 @@ class ScalarConstants:
         }
 
 
-def estimate_type_constant(f: OrliczFn, p: float,
-                           plan: SamplingPlan = DEFAULT_PLAN) -> float:
+def estimate_type_constant(f: OrliczFn, p: float) -> float:
     """Grid supremum of f(lam*s) / (lam**p * f(s)) over 0 < lam <= 1, s > 0."""
     if not p > 1.0:
         raise ValueError("type exponent must exceed 1")
 
     def per_round(k: int) -> float:
-        s = plan.global_axis(k)
+        s = _global_axis(k)
         phi_s = f.value(s)
-        return _table_sup(plan.unit_axis(k),
+        return _table_sup(_unit_axis(k),
                           lambda lam: f.value(lam * s[None, :]),
                           lambda lam: lam ** p * phi_s[None, :])
 
-    return _refined_sup(per_round, plan,
+    return _refined_sup(per_round,
                         f"type constant (p={p:g}) for {f.describe()}")
 
 
-def derive_M_prime(M: float, p: float, closed_form: bool = True,
-                   plan: SamplingPlan = DEFAULT_PLAN) -> float:
+def derive_M_prime(M: float, p: float) -> float:
     """M' = M * sup_{0<lam<=1} lam**(p-1) * |log lam|**p.
 
-    The sup has the closed form ((p/(e(p-1)))**p, attained at
-    lam = exp(-p/(p-1)).  With closed_form=False the sup is taken over
-    the plan's unit axis and polished by a bounded scalar minimizer.
+    The sup has the closed form (p/(e(p-1)))**p, attained at
+    lam = exp(-p/(p-1)).
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
     if not (np.isfinite(M) and M > 0):
         raise ValueError("M must be finite and positive")
-    if closed_form:
-        S = (p / (math.e * (p - 1.0))) ** p
-    else:
-        lam = plan.unit_axis()
-        with np.errstate(divide="ignore"):
-            vals = lam ** (p - 1.0) * np.abs(np.log(lam)) ** p
-        S = float(vals.max())
-        res = minimize_scalar(
-            lambda u: -(u ** (p - 1.0)) * abs(math.log(u)) ** p,
-            bounds=(1e-12, 1.0 - 1e-12), method="bounded",
-            options={"xatol": 1e-13})
-        S = max(S, float(-res.fun))
-    return float(M) * S
+    return float(M) * (p / (math.e * (p - 1.0))) ** p
 
 
-def delta2_constant(f: OrliczFn, domain: str = "global",
-                    plan: SamplingPlan = DEFAULT_PLAN) -> float:
+def delta2_constant(f: OrliczFn, domain: str = "global") -> float:
     """Grid supremum of f(2x)/f(x), globally or with x pushed toward 0."""
     if domain not in ("global", "at_zero"):
         raise ValueError("domain must be 'global' or 'at_zero'")
-    axis = plan.global_axis if domain == "global" else plan.unit_axis
-    return _scale_sup(f, 2.0, axis, plan,
+    axis = _global_axis if domain == "global" else _unit_axis
+    return _scale_sup(f, 2.0, axis,
                       f"doubling constant ({domain}) for {f.describe()}")
 
 
-def subadditivity_constant(f: OrliczFn, plan: SamplingPlan = DEFAULT_PLAN,
+def subadditivity_constant(f: OrliczFn,
                            delta2: float | None = None) -> float:
     """Grid supremum of f(x+y)/(f(x)+f(y)) over x, y > 0.
 
@@ -403,30 +364,28 @@ def subadditivity_constant(f: OrliczFn, plan: SamplingPlan = DEFAULT_PLAN,
     that this sup never has to signal on its own.
     """
     if delta2 is None:
-        delta2 = delta2_constant(f, "global", plan)
+        delta2 = delta2_constant(f, "global")
 
     def per_round(k: int) -> float:
-        x = plan.global_axis(k)
+        x = _global_axis(k)
         phi_x = f.value(x)
         return _table_sup(x, lambda xr: f.value(xr + x[None, :]),
                           lambda xr: f.value(xr) + phi_x[None, :])
 
-    return _refined_sup(per_round, plan,
+    return _refined_sup(per_round,
                         f"subadditivity constant for {f.describe()}",
                         signal_unbounded=False)
 
 
-def scale_constant(f: OrliczFn, B: float,
-                   plan: SamplingPlan = DEFAULT_PLAN) -> float:
+def scale_constant(f: OrliczFn, B: float) -> float:
     """Grid supremum of f(B*x)/f(x) for a fixed scale B > 0."""
     if not B > 0:
         raise ValueError("scale must be positive")
-    return _scale_sup(f, B, plan.global_axis, plan,
+    return _scale_sup(f, B, _global_axis,
                       f"scale constant (B={B:g}) for {f.describe()}")
 
 
-def estimate_indices(f: OrliczFn,
-                     plan: SamplingPlan = DEFAULT_PLAN) -> tuple[float, float]:
+def estimate_indices(f: OrliczFn) -> tuple[float, float]:
     """Grid estimates of the lower and upper growth indices.
 
     For each exponent q in 1, 1.05, ..., 10 the ratio f(lam*t)/(f(lam)*t**q)
@@ -434,8 +393,8 @@ def estimate_indices(f: OrliczFn,
     largest q whose supremum stays below 2; the upper one is the smallest
     q whose infimum stays above 1/2 (1 and 10 when no q qualifies).
     """
-    lam = plan.unit_axis()
-    t = plan.unit_axis()
+    lam = _unit_axis()
+    t = _unit_axis()
     colmax = np.full(t.size, -math.inf)
     colmin = np.full(t.size, math.inf)
     for i in range(0, lam.size, 256):
@@ -462,8 +421,7 @@ def estimate_indices(f: OrliczFn,
     return float(alpha), float(beta)
 
 
-def certify(f: OrliczFn, p: float,
-            plan: SamplingPlan = DEFAULT_PLAN) -> OrliczFn:
+def certify(f: OrliczFn, p: float) -> OrliczFn:
     """Attach certified constants for exponent p; closed forms win.
 
     Raises UnboundedConstant when the doubling or type sup genuinely
@@ -473,26 +431,30 @@ def certify(f: OrliczFn, p: float,
     if not p > 1.0:
         raise ValueError("type exponent must exceed 1")
 
-    grid_report: dict = plan.provenance()
+    grid_report: dict = {
+        "points": POINTS, "lo": LO, "hi": HI, "zero_lo": ZERO_LO,
+        "rounds": ROUNDS, "growth_tol": GROWTH_TOL,
+        "range_stretch": RANGE_STRETCH,
+    }
 
-    d2_zero_grid = delta2_constant(f, "at_zero", plan)
-    d2_grid = delta2_constant(f, "global", plan)
+    d2_zero_grid = delta2_constant(f, "at_zero")
+    d2_grid = delta2_constant(f, "global")
     d2_zero = f.closed_delta2("at_zero") or d2_zero_grid
     d2 = f.closed_delta2("global") or d2_grid
     grid_report["delta2_grid"] = d2_grid
     grid_report["delta2_at_zero_grid"] = d2_zero_grid
 
-    C_grid = subadditivity_constant(f, plan, delta2=d2)
+    C_grid = subadditivity_constant(f, delta2=d2)
     C = f.closed_subadditivity() or C_grid
     grid_report["C_grid"] = C_grid
 
     M_closed = f.closed_type_constant(p)
-    M_grid = estimate_type_constant(f, p, plan)  # raises when unbounded
+    M_grid = estimate_type_constant(f, p)  # raises when unbounded
     M = M_closed if M_closed is not None else M_grid
     grid_report["M_grid"] = M_grid
 
-    S = (p / (math.e * (p - 1.0))) ** p
-    indices = estimate_indices(f, plan)
+    S = derive_M_prime(1.0, p)
+    indices = estimate_indices(f)
 
     cache: dict[float, float] = {}
 
@@ -502,7 +464,7 @@ def certify(f: OrliczFn, p: float,
             return closed
         key = float(B)
         if key not in cache:
-            cache[key] = scale_constant(f, key, plan)
+            cache[key] = scale_constant(f, key)
         return cache[key]
 
     sc = ScalarConstants(

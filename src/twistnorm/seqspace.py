@@ -79,10 +79,10 @@ class VecSeq:
         return cls(dim=dim, indices=idx, vectors=vecs.reshape(len(idx), dim))
 
     @classmethod
-    def from_values(cls, values, start: int = 1) -> "VecSeq":
-        """Scalar convenience: values v_i at indices start, start+1, ..."""
+    def from_values(cls, values) -> "VecSeq":
+        """Scalar convenience: values v_i at indices 1, 2, ..."""
         vals = np.asarray(values, dtype=float).reshape(-1)
-        idx = tuple(range(start, start + vals.size))
+        idx = tuple(range(1, 1 + vals.size))
         return cls(dim=1, indices=idx, vectors=vals[:, None])
 
     @classmethod

@@ -23,12 +23,11 @@ enlarge and recompute (see the twisted module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.spatial import ConvexHull, QhullError
 
 from . import sampling
 from .errors import NumericSignal
@@ -159,6 +158,20 @@ def young_from_orlicz(f: OrliczFn) -> YoungMap:
     )
 
 
+def euclidean_norm(pts: np.ndarray) -> np.ndarray:
+    """||x||_2 over the last axis by folding hypot over the coordinates;
+    hypot squares no entry, so the norm neither overflows nor underflows.
+
+    A Python loop over the coordinates: hypot.reduce over the short last
+    axis is slow on large arrays, and moveaxis costs more than the norm on
+    the one-point arrays of a block walk.
+    """
+    out = np.abs(pts[..., 0])
+    for k in range(1, pts.shape[-1]):
+        out = np.hypot(out, pts[..., k])
+    return out
+
+
 def radial_power(dim: int, p: float) -> YoungMap:
     """||x||_2**p, with ||x||_2 by hypot (no underflow); convex for p >= 1."""
     if dim not in (1, 2, 3):
@@ -167,7 +180,7 @@ def radial_power(dim: int, p: float) -> YoungMap:
         raise ValueError("exponent must be >= 1")
     return YoungMap(
         dim=dim,
-        fn=lambda pts: np.hypot.reduce(pts, axis=-1, initial=0.0) ** p,
+        fn=lambda pts: euclidean_norm(pts) ** p,
         radially_monotone=True,
         convex=True,
         label=f"radial_power({dim},{p:g})",
@@ -431,7 +444,6 @@ class EnvelopeGrid:
     envelope: np.ndarray = field(repr=False)    # (N,)
     support_max: int = 0
     ratio_max: float = 1.0
-    l_hat: float | None = None
     label: str = ""
 
     @property
@@ -441,15 +453,6 @@ class EnvelopeGrid:
     @property
     def resolution(self) -> int:
         return self.axes[0].size
-
-    @property
-    def l_caratheodory(self) -> float | None:
-        if self.l_hat is None:
-            return None
-        return float(self.l_hat) ** self.dim
-
-    def with_l_hat(self, l_hat: float) -> "EnvelopeGrid":
-        return replace(self, l_hat=float(l_hat))
 
     def envelope_map(self) -> GridMap:
         shape = tuple(ax.size for ax in self.axes)
@@ -485,8 +488,7 @@ def _grid_nodes(axes) -> tuple:
     return ticks, np.stack([ax[k] for ax, k in zip(axes, ticks.T)], axis=-1)
 
 
-def convex_envelope(m: YoungMap, halfwidth, resolution: int,
-                    l_hat: float | None = None) -> EnvelopeGrid:
+def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
     """Grid lower convex envelope as the lower convex hull of the lifted nodes.
 
     Each node value is min sum(alpha_i * v_i) over convex weights on the
@@ -501,6 +503,8 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int,
     full-dimensional hull (for example one vanishing on the whole grid)
     raises NumericSignal.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     axes = _grid_axes(m.dim, halfwidth, resolution)
     shape = tuple(ax.size for ax in axes)
     where = (f"lower hull of {m.label or 'map'} on the "
@@ -559,7 +563,7 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int,
     ratio_max = float((values[active] / env[active]).max()) if active.any() else 1.0
     return EnvelopeGrid(axes=axes, nodes=nodes, values=values, envelope=env,
                         support_max=support_max, ratio_max=ratio_max,
-                        l_hat=l_hat, label=m.label)
+                        label=m.label)
 
 
 def equivalence_constant(a, b, halfwidth, resolution: int) -> float:

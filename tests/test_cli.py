@@ -240,14 +240,19 @@ def test_help_exits_zero():
 
 # -- console script and module entry point ------------------------------------
 
-def run_module(*argv):
-    """``python -m twistnorm``, importing the package this process imported."""
+def run_python(*args):
+    """A child interpreter that imports the package this process imported."""
     root = str(Path(twistnorm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "twistnorm", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    """``python -m twistnorm``."""
+    return run_python("-m", "twistnorm", *argv)
 
 
 def test_console_script_runs(seq_file):
@@ -261,6 +266,23 @@ def test_console_script_numeric_signal():
                       "--type-p", "2.5", "--trials", "10")
     assert proc.returncode == 3
     assert proc.stderr.strip() != ""
+
+
+def test_import_and_norm_load_no_scipy(seq_file):
+    # scipy is imported only inside the envelope hull and the ray minimum
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "from twistnorm.cli import main\n"
+        "after_import = scipy_modules()\n"
+        f"rc = main(['norm', '--preset', 'zp:2', '--seq', {str(seq_file)!r}])\n"
+        "print(json.dumps([rc, after_import, scipy_modules()]))\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    rc, after_import, after_norm = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert after_import == [] and after_norm == []
 
 
 def test_console_script_entry_point_declared():

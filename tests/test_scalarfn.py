@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from twistnorm import (SamplingPlan, UnboundedConstant, certify,
-                       delta2_constant, derive_M_prime, estimate_indices,
+from twistnorm import (UnboundedConstant, certify, delta2_constant,
+                       derive_M_prime, estimate_indices,
                        estimate_type_constant, extend, from_spec, power,
-                       power_log, scale_constant, subadditivity_constant)
-from twistnorm.scalarfn import DEFAULT_PLAN, left_difference_quotient
+                       power_log, scale_constant, scalarfn,
+                       subadditivity_constant)
+from twistnorm.scalarfn import left_difference_quotient
 
 # frozen expected values
 FOUR_OVER_E2 = 4.0 / math.e ** 2          # sup of t |log t|^2 on (0, 1]
@@ -94,14 +96,31 @@ def test_from_spec_rejects_garbage():
 
 # -- certified constants -----------------------------------------------------
 
+def m_prime_sup_reference(p):
+    """Oracle: the sup of lam**(p-1) |log lam|**p over the unit axis,
+    polished by a bounded scalar minimizer."""
+    lam = scalarfn._unit_axis()
+    with np.errstate(divide="ignore"):
+        vals = lam ** (p - 1.0) * np.abs(np.log(lam)) ** p
+    res = minimize_scalar(
+        lambda u: -(u ** (p - 1.0)) * abs(math.log(u)) ** p,
+        bounds=(1e-12, 1.0 - 1e-12), method="bounded",
+        options={"xatol": 1e-13})
+    return max(float(vals.max()), float(-res.fun))
+
+
 def test_m_prime_closed_form():
     got = derive_M_prime(1.0, 2.0)
     assert got == pytest.approx(FOUR_OVER_E2, rel=1e-15)
-    grid = derive_M_prime(1.0, 2.0, closed_form=False)
-    assert grid == pytest.approx(FOUR_OVER_E2, rel=1e-10)
     # scales linearly in its first argument
     assert derive_M_prime(3.0, 2.0) == pytest.approx(3 * FOUR_OVER_E2,
                                                      rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0])
+def test_m_prime_matches_grid_reference(p):
+    assert derive_M_prime(1.0, p) == pytest.approx(m_prime_sup_reference(p),
+                                                   rel=1e-10)
 
 
 def test_delta2_powers():
@@ -171,14 +190,18 @@ def test_certify_rejects_unbounded_claim():
         certify(power(2.0), 2.5)
 
 
-def test_plan_provenance_and_axes():
-    plan = SamplingPlan(points=64, rounds=2)
-    prov = plan.provenance()
-    assert prov["points"] == 64 and prov["rounds"] == 2
-    a0 = plan.global_axis(0)
-    a1 = plan.global_axis(1)
-    assert a1.max() > a0.max() and a1.min() < a0.min()
-    assert DEFAULT_PLAN.points == 512
+def test_plan_provenance_and_axes(f2):
+    grid = f2.constants.grid
+    assert grid["points"] == 512 and grid["rounds"] == 3
+    glob, unit = scalarfn._global_axis, scalarfn._unit_axis
+    assert glob(0).size == unit(0).size == 512
+    for k in range(grid["rounds"]):
+        # each round doubles the density and widens the open ends
+        for axis in (glob, unit):
+            assert axis(k + 1).size == 2 * axis(k).size
+            assert axis(k + 1).min() < axis(k).min()
+        assert glob(k + 1).max() > glob(k).max()
+        assert unit(k + 1).max() == 1.0
 
 
 # -- property-based shape checks --------------------------------------------

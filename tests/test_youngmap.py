@@ -134,9 +134,6 @@ def test_envelope_support_caratheodory(f2):
     kp = kalton_peck_map(f2, identity_theta())
     grid = convex_envelope(kp, 2.0, 13)
     assert grid.support_max <= 3          # dim + 1
-    assert grid.l_caratheodory is None
-    tagged = grid.with_l_hat(2.0)
-    assert tagged.l_caratheodory == pytest.approx(4.0)
 
 
 def test_envelope_grid_validation():

@@ -19,7 +19,6 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,40 +36,15 @@ from .twisted import (PairSeq, equivalence_certificate, from_preset,
 from .youngmap import (convex_envelope, kalton_peck_map,
                        kp_theoretical_bound, quasiconvexity_constant)
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 SPACE_PRESETS = "z2, zp:<p>, kp-softclip:<p>,<b>"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the commands."""
-
-    seed: int = 20240501
-    trials: int = 10_000
-    grid_resolution: int = 41
-    box_halfwidth: float = 2.0
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.grid_resolution < 9 or self.grid_resolution % 2 == 0:
-            raise ValueError("resolution must be odd and >= 9")
-        if not self.box_halfwidth > 0:
-            raise ValueError("box halfwidth must be positive")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(seed=args.seed, trials=args.trials,
-                   grid_resolution=args.resolution,
-                   box_halfwidth=args.box, output=args.out)
-
-    def provenance(self) -> dict:
-        return {"seed": self.seed, "trials": self.trials,
-                "resolution": self.grid_resolution,
-                "box_halfwidth": self.box_halfwidth}
+def _provenance(args) -> dict:
+    return {"seed": args.seed, "trials": args.trials,
+            "resolution": args.resolution, "box_halfwidth": args.box}
 
 
 def _jsonable(obj):
@@ -107,10 +81,9 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _space_preset(args, with_envelope: bool):
-    return from_preset(args.preset, halfwidth=args.box,
-                       resolution=args.resolution,
-                       with_envelope=with_envelope)
+def _space_preset(args):
+    return from_preset(args.preset, resolution=args.resolution,
+                       with_envelope=False)
 
 
 def _random_blocks(rng: np.random.Generator, dim: int,
@@ -124,21 +97,19 @@ def _random_blocks(rng: np.random.Generator, dim: int,
 
 
 def cmd_norm(args) -> int:
-    cfg = RunConfig.from_args(args)
     text = _read(args.seq)
     seq = VecSeq.from_json(text)
+    space = _space_preset(args)
     if seq.dim == 1:
-        f = _space_preset(args, with_envelope=False).f
-        value = luxemburg_norm(f, seq)
+        value = luxemburg_norm(space.f, seq)
         kind = "luxemburg"
     elif seq.dim == 2:
-        space = _space_preset(args, with_envelope=False)
         value = twisted_norm(space, PairSeq.from_json(text))
         kind = "twisted"
     else:
         raise ValueError("norm expects a dim-1 sequence or a dim-2 pair file")
     print(f"{kind} norm = {value!r}")
-    write_report(cfg.output, {
+    write_report(args.out, {
         "command": "norm", "kind": kind, "preset": args.preset,
         "input": args.seq, "norm": value,
     })
@@ -146,12 +117,11 @@ def cmd_norm(args) -> int:
 
 
 def cmd_twisted_norm(args) -> int:
-    cfg = RunConfig.from_args(args)
-    space = _space_preset(args, with_envelope=False)
+    space = _space_preset(args)
     pair = PairSeq.from_json(_read(args.pair))
     value = twisted_norm(space, pair)
     print(f"twisted norm = {value!r}")
-    write_report(cfg.output, {
+    write_report(args.out, {
         "command": "twisted-norm", "preset": args.preset,
         "input": args.pair, "norm": value,
     })
@@ -159,43 +129,43 @@ def cmd_twisted_norm(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    cfg = RunConfig.from_args(args)
-    space = _space_preset(args, with_envelope=False)
-    grid = convex_envelope(space.phi_kp, cfg.box_halfwidth,
-                           cfg.grid_resolution)
+    space = _space_preset(args)
+    grid = convex_envelope(space.phi_kp, args.box, args.resolution)
     out = args.csv or "envelope.csv"
     grid.to_csv(out)
     print(f"envelope grid ({grid.resolution}x{grid.resolution}) -> {out}")
-    write_report(cfg.output, {
+    write_report(args.out, {
         "command": "envelope", "preset": args.preset,
         "csv": out, "support_max": grid.support_max,
-        "ratio_max": grid.ratio_max, **cfg.provenance(),
+        "ratio_max": grid.ratio_max, **_provenance(args),
     })
     return 0
 
 
-def _certify_quasiconvex(args, cfg: RunConfig) -> tuple[bool, dict]:
+def _certify_quasiconvex(args) -> tuple[bool, dict]:
     p, theta, _ = parse_preset(args.preset)
     claimed = args.type_p if args.type_p is not None else p
     f = certify(power(p), claimed)
     phi = kalton_peck_map(f, theta)
-    res = quasiconvexity_constant(phi, cfg.trials, cfg.seed,
-                                  halfwidth=cfg.box_halfwidth)
+    res = quasiconvexity_constant(phi, args.trials, args.seed,
+                                  halfwidth=args.box)
     bound = kp_theoretical_bound(f.constants, theta)
     ok = bool(1.0 < res.l_hat <= bound + 1e-9)
     return ok, {
         "kind": "quasiconvex", "preset": args.preset, "claimed_type": claimed,
         "L_hat": res.l_hat, "bound": bound, "witness": res.witness_report(),
-        "constants": f.constants.to_report(), **cfg.provenance(),
+        "constants": f.constants.to_report(), **_provenance(args),
     }
 
 
-def _certify_equivalence(args, cfg: RunConfig) -> tuple[bool, dict]:
-    space = _space_preset(args, with_envelope=True)
-    rep = equivalence_certificate(space, cfg.trials, args.dim_max, cfg.seed)
-    side = max(1, cfg.trials // 4)
-    ql = quasi_linearity_constant(space, side, args.dim_max, cfg.seed + 1)
-    qt = quasi_triangle_constant(space, side, args.dim_max, cfg.seed + 2)
+def _certify_equivalence(args) -> tuple[bool, dict]:
+    space = _space_preset(args)
+    f = certify(space.f, space.f.p)
+    space = space.with_box(args.box)
+    rep = equivalence_certificate(space, args.trials, args.dim_max, args.seed)
+    side = max(1, args.trials // 4)
+    ql = quasi_linearity_constant(space, side, args.dim_max, args.seed + 1)
+    qt = quasi_triangle_constant(space, side, args.dim_max, args.seed + 2)
     ok = bool(rep["stable"] and rep["ratio_min"] > 0
               and math.isfinite(rep["ratio_max"]))
     return ok, {
@@ -204,40 +174,40 @@ def _certify_equivalence(args, cfg: RunConfig) -> tuple[bool, dict]:
         "ratio": rep["ratio"], "stable": rep["stable"],
         "stability": rep["stability"], "dim_max": args.dim_max,
         "box_halfwidth": rep["box_halfwidth"],
-        "constants": space.f.constants.to_report(), **cfg.provenance(),
+        "constants": f.constants.to_report(), **_provenance(args),
     }
 
 
-def _certify_quasilinear(args, cfg: RunConfig) -> tuple[bool, dict]:
-    space = _space_preset(args, with_envelope=False)
-    res = quasi_linearity_constant(space, cfg.trials, args.dim_max, cfg.seed)
+def _certify_quasilinear(args) -> tuple[bool, dict]:
+    space = _space_preset(args)
+    res = quasi_linearity_constant(space, args.trials, args.dim_max, args.seed)
     vals = list(res.per_dim.values())
     spread = max(vals) / min(vals) if min(vals) > 0 else math.inf
     ok = bool(math.isfinite(res.c_hat) and res.c_hat > 0 and spread <= 2.0)
     return ok, {
         "kind": "quasilinear", "preset": args.preset, "c_hat": res.c_hat,
         "per_dim": res.per_dim, "dim_spread": spread,
-        "witness": res.witness, "dim_max": args.dim_max, **cfg.provenance(),
+        "witness": res.witness, "dim_max": args.dim_max, **_provenance(args),
     }
 
 
-def _certify_triangle(args, cfg: RunConfig) -> tuple[bool, dict]:
-    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
-    worst = triangle_violation(pipe.norm, cfg.trials, cfg.seed)
+def _certify_triangle(args) -> tuple[bool, dict]:
+    pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
+    worst = triangle_violation(pipe.norm, args.trials, args.seed)
     ok = bool(worst <= 1e-10)
     return ok, {
         "kind": "triangle", "pipeline": args.pipeline,
         "max_violation": worst, "alpha": pipe.g.alpha, "M": pipe.g.M,
-        **cfg.provenance(),
+        **_provenance(args),
     }
 
 
-def _certify_suff(args, cfg: RunConfig) -> tuple[bool, dict]:
-    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
+def _certify_suff(args) -> tuple[bool, dict]:
+    pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
     worst = math.inf
     checked = 0
-    for k in range(cfg.trials):
-        rng = sampling.rng(cfg.seed, k)
+    for k in range(args.trials):
+        rng = sampling.rng(args.seed, k)
         xi = _random_blocks(rng, pipe.norm.dim)
         target = float(rng.random()) or 0.5
         xi = match_lambda_norm(pipe.norm, xi, target)
@@ -248,15 +218,15 @@ def _certify_suff(args, cfg: RunConfig) -> tuple[bool, dict]:
     ok = bool(worst >= -1e-9)
     return ok, {
         "kind": "suff", "pipeline": args.pipeline, "min_margin": worst,
-        "steps_checked": checked, **cfg.provenance(),
+        "steps_checked": checked, **_provenance(args),
     }
 
 
-def _certify_property_m(args, cfg: RunConfig) -> tuple[bool, dict]:
-    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
+def _certify_property_m(args) -> tuple[bool, dict]:
+    pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
     worst = 0.0
-    for k in range(cfg.trials):
-        rng = sampling.rng(cfg.seed, 10_000_019 + k)
+    for k in range(args.trials):
+        rng = sampling.rng(args.seed, 10_000_019 + k)
         u = _random_blocks(rng, pipe.norm.dim)
         v = _random_blocks(rng, pipe.norm.dim)
         tail = _random_blocks(rng, pipe.norm.dim)
@@ -269,7 +239,7 @@ def _certify_property_m(args, cfg: RunConfig) -> tuple[bool, dict]:
     ok = bool(worst <= 1e-9)
     return ok, {
         "kind": "property-m", "pipeline": args.pipeline,
-        "max_difference": worst, **cfg.provenance(),
+        "max_difference": worst, **_provenance(args),
     }
 
 
@@ -284,30 +254,30 @@ _CERTIFIERS = {
 
 
 def cmd_certify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ok, body = _CERTIFIERS[args.kind](args, cfg)
+    ok, body = _CERTIFIERS[args.kind](args)
     body["pass"] = ok
     print(f"certify {args.kind}: {'PASS' if ok else 'FAIL'}")
-    write_report(cfg.output, body)
+    write_report(args.out, body)
     return 0 if ok else 1
 
 
 def cmd_renorm(args) -> int:
-    cfg = RunConfig.from_args(args)
-    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
+    if args.action == "check" and not args.blocks:
+        raise ValueError("renorm check needs --blocks")
+    pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
     if args.action == "build":
-        worst = triangle_violation(pipe.norm, cfg.trials, cfg.seed)
+        worst = triangle_violation(pipe.norm, args.trials, args.seed)
         body = {
             "command": "renorm build", "pipeline": args.pipeline,
             "alpha": pipe.g.alpha, "M": pipe.g.M,
             "triangle_max_violation": worst,
             "decreasing_ok": bool(pipe.report().get("decreasing_ok", False)),
             "N_unit": pipe.report().get("N_unit"),
-            **cfg.provenance(),
+            **_provenance(args),
         }
         print(f"renorm build {args.pipeline}: alpha={pipe.g.alpha:g} "
               f"M={pipe.g.M:.12g} triangle_max={worst:.3e}")
-        write_report(cfg.output, body)
+        write_report(args.out, body)
         return 0
     # check: the step criterion walks the blocks once; its values give Lambda
     xi = BlockSeq.from_json(_read(args.blocks))
@@ -319,24 +289,23 @@ def cmd_renorm(args) -> int:
         "suff_ok": rep.ok, "steps_checked": rep.checked,
         "min_margin": (None if rep.min_margin == math.inf
                        else rep.min_margin),
-        "products": rep.products, **cfg.provenance(),
+        "products": rep.products, **_provenance(args),
     }
     print(f"renorm check: lambda_norm={lam!r} suff_ok={rep.ok}")
-    write_report(cfg.output, body)
+    write_report(args.out, body)
     return 0 if rep.ok else 1
 
 
 def cmd_lambda_norm(args) -> int:
-    cfg = RunConfig.from_args(args)
-    pipe = build_pipeline(args.pipeline, rng_seed=cfg.seed)
+    pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
     xi = BlockSeq.from_json(_read(args.blocks))
     values = star_iterate(pipe.norm, xi)
     lam = max(values) if values else 0.0
     print(f"lambda norm = {lam!r}")
-    write_report(cfg.output, {
+    write_report(args.out, {
         "command": "lambda-norm", "pipeline": args.pipeline,
         "input": args.blocks, "lambda_norm": lam, "values": values,
-        **cfg.provenance(),
+        **_provenance(args),
     })
     return 0
 
@@ -414,9 +383,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "renorm" and args.action == "check" \
-                and not args.blocks:
-            raise ValueError("renorm check needs --blocks")
+        if args.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if args.resolution < 9 or args.resolution % 2 == 0:
+            raise ValueError("resolution must be odd and >= 9")
+        if not args.box > 0:
+            raise ValueError("box halfwidth must be positive")
+        if "dim_max" in args and args.dim_max < 1:
+            raise ValueError("dim-max must be >= 1")
         return args.func(args)
     except NumericSignal as exc:
         print(f"numeric signal: {exc}", file=sys.stderr)

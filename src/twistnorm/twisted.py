@@ -1,6 +1,6 @@
 """Twisted sums of Orlicz sequence spaces.
 
-Given a certified Orlicz function f and a Lipschitz theta, the map
+Given an Orlicz function f and a Lipschitz theta, the map
 
     F(y)_n = y_n * theta(log(||y||_f / |y_n|))        (0 where y_n = 0)
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericSignal
 from . import sampling
-from .scalarfn import OrliczFn, certify, power
+from .scalarfn import OrliczFn, power
 from .seqspace import VecSeq, luxemburg_norm_batch
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, YoungMap,
                        convex_envelope, identity_theta, kalton_peck_map,
@@ -54,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwistedSpace:
-    """A certified Orlicz function, a theta, their twisted map and envelope."""
+    """An Orlicz function, a theta, their twisted map and envelope."""
 
     f: OrliczFn
     theta: LipschitzTheta
@@ -85,9 +85,7 @@ class TwistedSpace:
 def build_space(f: OrliczFn, theta: LipschitzTheta, halfwidth: float = 2.0,
                 resolution: int = 41, with_envelope: bool = True,
                 label: str = "") -> TwistedSpace:
-    """Certify f if needed, build the twisted map, optionally its envelope."""
-    if f.constants is None:
-        f = certify(f, f.p)
+    """The twisted map of f and theta, optionally its envelope; f as given."""
     phi = kalton_peck_map(f, theta)
     psi = convex_envelope(phi, halfwidth, resolution) if with_envelope else None
     return TwistedSpace(f=f, theta=theta, phi_kp=phi, psi=psi,
@@ -371,9 +369,10 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    space.psi_map  # fail early when the envelope is missing
-    for _ in range(7):
-        psi = space.psi_map
+    for attempt in range(7):
+        if attempt:
+            space = space.with_box(2.0 * space.box_halfwidth)
+        psi = space.psi_map       # raises when the envelope is missing
         hw = space.box_halfwidth
         lo1 = hi1 = None          # extremes at the first part's end
         lo = hi = None            # running extremes
@@ -398,7 +397,6 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
             if done >= trials and lo1 is None:
                 lo1, hi1 = lo, hi
         if not contained:
-            space = space.with_box(2.0 * hw)
             continue
         if lo is None or lo1 is None:
             raise NumericSignal("equivalence sampling produced no usable pair")

@@ -7,12 +7,14 @@ The central construction is the twisted composition
     Phi(x, y) = f(y) + f(x - y * theta(log(1/|y|)))      (y != 0)
     Phi(x, 0) = f(x)
 
-for a certified Orlicz function f and a Lipschitz theta with
-theta(0) = 0.  Phi is even and quasi-convex but not convex; this module
-certifies the quasi-convexity constant empirically, computes the lower
-convex envelope on a centred box as the lower convex hull of the lifted
-grid nodes, compares maps up to multiplicative constants, and smooths
-maps by averaging over scaled balls.
+for an Orlicz function f and a Lipschitz theta with theta(0) = 0.
+Phi reads only the values of f; the certified constants of f (see
+scalarfn.certify) enter only the proof-side quasi-convexity bound.
+Phi is even and quasi-convex but not convex; this module certifies the
+quasi-convexity constant empirically, computes the lower convex
+envelope on a centred box as the lower convex hull of the lifted grid
+nodes, compares maps up to multiplicative constants, and smooths maps
+by averaging over scaled balls.
 
 Grid-backed maps evaluate by multilinear interpolation inside their box
 and by positively homogeneous degree-1 ray extension outside it;
@@ -190,13 +192,8 @@ def radial_power(dim: int, p: float) -> YoungMap:
 def kalton_peck_map(f: OrliczFn, theta: LipschitzTheta) -> YoungMap:
     """The twisted two-variable map Phi built from f and theta.
 
-    f must carry certified constants (see scalarfn.certify); the
-    quasi-convexity bound downstream is computed from them.
+    f need not be certified: Phi reads only its values.
     """
-    if f.constants is None:
-        raise ValueError(
-            "kalton_peck_map needs a certified function; run scalarfn.certify first")
-
     def fn(pts: np.ndarray) -> np.ndarray:
         x = pts[..., 0]
         y = pts[..., 1]

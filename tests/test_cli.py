@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twistnorm
-from twistnorm import BlockSeq, VecSeq, build_pipeline, cli, renorm
+from twistnorm import BlockSeq, VecSeq, build_pipeline, cli, renorm, scalarfn
 
 
 def run(*argv):
@@ -158,8 +158,55 @@ def test_certify_equivalence(tmp_path):
     assert 0 < body["ratio"][0] <= body["ratio"][1] < math.inf
 
 
+@pytest.mark.parametrize("argv, certifications", [
+    (("norm", "--preset", "zp:3", "--seq", "{seq}"), 0),
+    (("norm", "--preset", "z2", "--seq", "{pair}"), 0),
+    (("twisted-norm", "--preset", "kp-softclip:3,1", "--pair", "{pair}"), 0),
+    (("envelope", "--resolution", "9", "--csv", "{tmp}/grid.csv"), 0),
+    (("certify", "quasilinear", "--trials", "40", "--dim-max", "16"), 0),
+    (("certify", "quasiconvex", "--trials", "100"), 1),
+    (("certify", "equivalence", "--trials", "40", "--resolution", "9",
+      "--dim-max", "16"), 1),
+], ids=["norm", "norm-pair", "twisted-norm", "envelope", "quasilinear",
+        "quasiconvex", "equivalence"])
+def test_commands_certify_only_reported_constants(
+        argv, certifications, seq_file, pair_file, tmp_path, monkeypatch):
+    # every certify runs the type-constant grid sup exactly once
+    calls = []
+    grid_sup = scalarfn.estimate_type_constant
+
+    def counted(f, p):
+        calls.append(p)
+        return grid_sup(f, p)
+
+    monkeypatch.setattr(scalarfn, "estimate_type_constant", counted)
+    paths = {"seq": seq_file, "pair": pair_file, "tmp": tmp_path}
+    assert run(*(a.format(**paths) for a in argv),
+               "--out", str(tmp_path / "report.json")) == 0
+    assert len(calls) == certifications
+
+
+def test_zp35_norm_needs_no_certificate(tmp_path, capsys):
+    # certify(power(35), 35) raises UnboundedConstant; the norm reads no
+    # constant, so it still answers, while the certificates still raise
+    seq = tmp_path / "seq.json"
+    seq.write_text(VecSeq.from_values([3.0, -4.0, 0.5]).to_json())
+    out = tmp_path / "norm.json"
+    assert run("norm", "--preset", "zp:35", "--seq", str(seq),
+               "--out", str(out)) == 0
+    closed = 4.0 * (1.0 + 0.75 ** 35 + 0.125 ** 35) ** (1.0 / 35.0)
+    assert body_of(out)["norm"] == pytest.approx(closed, rel=1e-12)
+    capsys.readouterr()
+    assert run("certify", "quasiconvex", "--preset", "zp:35",
+               "--trials", "10") == 3
+    assert "type constant" in capsys.readouterr().err
+    assert run("certify", "equivalence", "--preset", "zp:35",
+               "--trials", "10", "--resolution", "9", "--dim-max", "16") == 3
+    assert "type constant" in capsys.readouterr().err
+
+
 def test_certify_failure_exits_one(tmp_path, monkeypatch):
-    def stub(args, cfg):
+    def stub(args):
         return False, {"kind": "triangle", "max_violation": 1.0}
     monkeypatch.setitem(cli._CERTIFIERS, "triangle", stub)
     out = tmp_path / "fail.json"
@@ -216,7 +263,7 @@ def test_block_commands_walk_once(argv, tmp_path, monkeypatch):
 
 # -- failure modes ------------------------------------------------------------
 
-def test_schema_errors_exit_two(tmp_path, seq_file):
+def test_schema_errors_exit_two(tmp_path, seq_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("norm", "--seq", str(bad)) == 2
@@ -228,6 +275,10 @@ def test_schema_errors_exit_two(tmp_path, seq_file):
                "--trials", "10") == 2
     assert run("certify", "no-such-kind") == 2
     assert run("norm", "--seq", str(seq_file), "--trials", "0") == 2
+    capsys.readouterr()
+    assert run("certify", "quasilinear", "--dim-max", "0",
+               "--trials", "10") == 2
+    assert "dim-max" in capsys.readouterr().err
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"dim": 3, "entries": [[1, [1.0, 1.0, 1.0]]]}))
     assert run("norm", "--seq", str(wide)) == 2

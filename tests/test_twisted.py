@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from twistnorm import (PairSeq, VecSeq, build_space, equivalence_certificate,
-                       from_preset, identity_theta, kp_F, luxemburg_norm,
-                       luxemburg_norm_batch, modular, parse_preset,
-                       quasi_linearity_constant, quasi_triangle_constant,
-                       s_functional, twisted_norm, twisted_norm_batch)
+from twistnorm import (NumericSignal, PairSeq, VecSeq, build_space,
+                       equivalence_certificate, from_preset, identity_theta,
+                       kp_F, luxemburg_norm, luxemburg_norm_batch, modular,
+                       parse_preset, power, quasi_linearity_constant,
+                       quasi_triangle_constant, s_functional, twisted_norm,
+                       twisted_norm_batch)
 from twistnorm import sampling, twisted
 
 # frozen expected values
@@ -303,6 +304,23 @@ def test_equivalence_box_doubles_when_too_small(f2):
     rep = equivalence_certificate(tight, trials=300, dim_max=16, rng_seed=7)
     assert rep["box_halfwidth"] > 0.25
     assert rep["ratio_min"] > 0.0
+
+
+def test_equivalence_builds_no_envelope_after_its_last_sample(monkeypatch):
+    # a box of 1e-6 overflows on all 7 attempts: 6 doublings, 6 envelopes
+    sp = build_space(power(2.0), identity_theta(), halfwidth=1e-6,
+                     resolution=9)
+    boxes = []
+    real = twisted.convex_envelope
+
+    def counted(m, halfwidth, resolution):
+        boxes.append(halfwidth)
+        return real(m, halfwidth, resolution)
+
+    monkeypatch.setattr(twisted, "convex_envelope", counted)
+    with pytest.raises(NumericSignal, match="after 6 doublings"):
+        equivalence_certificate(sp, trials=10, dim_max=16, rng_seed=1)
+    assert boxes == [1e-6 * 2.0 ** k for k in range(1, 7)]
 
 
 # -- presets ------------------------------------------------------------------

@@ -52,9 +52,13 @@ def test_theta_validation():
 
 # -- the twisted two-variable map ---------------------------------------------
 
-def test_kp_requires_certified_function():
-    with pytest.raises(ValueError):
-        kalton_peck_map(power(2.0), identity_theta())
+@pytest.mark.parametrize("theta", [identity_theta(), soft_clip_theta(1.0)],
+                         ids=["identity", "soft-clip"])
+def test_kp_map_reads_only_values(f2, theta):
+    # certified constants enter only the bound, never Phi itself
+    pts = np.random.default_rng(11).standard_normal((512, 2)) * 3.0
+    assert np.array_equal(kalton_peck_map(power(2.0), theta)(pts),
+                          kalton_peck_map(f2, theta)(pts))
 
 
 def test_kp_anchor_values(f2):

@@ -18,25 +18,23 @@ Layers, bottom up:
 from .errors import BracketError, NumericSignal, UnboundedConstant
 from .scalarfn import (OrliczFn, ScalarConstants, certify, delta2_constant,
                        derive_M_prime, estimate_indices,
-                       estimate_type_constant, extend, from_spec, power,
-                       power_log, scale_constant, subadditivity_constant)
-from .seqspace import (VecSeq, luxemburg_norm, luxemburg_norm_batch,
-                       membership_margin, modular)
+                       estimate_type_constant, extend, power, power_log,
+                       scale_constant, subadditivity_constant)
+from .seqspace import VecSeq, luxemburg_norm, luxemburg_norm_batch, modular
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, MollifyResult,
                        QuasiconvexityResult, YoungMap, convex_envelope,
-                       equivalence_constant, identity_theta, kalton_peck_map,
-                       kp_theoretical_bound, mollify, quasiconvexity_constant,
-                       radial_power, scale_theta, soft_clip_theta,
-                       young_from_orlicz)
+                       identity_theta, kalton_peck_map, kp_theoretical_bound,
+                       mollify, quasiconvexity_constant, radial_power,
+                       soft_clip_theta)
 from .twisted import (PairSeq, QuasiLinearityResult, TwistedSpace,
                       build_space, equivalence_certificate, from_preset,
                       kp_F, parse_preset, quasi_linearity_constant,
-                      quasi_triangle_constant, s_functional, twisted_norm,
+                      quasi_triangle_constant, twisted_norm,
                       twisted_norm_batch)
 from .renorm import (BlockSeq, GaugeSpec, RenormPipeline, StarNorm,
                      SubstitutionReport, SuffReport, build_phitilde,
                      build_pipeline, build_star_norm, lambda_norm,
-                     level_constant, match_lambda_norm, minkowski_gauge,
+                     level_constant, match_lambda_norm,
                      prefix_substitution_check, select_alpha, star_iterate,
                      suff_criterion_check, triangle_violation)
 

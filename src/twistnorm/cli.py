@@ -86,9 +86,8 @@ def _space_preset(args):
                        with_envelope=False)
 
 
-def _random_blocks(rng: np.random.Generator, dim: int,
-                   max_blocks: int = 4) -> BlockSeq:
-    k = int(rng.integers(1, max_blocks + 1))
+def _random_blocks(rng: np.random.Generator, dim: int) -> BlockSeq:
+    k = int(rng.integers(1, 5))    # 1 to 4 blocks
     return BlockSeq(dim, sampling.signed_log_uniform(rng, (k, dim), 1e-2, 10.0))
 
 

@@ -41,7 +41,6 @@ from .youngmap import YoungMap, euclidean_norm, radial_power
 
 __all__ = [
     "GaugeSpec",
-    "minkowski_gauge",
     "level_constant",
     "select_alpha",
     "build_phitilde",
@@ -93,14 +92,6 @@ class GaugeSpec:
         if self.unit_scale is None:
             return _gauge_eval(self.base, self.alpha, pts)
         return euclidean_norm(pts) * self.unit_scale
-
-
-def minkowski_gauge(g: GaugeSpec, x) -> float:
-    """|x|_a: positively homogeneous, 1 exactly on {base = alpha}."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != g.base.dim:
-        raise ValueError("point dimension mismatch")
-    return float(g.gauge(x[None, :])[0])
 
 
 N_SPHERE = 720     # directions of the dim-2 spheres in select_alpha

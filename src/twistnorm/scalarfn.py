@@ -35,8 +35,6 @@ __all__ = [
     "power",
     "power_log",
     "extend",
-    "from_spec",
-    "left_difference_quotient",
     "estimate_type_constant",
     "derive_M_prime",
     "delta2_constant",
@@ -160,17 +158,12 @@ class OrliczFn:
             return self.p * (1.0 + math.log(2.0)) + 0.5
         return self.base.left_derivative_at_1
 
-    # -- provenance / serialization ------------------------------------------
+    # -- provenance ---------------------------------------------------------
 
     def describe(self) -> str:
         if self.kind == "extension":
             return f"extension({self.base.describe()}, p={self.p:g}, q={self.q:g})"
         return f"{self.kind}({self.p:g})"
-
-    def to_spec(self) -> dict:
-        if self.kind == "extension":
-            return {"kind": "extension", "base": self.base.to_spec(), "p": self.p}
-        return {"kind": self.kind, "p": self.p}
 
     # -- closed-form constants (None when no closed form is registered) ------
 
@@ -245,25 +238,6 @@ def extend(f: OrliczFn, p: float) -> OrliczFn:
     g = OrliczFn("extension", float(p), base=f, q=float(q))
     _validate_shape(g)
     return g
-
-
-def from_spec(spec: dict) -> OrliczFn:
-    """Build a function from its JSON dict form."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("function spec must be a dict with a 'kind' key")
-    kind = spec["kind"]
-    if kind == "power":
-        return power(float(spec["p"]))
-    if kind == "power_log":
-        return power_log(float(spec["p"]))
-    if kind == "extension":
-        return extend(from_spec(spec["base"]), float(spec["p"]))
-    raise ValueError(f"unknown function kind {kind!r}")
-
-
-def left_difference_quotient(f: OrliczFn) -> float:
-    """Numeric stand-in for the left derivative at 1, with step 1e-7."""
-    return float((f.value(1.0) - f.value(1.0 - 1e-7)) / 1e-7)
 
 
 # --------------------------------------------------------------------------
@@ -355,16 +329,14 @@ def delta2_constant(f: OrliczFn, domain: str = "global") -> float:
                       f"doubling constant ({domain}) for {f.describe()}")
 
 
-def subadditivity_constant(f: OrliczFn,
-                           delta2: float | None = None) -> float:
+def subadditivity_constant(f: OrliczFn) -> float:
     """Grid supremum of f(x+y)/(f(x)+f(y)) over x, y > 0.
 
     Bounded whenever the doubling condition holds (C <= delta2); the
-    doubling certificate is computed first when no value is supplied, so
-    that this sup never has to signal on its own.
+    doubling certificate is computed first and raises UnboundedConstant
+    for a non-doubling f, so that this sup never has to signal on its own.
     """
-    if delta2 is None:
-        delta2 = delta2_constant(f, "global")
+    delta2_constant(f, "global")  # raises when not satisfied
 
     def per_round(k: int) -> float:
         x = _global_axis(k)
@@ -444,7 +416,7 @@ def certify(f: OrliczFn, p: float) -> OrliczFn:
     grid_report["delta2_grid"] = d2_grid
     grid_report["delta2_at_zero_grid"] = d2_zero_grid
 
-    C_grid = subadditivity_constant(f, delta2=d2)
+    C_grid = subadditivity_constant(f)
     C = f.closed_subadditivity() or C_grid
     grid_report["C_grid"] = C_grid
 

@@ -32,7 +32,6 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "luxemburg_norm_batch",
-    "membership_margin",
 ]
 
 
@@ -115,17 +114,8 @@ class VecSeq:
     def n_terms(self) -> int:
         return len(self.indices)
 
-    @property
-    def support(self) -> tuple:
-        return self.indices
-
     def is_zero(self) -> bool:
         return self.n_terms == 0
-
-    def sup_row_norm(self) -> float:
-        if self.is_zero():
-            return 0.0
-        return float(np.linalg.norm(self.vectors, axis=1).max())
 
     # -- linear operations -------------------------------------------------
 
@@ -198,11 +188,6 @@ def modular(m, s: VecSeq, rho: float = 1.0) -> float:
     if s.is_zero():
         return 0.0
     return float(_eval_rows(m, s.vectors / rho).sum())
-
-
-def membership_margin(m, s: VecSeq, rho: float = 1.0) -> float:
-    """1 - modular(s, rho): positive inside the modular unit ball."""
-    return 1.0 - modular(m, s, rho)
 
 
 REL_TOL = 1e-12    # relative bracket width at which bisection stops

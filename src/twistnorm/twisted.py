@@ -7,13 +7,12 @@ Given an Orlicz function f and a Lipschitz theta, the map
 is quasi-linear, and pairs (x, y) of finitely supported scalar
 sequences carry the quasi-norm ||(x, y)|| = ||y||_f + ||x - F(y)||_f.
 This module builds the ambient ``TwistedSpace`` (the two-variable
-twisted map Phi and its grid convex envelope Psi), evaluates F, the
-quasi-norm and the scale family S(k), and runs the seeded empirical
-certificates: the quasi-linearity constant of F, the quasi-triangle
-constant of the norm, and the equivalence of the quasi-norm with the
-Luxemburg norm of Psi on interleaved pairs (with automatic enlargement
-of the envelope box until every sampled argument is interpolated, not
-extrapolated).
+twisted map Phi and its grid convex envelope Psi), evaluates F and the
+quasi-norm, and runs the seeded empirical certificates: the
+quasi-linearity constant of F, the quasi-triangle constant of the norm,
+and the equivalence of the quasi-norm with the Luxemburg norm of Psi on
+interleaved pairs (with automatic enlargement of the envelope box until
+every sampled argument is interpolated, not extrapolated).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "kp_F",
     "twisted_norm",
     "twisted_norm_batch",
-    "s_functional",
     "QuasiLinearityResult",
     "quasi_linearity_constant",
     "quasi_triangle_constant",
@@ -154,16 +152,6 @@ class PairSeq:
         return cls(v.indices, v.vectors[:, 0], v.vectors[:, 1])
 
     @classmethod
-    def from_xy(cls, x: VecSeq, y: VecSeq) -> "PairSeq":
-        if x.dim != 1 or y.dim != 1:
-            raise ValueError("pairs are built from two scalar sequences")
-        # (x, 0) + (0, y): every sum adds a zero, so it is exact
-        zx, zy = np.zeros_like(x.vectors), np.zeros_like(y.vectors)
-        xs = VecSeq(2, x.indices, np.hstack([x.vectors, zx]))
-        ys = VecSeq(2, y.indices, np.hstack([zy, y.vectors]))
-        return cls._from_vec2(xs.add(ys))
-
-    @classmethod
     def from_json(cls, text: str) -> "PairSeq":
         v = VecSeq.from_json(text)
         if v.dim != 2:
@@ -176,21 +164,6 @@ class PairSeq:
     def as_vec2(self) -> VecSeq:
         return VecSeq(2, self.indices,
                       np.stack([self.xv, self.yv], axis=-1))
-
-    @property
-    def x_seq(self) -> VecSeq:
-        return VecSeq(1, self.indices, np.array(self.xv)[:, None])
-
-    @property
-    def y_seq(self) -> VecSeq:
-        return VecSeq(1, self.indices, np.array(self.yv)[:, None])
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.indices)
-
-    def is_zero(self) -> bool:
-        return self.n_terms == 0
 
     def scaled(self, c: float) -> "PairSeq":
         return PairSeq(self.indices, self.xv * float(c), self.yv * float(c))
@@ -244,16 +217,6 @@ def twisted_norm_batch(space: TwistedSpace, X: np.ndarray,
     ny = luxemburg_norm_batch(space.f, Y[..., None])
     diff = X - _twist(space.theta, Y, ny)
     return ny + luxemburg_norm_batch(space.f, diff[..., None])
-
-
-def s_functional(space: TwistedSpace, p: PairSeq, k: float) -> float:
-    """S(k) = sum f(y_j) + sum f(x_j - y_j * theta(log(k / |y_j|)))."""
-    if not k > 0:
-        raise ValueError("the scale k must be positive")
-    if p.is_zero():
-        return 0.0
-    shift = _twist(space.theta, p.yv, k)
-    return float(space.f.value(p.yv).sum() + space.f.value(p.xv - shift).sum())
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,7 @@ scalarfn.certify) enter only the proof-side quasi-convexity bound.
 Phi is even and quasi-convex but not convex; this module certifies the
 quasi-convexity constant empirically, computes the lower convex
 envelope on a centred box as the lower convex hull of the lifted grid
-nodes, compares maps up to multiplicative constants, and smooths maps
-by averaging over scaled balls.
+nodes, and smooths maps by averaging over scaled balls.
 
 Grid-backed maps evaluate by multilinear interpolation inside their box
 and by positively homogeneous degree-1 ray extension outside it;
@@ -38,10 +37,8 @@ from .scalarfn import OrliczFn, ScalarConstants
 __all__ = [
     "LipschitzTheta",
     "identity_theta",
-    "scale_theta",
     "soft_clip_theta",
     "YoungMap",
-    "young_from_orlicz",
     "radial_power",
     "kalton_peck_map",
     "kp_theoretical_bound",
@@ -50,7 +47,6 @@ __all__ = [
     "GridMap",
     "EnvelopeGrid",
     "convex_envelope",
-    "equivalence_constant",
     "MollifyResult",
     "mollify",
 ]
@@ -64,21 +60,17 @@ __all__ = [
 class LipschitzTheta:
     """Odd Lipschitz function with theta(0) = 0 and known constant K."""
 
-    kind: str          # identity | scale | soft_clip
-    a: float = 1.0     # scale factor, or the clip bound
+    kind: str          # identity | soft_clip
+    a: float = 1.0     # the clip bound
 
     @property
     def K(self) -> float:
-        if self.kind == "scale":
-            return abs(self.a)
         return 1.0
 
     def value(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.kind == "identity":
             return t
-        if self.kind == "scale":
-            return self.a * t
         if self.kind == "soft_clip":
             return self.a * np.tanh(t / self.a)
         raise ValueError(f"unknown theta kind {self.kind!r}")
@@ -91,12 +83,6 @@ class LipschitzTheta:
 
 def identity_theta() -> LipschitzTheta:
     return LipschitzTheta("identity")
-
-
-def scale_theta(a: float) -> LipschitzTheta:
-    if a == 0:
-        raise ValueError("scale factor must be nonzero")
-    return LipschitzTheta("scale", float(a))
 
 
 def soft_clip_theta(b: float) -> LipschitzTheta:
@@ -147,17 +133,6 @@ class YoungMap:
             e[i] = GRAD_STEP
             out[..., i] = (self.fn(pts + e) - self.fn(pts - e)) / (2.0 * e[i])
         return out
-
-
-def young_from_orlicz(f: OrliczFn) -> YoungMap:
-    """Lift a scalar Orlicz function to a one-dimensional YoungMap."""
-    return YoungMap(
-        dim=1,
-        fn=lambda pts: f.value(pts[..., 0]),
-        radially_monotone=True,
-        convex=True,
-        label=f.describe(),
-    )
 
 
 def euclidean_norm(pts: np.ndarray) -> np.ndarray:
@@ -377,11 +352,6 @@ class GridMap:
     def halfwidth(self) -> np.ndarray:
         return np.array([ax[-1] for ax in self.axes])
 
-    def contains(self, pts) -> np.ndarray:
-        pts = _as_points(pts, self.dim)
-        hw = self.halfwidth
-        return np.all(np.abs(pts) <= hw * (1.0 + 1e-12), axis=-1)
-
     def evaluate(self, pts) -> np.ndarray:
         pts = _as_points(pts, self.dim)
         hw = self.halfwidth
@@ -561,31 +531,6 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
     return EnvelopeGrid(axes=axes, nodes=nodes, values=values, envelope=env,
                         support_max=support_max, ratio_max=ratio_max,
                         label=m.label)
-
-
-def equivalence_constant(a, b, halfwidth, resolution: int) -> float:
-    """Smallest M with values/M <= other <= M*values on the shared grid.
-
-    Computed at grid nodes where both maps exceed 1e-12; returns inf when
-    one map vanishes (<= 1e-12) at a node where the other does not.
-    """
-    ma = a.envelope_map() if isinstance(a, EnvelopeGrid) else a
-    mb = b.envelope_map() if isinstance(b, EnvelopeGrid) else b
-    if ma.dim != mb.dim:
-        raise ValueError("maps must share a dimension")
-    axes = _grid_axes(ma.dim, halfwidth, resolution)
-    _, nodes = _grid_nodes(axes)
-    va = ma.evaluate(nodes)
-    vb = mb.evaluate(nodes)
-    pa = va > 1e-12
-    pb = vb > 1e-12
-    if np.any(pa != pb):
-        return math.inf
-    both = pa & pb
-    if not both.any():
-        return 1.0
-    r = va[both] / vb[both]
-    return float(max(r.max(), (1.0 / r).max()))
 
 
 # --------------------------------------------------------------------------

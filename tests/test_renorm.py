@@ -7,9 +7,8 @@ from scipy.optimize import elementwise
 from twistnorm import (BlockSeq, GaugeSpec, NumericSignal, YoungMap,
                        build_phitilde, build_pipeline, build_star_norm,
                        lambda_norm, level_constant, match_lambda_norm,
-                       minkowski_gauge, prefix_substitution_check,
-                       radial_power, select_alpha, star_iterate,
-                       suff_criterion_check, triangle_violation)
+                       prefix_substitution_check, radial_power, select_alpha,
+                       star_iterate, suff_criterion_check, triangle_violation)
 from twistnorm import renorm, sampling
 from twistnorm.renorm import _alpha_ceiling, _tau
 
@@ -31,12 +30,12 @@ def r2_pipe():
 def test_gauge_closed_form_square(t2_pipe):
     g = t2_pipe.g
     assert g.alpha == 0.5
-    assert minkowski_gauge(g, [1.0]) == pytest.approx(SQRT2, rel=1e-12)
-    assert minkowski_gauge(g, [0.0]) == 0.0
-    assert minkowski_gauge(g, [-3.0]) == pytest.approx(3.0 * SQRT2, rel=1e-12)
+    got = g.gauge(np.array([[1.0], [0.0], [-3.0], [1.0 / SQRT2]]))
+    assert got[0] == pytest.approx(SQRT2, rel=1e-12)
+    assert got[1] == 0.0
+    assert got[2] == pytest.approx(3.0 * SQRT2, rel=1e-12)
     # exactly 1 on the level set
-    x = 1.0 / SQRT2
-    assert minkowski_gauge(g, [x]) == pytest.approx(1.0, rel=1e-12)
+    assert got[3] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gauge_bisection_matches_closed_form(t2_pipe, t4_pipe, r2_pipe):
@@ -103,7 +102,7 @@ def test_star_norm_tiny_first_coordinate(name, t2_pipe, r2_pipe):
 
 def test_gauge_dimension_check(t2_pipe):
     with pytest.raises(ValueError):
-        minkowski_gauge(t2_pipe.g, [1.0, 2.0])
+        t2_pipe.g.gauge(np.array([[1.0, 2.0]]))
 
 
 def test_level_constant_square():
@@ -387,7 +386,7 @@ def test_lambda_norm_empty_and_single(t2_pipe):
     n = t2_pipe.norm
     assert lambda_norm(n, BlockSeq(1, np.zeros((0, 1)))) == 0.0
     b = 0.37
-    want = n.g.M * minkowski_gauge(n.g, [b])
+    want = n.g.M * n.g.gauge(np.array([[b]]))[0]
     assert lambda_norm(n, BlockSeq(1, [[b]])) == pytest.approx(want, rel=1e-12)
 
 

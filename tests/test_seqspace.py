@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from twistnorm import (BracketError, VecSeq, YoungMap, build_space, certify,
                        identity_theta, luxemburg_norm, luxemburg_norm_batch,
-                       membership_margin, modular, power, power_log,
-                       radial_power)
+                       modular, power, power_log, radial_power)
 from twistnorm.seqspace import _bracket_bisect, _eval_rows
 
 HSET = settings(max_examples=40, deadline=None)
@@ -36,7 +35,7 @@ def test_vecseq_validation():
 def test_vecseq_drops_zero_rows():
     s = VecSeq.from_entries(1, [(3, [0.0]), (5, [2.0]), (9, [0.0])])
     assert s.n_terms == 1
-    assert s.support == (5,)
+    assert s.indices == (5,)
     assert not s.is_zero()
     z = VecSeq.from_entries(2, [(1, [0.0, 0.0])])
     assert z.is_zero() and z.n_terms == 0
@@ -58,8 +57,8 @@ def test_vecseq_arithmetic_merges_supports():
     a = VecSeq.from_entries(1, [(1, [1.0]), (3, [2.0])])
     b = VecSeq.from_entries(1, [(3, [-2.0]), (4, [5.0])])
     s = a + b
-    assert s.support == (1, 4)       # index-3 terms cancel and are dropped
-    assert s.scaled(2.0).sup_row_norm() == pytest.approx(10.0)
+    assert s.indices == (1, 4)       # index-3 terms cancel and are dropped
+    assert s.scaled(2.0).vectors[:, 0].tolist() == [2.0, 10.0]
     d = a - a
     assert d.is_zero()
     assert a.scaled(-1.0).vectors[0, 0] == -1.0
@@ -97,12 +96,6 @@ def test_modular_validation(f2):
         modular(f2, wide, 1.0)           # dim-1 function, dim-2 rows
     with pytest.raises(ValueError):
         modular(radial_power(2, 2.0), s, 1.0)
-
-
-def test_membership_margin(f2):
-    assert membership_margin(f2, seq1(1.0)) == pytest.approx(0.0, abs=1e-15)
-    assert membership_margin(f2, seq1(0.5)) == pytest.approx(0.75)
-    assert membership_margin(f2, seq1(2.0)) < 0
 
 
 def test_monotone_gate():

@@ -5,9 +5,9 @@ import pytest
 
 from twistnorm import (NumericSignal, PairSeq, VecSeq, build_space,
                        equivalence_certificate, from_preset, identity_theta,
-                       kp_F, luxemburg_norm, luxemburg_norm_batch, modular,
+                       kp_F, luxemburg_norm, luxemburg_norm_batch,
                        parse_preset, power, quasi_linearity_constant,
-                       quasi_triangle_constant, s_functional, twisted_norm,
+                       quasi_triangle_constant, twisted_norm,
                        twisted_norm_batch)
 from twistnorm import sampling, twisted
 
@@ -38,8 +38,7 @@ def test_pairseq_validation():
 def test_pairseq_drops_double_zero_rows():
     p = pair([(1, 0.0, 0.0), (2, 1.0, 0.0), (3, 0.0, 2.0)])
     assert p.indices == (2, 3)
-    assert not p.is_zero()
-    assert pair([(4, 0.0, 0.0)]).is_zero()
+    assert pair([(4, 0.0, 0.0)]).indices == ()
 
 
 def test_pairseq_json_round_trip():
@@ -58,9 +57,7 @@ def test_pairseq_merge_and_scaling():
     assert s.indices == (1, 5)
     assert s.xv[0] == 0.0 and s.yv[0] == 2.0
     assert (2.0 * a).xv[0] == 2.0
-    x = VecSeq.from_values([1.0, 2.0])
-    y = VecSeq.from_entries(1, [(2, [5.0])])
-    m = PairSeq.from_xy(x, y)
+    m = pair([(2, 2.0, 5.0)]) + pair([(1, 1.0, 0.0)])
     assert m.indices == (1, 2)
     assert m.yv.tolist() == [0.0, 5.0]
 
@@ -90,7 +87,7 @@ def test_F_homogeneity(z2_noenv):
 def test_F_skips_zero_coordinates(z2_noenv):
     y = VecSeq.from_entries(1, [(1, [1.0]), (3, [0.0]), (4, [1.0])])
     out = kp_F(z2_noenv, y)
-    assert out.support == (1, 4)
+    assert out.indices == (1, 4)
 
 
 # -- the quasi-norm -----------------------------------------------------------
@@ -102,9 +99,7 @@ def test_twisted_norm_anchors(z2_noenv):
 
 
 def test_twisted_norm_on_x_only_is_luxemburg(z2_noenv):
-    vals = [3.0, -4.0]
-    p = PairSeq.from_xy(VecSeq.from_values(vals),
-                        VecSeq.from_entries(1, []))
+    p = pair([(1, 3.0, 0.0), (2, -4.0, 0.0)])
     assert twisted_norm(z2_noenv, p) == pytest.approx(5.0, rel=1e-12)
 
 
@@ -128,54 +123,6 @@ def test_twisted_norm_batch_matches_singles(z2_noenv):
     for b in range(6):
         p = PairSeq(tuple(range(1, 6)), X[b], Y[b])
         assert twisted_norm(z2_noenv, p) == out[b]
-
-
-# -- the scale functional -----------------------------------------------------
-
-def test_s_functional_rejects_nonpositive_scale(z2_noenv):
-    p = pair([(1, 1.0, 1.0)])
-    with pytest.raises(ValueError):
-        s_functional(z2_noenv, p, 0.0)
-    with pytest.raises(ValueError):
-        s_functional(z2_noenv, p, -1.0)
-
-
-def test_s_functional_y_zero_reduces_to_modular(z2_noenv):
-    p = pair([(1, 0.7, 0.0), (2, -0.3, 0.0)])
-    want = 0.7 ** 2 + 0.3 ** 2
-    assert s_functional(z2_noenv, p, 1.0) == pytest.approx(want, rel=1e-15)
-    assert s_functional(z2_noenv, p, 99.0) == pytest.approx(want, rel=1e-15)
-
-
-def test_s_functional_at_norm_scale_matches_modulars(z2_noenv):
-    p = pair([(1, 0.5, 0.3), (2, -0.2, 0.8), (3, 0.1, -0.4)])
-    k = luxemburg_norm(z2_noenv.f, p.y_seq)
-    diff = p.x_seq.sub(kp_F(z2_noenv, p.y_seq))
-    want = (modular(z2_noenv.f, p.y_seq, 1.0)
-            + modular(z2_noenv.f, diff, 1.0))
-    assert s_functional(z2_noenv, p, k) == pytest.approx(want, rel=1e-12)
-
-
-def test_s_functional_small_on_unit_ball(z2_noenv):
-    # scaled to quasi-norm one, the functional at k = ||y|| is at most one
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        xv = rng.standard_normal(4) * 3.0
-        yv = rng.standard_normal(4) * 3.0
-        p = PairSeq(tuple(range(1, 5)), xv, yv)
-        n = twisted_norm(z2_noenv, p)
-        u = p.scaled(1.0 / n)
-        k = luxemburg_norm(z2_noenv.f, u.y_seq)
-        if k == 0.0:
-            continue
-        assert s_functional(z2_noenv, u, k) <= 1.0 + 1e-9
-
-
-def test_s_functional_continuous_in_scale(z2_noenv):
-    p = pair([(1, 0.5, 0.3), (2, -0.2, 0.8)])
-    a = s_functional(z2_noenv, p, 1.3)
-    b = s_functional(z2_noenv, p, 1.3 * (1.0 + 1e-9))
-    assert b == pytest.approx(a, rel=1e-7)
 
 
 # -- empirical constants ------------------------------------------------------

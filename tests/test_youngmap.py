@@ -6,10 +6,9 @@ import pytest
 from scipy.optimize import linprog
 
 from twistnorm import (GridMap, NumericSignal, YoungMap, convex_envelope,
-                       equivalence_constant, identity_theta, kalton_peck_map,
-                       kp_theoretical_bound, mollify, power,
-                       quasiconvexity_constant, radial_power, scale_theta,
-                       soft_clip_theta, young_from_orlicz)
+                       identity_theta, kalton_peck_map, kp_theoretical_bound,
+                       mollify, power, quasiconvexity_constant, radial_power,
+                       soft_clip_theta)
 from twistnorm.youngmap import _grid_axes, _ratio
 
 # frozen expected values
@@ -34,9 +33,6 @@ def test_theta_kinds():
     t = np.linspace(-3, 3, 13)
     assert np.array_equal(identity_theta().value(t), t)
     assert identity_theta().K == 1.0
-    s = scale_theta(-2.5)
-    assert np.allclose(s.value(t), -2.5 * t)
-    assert s.K == 2.5
     c = soft_clip_theta(0.7)
     assert np.allclose(c.value(t), 0.7 * np.tanh(t / 0.7))
     assert np.all(np.abs(c.value(t * 100)) <= 0.7 + 1e-15)
@@ -44,8 +40,6 @@ def test_theta_kinds():
 
 
 def test_theta_validation():
-    with pytest.raises(ValueError):
-        scale_theta(0.0)
     with pytest.raises(ValueError):
         soft_clip_theta(-1.0)
 
@@ -272,23 +266,6 @@ def test_grid_map_interp_and_ray_extension():
     # degree-1 extension along rays outside the box
     inside = gm([[2.0, 2.0]])[0]
     assert gm([[4.0, 4.0]])[0] == pytest.approx(2.0 * inside, rel=1e-12)
-    assert bool(gm.contains([[2.0, 2.0]])[0])
-    assert not bool(gm.contains([[2.0, 2.1]])[0])
-
-
-def test_equivalence_constant_scaling():
-    a = radial_power(2, 2.0)
-    from twistnorm import YoungMap
-    b = YoungMap(dim=2, fn=lambda p: 1.5 * np.linalg.norm(p, axis=-1) ** 2)
-    assert equivalence_constant(a, b, 2.0, 21) == pytest.approx(1.5, rel=1e-12)
-    assert equivalence_constant(a, a, 2.0, 21) == pytest.approx(1.0)
-
-
-def test_equivalence_constant_infinite_when_supports_differ():
-    a = radial_power(2, 2.0)
-    from twistnorm import YoungMap
-    b = YoungMap(dim=2, fn=lambda p: p[..., 0] ** 2)   # vanishes on an axis
-    assert equivalence_constant(a, b, 2.0, 21) == math.inf
 
 
 # -- mollification ------------------------------------------------------------
@@ -320,13 +297,6 @@ def test_mollify_rejects_bad_fraction():
         mollify(radial_power(1, 2.0), 1.0, 2.0, 21)
     with pytest.raises(ValueError):
         mollify(radial_power(1, 2.0), -0.1, 2.0, 21)
-
-
-def test_young_from_orlicz_matches(f2):
-    m = young_from_orlicz(f2)
-    x = np.linspace(-4, 4, 17)
-    assert np.array_equal(m(x[:, None]), f2.value(x))
-    assert m.radially_monotone and m.convex
 
 
 @pytest.mark.parametrize("dim, p, pt, want", [

@@ -85,29 +85,49 @@ def _refined_sup(per_round: Callable[[int], float], what: str,
     return float(max(sups))
 
 
-def _table_sup(rows: np.ndarray, num_fn, den_fn) -> float:
-    """Max of num_fn(b) / den_fn(b) over the blocks b = rows[i:i+256, None].
+# Cells per _table_sup block: 2**15 doubles are 256 KiB per temporary, which
+# fits in L2 at every round (a 4096-column round gets 8 rows a block).
+_BLOCK_CELLS = 1 << 15
 
-    Entries with den <= 0 or a non-finite numerator are skipped; a table
-    without a usable entry gives -inf.
+
+def _table_sup(shape: tuple[int, int], cell, symmetric: bool = False) -> float:
+    """Max of num / den over a table of the given (rows, cols) shape.
+
+    ``cell(r, c)`` returns the numerator and denominator of the block of
+    row slice r and column slice c; the numerator must be a fresh array of
+    the block's shape, as it is overwritten.  Blocks are whole rows of
+    about _BLOCK_CELLS cells.  A symmetric table (cell(r, c) the transpose
+    of cell(c, r)) is walked on the columns j >= the block's first row
+    only, which visits every cell or its mirror.  Entries with den <= 0 or
+    a non-finite numerator are skipped: the block is divided in place and
+    maxed where usable, so no masked copy is made.  A table without a
+    usable entry gives -inf.
     """
+    n_rows, n_cols = shape
     best = -math.inf
-    for i in range(0, rows.size, 256):
-        block = rows[i:i + 256, None]
-        num = num_fn(block)
-        den = den_fn(block)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.where((den > 0.0) & np.isfinite(num), num / den, -math.inf)
-        best = max(best, float(r.max()))
+    i = 0
+    # overflow and 0 * inf are expected at the far ends of the grids
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while i < n_rows:
+            j = i if symmetric else 0
+            step = max(1, _BLOCK_CELLS // (n_cols - j))
+            num, den = cell(slice(i, i + step), slice(j, n_cols))
+            ok = np.isfinite(num) & (den > 0.0)
+            np.divide(num, den, out=num)
+            best = max(best, float(num.max(where=ok, initial=-math.inf)))
+            i += step
     return best
 
 
 def _scale_sup(f: "OrliczFn", B: float, axis: Callable[[int], np.ndarray],
                what: str) -> float:
     """Refined grid supremum of f(B*x)/f(x) over x on axis(round)."""
-    return _refined_sup(
-        lambda k: _table_sup(axis(k), lambda x: f.value(B * x), f.value),
-        what)
+    def per_round(k: int) -> float:
+        x = axis(k)[:, None]
+        return _table_sup(x.shape, lambda r, c: (f.value(B * x[r]),
+                                                 f.value(x[r])))
+
+    return _refined_sup(per_round, what)
 
 
 # --------------------------------------------------------------------------
@@ -297,11 +317,14 @@ def estimate_type_constant(f: OrliczFn, p: float) -> float:
         raise ValueError("type exponent must exceed 1")
 
     def per_round(k: int) -> float:
+        lam = _unit_axis(k)[:, None]
         s = _global_axis(k)
-        phi_s = f.value(s)
-        return _table_sup(_unit_axis(k),
-                          lambda lam: f.value(lam * s[None, :]),
-                          lambda lam: lam ** p * phi_s[None, :])
+        # f overflows to inf at the far end; no such cell sets the sup
+        with np.errstate(over="ignore"):
+            phi_s = f.value(s)
+        return _table_sup((lam.size, s.size),
+                          lambda r, c: (f.value(lam[r] * s[c]),
+                                        lam[r] ** p * phi_s[c]))
 
     return _refined_sup(per_round,
                         f"type constant (p={p:g}) for {f.describe()}")
@@ -340,9 +363,13 @@ def subadditivity_constant(f: OrliczFn) -> float:
 
     def per_round(k: int) -> float:
         x = _global_axis(k)
-        phi_x = f.value(x)
-        return _table_sup(x, lambda xr: f.value(xr + x[None, :]),
-                          lambda xr: f.value(xr) + phi_x[None, :])
+        # f overflows to inf at the far end; no such cell sets the sup
+        with np.errstate(over="ignore"):
+            phi = f.value(x)
+        return _table_sup((x.size, x.size),
+                          lambda r, c: (f.value(x[r, None] + x[c]),
+                                        phi[r, None] + phi[c]),
+                          symmetric=True)
 
     return _refined_sup(per_round,
                         f"subadditivity constant for {f.describe()}",

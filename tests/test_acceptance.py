@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from twistnorm import (BlockSeq, StarNorm, build_phitilde, build_space,
-                       build_star_norm, certify, convex_envelope,
-                       equivalence_certificate, identity_theta,
-                       kalton_peck_map, kp_theoretical_bound, lambda_norm,
-                       luxemburg_norm_batch, match_lambda_norm, mollify,
-                       power, prefix_substitution_check,
+                       certify, convex_envelope, equivalence_certificate,
+                       identity_theta, kalton_peck_map, kp_theoretical_bound,
+                       lambda_norm, luxemburg_norm_batch, match_lambda_norm,
+                       mollify, power, prefix_substitution_check,
                        quasi_linearity_constant, quasiconvexity_constant,
                        radial_power, select_alpha, suff_criterion_check,
                        triangle_violation)

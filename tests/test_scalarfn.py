@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,160 @@ def test_plan_provenance_and_axes(f2):
             assert axis(k + 1).min() < axis(k).min()
         assert glob(k + 1).max() > glob(k).max()
         assert unit(k + 1).max() == 1.0
+
+
+# -- the grid-sup kernel -----------------------------------------------------
+
+def dense_sup(num, den):
+    """Oracle: the whole masked ratio table at once."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return float(np.where((den > 0.0) & np.isfinite(num), num / den,
+                              -math.inf).max())
+
+
+def table_cell(num, den):
+    # _table_sup overwrites the numerator it is handed
+    return lambda r, c: (num[r, c].copy(), den[r, c])
+
+
+def hand_table(case):
+    """A 40 x 30 table; each special cell lies on or above the diagonal of
+    its top 30 x 30 square, which the symmetric cases mirror."""
+    rng = np.random.default_rng(7)
+    num = rng.uniform(0.5, 2.0, (40, 30))
+    den = rng.uniform(0.5, 2.0, (40, 30))
+    if case == "den-zero":
+        num[3, 3], den[3, 3] = 1e3, 0.0
+    elif case == "den-nan":
+        num[5, 6], den[5, 6] = 1e3, math.nan
+    elif case == "den-negative":
+        num[7, 8], den[7, 8] = -1e3, -1.0
+    elif case == "num-inf":
+        num[9, 29], den[9, 29] = math.inf, 1.0
+    elif case == "num-nan":
+        num[0, 29] = math.nan
+    elif case == "overflow-kept":
+        num[15, 20], den[15, 20] = 1e300, np.finfo(float).tiny
+    elif case == "last-cells-max":
+        num[29, 29] = num[39, 29] = 1e3
+    elif case == "no-usable-cell":
+        den[:] = 0.0
+    return num, den
+
+
+TABLE_CASES = ["plain", "den-zero", "den-nan", "den-negative", "num-inf",
+               "num-nan", "overflow-kept", "last-cells-max", "no-usable-cell"]
+BLOCK_CELLS = [1, 7, 64, 1 << 15]
+
+
+@pytest.mark.parametrize("block_cells", BLOCK_CELLS)
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_sup_matches_dense_oracle(case, block_cells, monkeypatch):
+    monkeypatch.setattr(scalarfn, "_BLOCK_CELLS", block_cells)
+    num, den = hand_table(case)
+    got = scalarfn._table_sup(num.shape, table_cell(num, den))
+    assert got == dense_sup(num, den)
+    if case == "overflow-kept":
+        assert got == math.inf
+    if case == "no-usable-cell":
+        assert got == -math.inf
+
+
+@pytest.mark.parametrize("block_cells", BLOCK_CELLS)
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_sup_half_walk_of_symmetric_tables(case, block_cells,
+                                                 monkeypatch):
+    monkeypatch.setattr(scalarfn, "_BLOCK_CELLS", block_cells)
+    num, den = hand_table(case)
+    upper = np.arange(30)[:, None] <= np.arange(30)[None, :]
+    num = np.where(upper, num[:30], num[:30].T)
+    den = np.where(upper, den[:30], den[:30].T)
+    got = scalarfn._table_sup(num.shape, table_cell(num, den),
+                              symmetric=True)
+    assert got == dense_sup(num, den)
+
+
+@pytest.mark.parametrize("make", [lambda: power_log(2.0),
+                                  lambda: extend(power_log(2.0), 2.5)],
+                         ids=["power_log(2)", "extend(power_log(2), 2.5)"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_subadditivity_half_table_equals_full_table(make, k):
+    f = make()
+    x = scalarfn._global_axis(k)
+    with np.errstate(over="ignore"):
+        phi = f.value(x)
+        full_num = f.value(x[:, None] + x[None, :])
+
+    def cell(r, c):
+        return f.value(x[r, None] + x[c]), phi[r, None] + phi[c]
+
+    half = scalarfn._table_sup((x.size, x.size), cell, symmetric=True)
+    assert half == scalarfn._table_sup((x.size, x.size), cell)
+    assert half == dense_sup(full_num, phi[:, None] + phi[None, :])
+
+
+# -- certified reports, pinned to the last digit -----------------------------
+
+GRID_PROTOCOL = {"points": 512, "lo": 1e-09, "hi": 1000000000.0,
+                 "zero_lo": 1e-12, "rounds": 3, "growth_tol": 0.1,
+                 "range_stretch": 1000.0}
+
+GOLDEN_REPORTS = {
+    "power(1.5)": (lambda: power(1.5), 1.5, {
+        "p": 1.5, "C": 1.4142135623730951, "delta2": 2.8284271247461903,
+        "delta2_at_zero": 2.8284271247461903, "M": 1.0,
+        "S": 1.1594183222341825, "M_prime": 1.1594183222341825,
+        "indices": [1.5000000000000004, 1.5000000000000004],
+        "grid": {**GRID_PROTOCOL, "delta2_grid": 2.8284271247461907,
+                 "delta2_at_zero_grid": 2.8284271247461907,
+                 "C_grid": 1.4142135623730954,
+                 "M_grid": 1.0000000000000004}}),
+    "power(2)": (lambda: power(2.0), 2.0, {
+        "p": 2.0, "C": 2.0, "delta2": 4.0, "delta2_at_zero": 4.0, "M": 1.0,
+        "S": 0.5413411329464508, "M_prime": 0.5413411329464508,
+        "indices": [2.000000000000001, 2.000000000000001],
+        "grid": {**GRID_PROTOCOL, "delta2_grid": 4.0,
+                 "delta2_at_zero_grid": 4.0, "C_grid": 2.0,
+                 "M_grid": 1.0000000000000007}}),
+    "power(3)": (lambda: power(3.0), 3.0, {
+        "p": 3.0, "C": 4.0, "delta2": 8.0, "delta2_at_zero": 8.0, "M": 1.0,
+        "S": 0.16803135574154082, "M_prime": 0.16803135574154082,
+        "indices": [3.0000000000000018, 3.0000000000000018],
+        "grid": {**GRID_PROTOCOL, "delta2_grid": 8.0,
+                 "delta2_at_zero_grid": 8.0, "C_grid": 4.0,
+                 "M_grid": 1.0000000000000007}}),
+    "power_log(2)": (lambda: power_log(2.0), 2.0, {
+        "p": 2.0, "C": 2.4905710245493604, "delta2": 4.981142049098721,
+        "delta2_at_zero": 4.957896898187132, "M": 1.0000000000000004,
+        "S": 0.5413411329464508, "M_prime": 0.541341132946451,
+        "indices": [2.000000000000001, 2.000000000000001],
+        "grid": {**GRID_PROTOCOL, "delta2_grid": 4.981142049098721,
+                 "delta2_at_zero_grid": 4.957896898187132,
+                 "C_grid": 2.4905710245493604,
+                 "M_grid": 1.0000000000000004}}),
+    "power_log(3)": (lambda: power_log(3.0), 3.0, {
+        "p": 3.0, "C": 4.98114204909872, "delta2": 9.96228409819744,
+        "delta2_at_zero": 9.915793796374263, "M": 1.0000000000000007,
+        "S": 0.16803135574154082, "M_prime": 0.16803135574154093,
+        "indices": [3.0000000000000018, 3.0000000000000018],
+        "grid": {**GRID_PROTOCOL, "delta2_grid": 9.96228409819744,
+                 "delta2_at_zero_grid": 9.915793796374263,
+                 "C_grid": 4.98114204909872,
+                 "M_grid": 1.0000000000000007}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_certify_report_is_pinned(name):
+    make, p, expected = GOLDEN_REPORTS[name]
+    assert certify(make(), p).constants.to_report() == expected
+
+
+def test_certify_large_exponent_is_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = certify(power(20.0), 20.0).constants
+    assert sc.M == 1.0 and sc.delta2 == 2.0 ** 20
 
 
 # -- property-based shape checks --------------------------------------------

@@ -4,10 +4,12 @@ Layers, bottom up:
 
 - ``sampling``  — keyed seeded random streams, fixed-size chunks, and the
   sampling laws behind every randomized certificate;
+- ``seqspace``  — finitely supported sequences and Luxemburg norms of any
+  map with ``dim``, ``evaluate`` and ``radially_monotone``; it imports
+  only ``errors``;
 - ``scalarfn``  — scalar Orlicz functions and their certified constants;
 - ``youngmap``  — even maps on R^n, the twisted two-variable map, grid
   convex envelopes, quasi-convexity certificates, mollification;
-- ``seqspace``  — finitely supported sequences and Luxemburg norms;
 - ``twisted``   — the quasi-linear map F, the twisted quasi-norm, and
   the norm-equivalence certificates;
 - ``renorm``    — gauges, the extension, star-iterated norms, and the
@@ -19,7 +21,7 @@ from .errors import BracketError, NumericSignal, UnboundedConstant
 from .scalarfn import (OrliczFn, ScalarConstants, certify, delta2_constant,
                        derive_M_prime, estimate_indices,
                        estimate_type_constant, extend, power, power_log,
-                       scale_constant, subadditivity_constant)
+                       subadditivity_constant)
 from .seqspace import VecSeq, luxemburg_norm, luxemburg_norm_batch, modular
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, MollifyResult,
                        QuasiconvexityResult, YoungMap, convex_envelope,

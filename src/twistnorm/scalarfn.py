@@ -9,13 +9,13 @@ families are provided:
 * ``extend(f, p)``  -- f on [0, 1] continued by ``f(1) * t**q`` above 1,
   with ``q = max(f'(1)/f(1), p)`` using the left derivative at 1.
 
-Growth constants (doubling, subadditivity, the type-p bound, scaling
-bounds and the Matuszewska-Orlicz style indices) are certified on
-explicit log-spaced grids.  Every supremum is re-sampled on denser and
-wider grids; a value that grows by more than 10% (``GROWTH_TOL``) in
-every round is reported as unbounded instead of being returned as a
-number.  Closed forms are registered for the power family and win over
-grid estimates; both members of the pair are kept in the report.
+Growth constants (doubling, subadditivity, the type-p bound and the
+Matuszewska-Orlicz style indices) are certified on explicit log-spaced
+grids.  Every supremum is re-sampled on denser and wider grids; a value
+that grows by more than 10% (``GROWTH_TOL``) in every round is reported
+as unbounded instead of being returned as a number.  ``certify`` states
+the closed forms of the power family, which win over the grid estimates;
+both members of the pair are kept in the report.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "derive_M_prime",
     "delta2_constant",
     "subadditivity_constant",
-    "scale_constant",
     "estimate_indices",
     "certify",
 ]
@@ -119,24 +118,20 @@ def _table_sup(shape: tuple[int, int], cell, symmetric: bool = False) -> float:
     return best
 
 
-def _scale_sup(f: "OrliczFn", B: float, axis: Callable[[int], np.ndarray],
-               what: str) -> float:
-    """Refined grid supremum of f(B*x)/f(x) over x on axis(round)."""
-    def per_round(k: int) -> float:
-        x = axis(k)[:, None]
-        return _table_sup(x.shape, lambda r, c: (f.value(B * x[r]),
-                                                 f.value(x[r])))
-
-    return _refined_sup(per_round, what)
-
-
 # --------------------------------------------------------------------------
 # the function families
 
 
 @dataclass(frozen=True)
 class OrliczFn:
-    """An even convex Orlicz function, optionally carrying certified constants."""
+    """An even convex Orlicz function, optionally carrying certified constants.
+
+    As a map on R^1 it has the dim / evaluate / radially_monotone protocol
+    of the other maps, so sequence norms take it like any of them.
+    """
+
+    dim = 1
+    radially_monotone = True
 
     kind: str
     p: float
@@ -162,6 +157,10 @@ class OrliczFn:
     def __call__(self, x):
         return self.value(x)
 
+    def evaluate(self, rows: np.ndarray) -> np.ndarray:
+        """The value of each length-1 row along the trailing axis."""
+        return self.value(rows[..., 0])
+
     @property
     def value_at_1(self) -> float:
         if self.kind == "power":
@@ -184,28 +183,6 @@ class OrliczFn:
         if self.kind == "extension":
             return f"extension({self.base.describe()}, p={self.p:g}, q={self.q:g})"
         return f"{self.kind}({self.p:g})"
-
-    # -- closed-form constants (None when no closed form is registered) ------
-
-    def closed_delta2(self, domain: str) -> float | None:
-        if self.kind == "power":
-            return 2.0 ** self.p
-        return None
-
-    def closed_subadditivity(self) -> float | None:
-        if self.kind == "power":
-            return 2.0 ** (self.p - 1.0)
-        return None
-
-    def closed_type_constant(self, p_claim: float) -> float | None:
-        if self.kind == "power" and p_claim <= self.p:
-            return 1.0
-        return None
-
-    def closed_scale_constant(self, B: float) -> float | None:
-        if self.kind == "power":
-            return float(B) ** self.p
-        return None
 
 
 def _validate_shape(f: OrliczFn) -> None:
@@ -270,8 +247,7 @@ class ScalarConstants:
 
     C, M, delta2 and delta2_at_zero are >= 1 and finite.  S and M_prime
     are finite and positive (S crosses 1 near p = e/(e-1), so no upper
-    bound is imposed).  c_b maps a scale B > 0 to a bound on
-    f(B*x)/f(x).
+    bound is imposed).
     """
 
     p: float
@@ -282,7 +258,6 @@ class ScalarConstants:
     delta2: float
     delta2_at_zero: float
     indices: tuple[float, float]
-    c_b: Callable[[float], float] = field(repr=False)
     grid: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -348,8 +323,14 @@ def delta2_constant(f: OrliczFn, domain: str = "global") -> float:
     if domain not in ("global", "at_zero"):
         raise ValueError("domain must be 'global' or 'at_zero'")
     axis = _global_axis if domain == "global" else _unit_axis
-    return _scale_sup(f, 2.0, axis,
-                      f"doubling constant ({domain}) for {f.describe()}")
+
+    def per_round(k: int) -> float:
+        x = axis(k)[:, None]
+        return _table_sup(x.shape, lambda r, c: (f.value(2.0 * x[r]),
+                                                 f.value(x[r])))
+
+    return _refined_sup(per_round,
+                        f"doubling constant ({domain}) for {f.describe()}")
 
 
 def subadditivity_constant(f: OrliczFn) -> float:
@@ -376,43 +357,26 @@ def subadditivity_constant(f: OrliczFn) -> float:
                         signal_unbounded=False)
 
 
-def scale_constant(f: OrliczFn, B: float) -> float:
-    """Grid supremum of f(B*x)/f(x) for a fixed scale B > 0."""
-    if not B > 0:
-        raise ValueError("scale must be positive")
-    return _scale_sup(f, B, _global_axis,
-                      f"scale constant (B={B:g}) for {f.describe()}")
-
-
 def estimate_indices(f: OrliczFn) -> tuple[float, float]:
     """Grid estimates of the lower and upper growth indices.
 
     For each exponent q in 1, 1.05, ..., 10 the ratio f(lam*t)/(f(lam)*t**q)
     is sampled over 0 < lam, t <= 1.  The lower index estimate is the
     largest q whose supremum stays below 2; the upper one is the smallest
-    q whose infimum stays above 1/2 (1 and 10 when no q qualifies).
+    q whose infimum stays above 1/2 (1 and 10 when no q qualifies).  The
+    lam with f(lam) = 0 (an underflow at large exponents) are skipped, as
+    _table_sup skips den <= 0.
     """
-    lam = _unit_axis()
-    t = _unit_axis()
-    colmax = np.full(t.size, -math.inf)
-    colmin = np.full(t.size, math.inf)
-    for i in range(0, lam.size, 256):
-        lb = lam[i:i + 256, None]
-        R = f.value(lb * t[None, :]) / f.value(lb)
-        colmax = np.maximum(colmax, R.max(axis=0))
-        colmin = np.minimum(colmin, R.min(axis=0))
+    lam = t = _unit_axis()
+    f_lam = f.value(lam)
+    keep = f_lam > 0.0
+    R = f.value(lam[keep, None] * t) / f_lam[keep, None]
     qs = np.arange(1.0, 10.0 + 0.05 / 2.0, 0.05)
-    alpha = 1.0
-    beta = 10.0
-    beta_found = False
-    with np.errstate(over="ignore"):
-        for q in qs:
-            w = t ** (-q)
-            if float((colmax * w).max()) <= 2.0:
-                alpha = q
-            if not beta_found and float((colmin * w).min()) >= 0.5:
-                beta = q
-                beta_found = True
+    w = t ** -qs[:, None]                   # one row of t**-q per exponent
+    lower = qs[(R.max(axis=0) * w).max(axis=1) <= 2.0]
+    upper = qs[(R.min(axis=0) * w).min(axis=1) >= 0.5]
+    alpha = lower[-1] if lower.size else 1.0
+    beta = upper[0] if upper.size else 10.0
     if beta < alpha - 1e-12:
         raise NumericSignal(
             f"index estimates inverted for {f.describe()}: "
@@ -430,45 +394,27 @@ def certify(f: OrliczFn, p: float) -> OrliczFn:
     if not p > 1.0:
         raise ValueError("type exponent must exceed 1")
 
-    grid_report: dict = {
+    grid: dict = {
         "points": POINTS, "lo": LO, "hi": HI, "zero_lo": ZERO_LO,
         "rounds": ROUNDS, "growth_tol": GROWTH_TOL,
         "range_stretch": RANGE_STRETCH,
     }
-
-    d2_zero_grid = delta2_constant(f, "at_zero")
-    d2_grid = delta2_constant(f, "global")
-    d2_zero = f.closed_delta2("at_zero") or d2_zero_grid
-    d2 = f.closed_delta2("global") or d2_grid
-    grid_report["delta2_grid"] = d2_grid
-    grid_report["delta2_at_zero_grid"] = d2_zero_grid
-
-    C_grid = subadditivity_constant(f)
-    C = f.closed_subadditivity() or C_grid
-    grid_report["C_grid"] = C_grid
-
-    M_closed = f.closed_type_constant(p)
-    M_grid = estimate_type_constant(f, p)  # raises when unbounded
-    M = M_closed if M_closed is not None else M_grid
-    grid_report["M_grid"] = M_grid
+    d2_zero = delta2_constant(f, "at_zero")
+    d2 = grid["delta2_grid"] = delta2_constant(f, "global")
+    grid["delta2_at_zero_grid"] = d2_zero
+    C = grid["C_grid"] = subadditivity_constant(f)
+    M = grid["M_grid"] = estimate_type_constant(f, p)  # raises when unbounded
+    if f.kind == "power":
+        # closed forms of |t|**f.p, kept beside the grid values; M = 1 holds
+        # for type claims up to f.p only
+        d2 = d2_zero = 2.0 ** f.p
+        C = 2.0 ** (f.p - 1.0)
+        if p <= f.p:
+            M = 1.0
 
     S = derive_M_prime(1.0, p)
-    indices = estimate_indices(f)
-
-    cache: dict[float, float] = {}
-
-    def c_b(B: float) -> float:
-        closed = f.closed_scale_constant(B)
-        if closed is not None:
-            return closed
-        key = float(B)
-        if key not in cache:
-            cache[key] = scale_constant(f, key)
-        return cache[key]
-
     sc = ScalarConstants(
-        p=float(p), C=float(C), M=float(M), S=float(S),
-        M_prime=float(M) * float(S), delta2=float(d2),
-        delta2_at_zero=float(d2_zero), indices=indices,
-        c_b=c_b, grid=grid_report)
+        p=float(p), C=C, M=M, S=S, M_prime=M * S, delta2=d2,
+        delta2_at_zero=d2_zero, indices=estimate_indices(f),
+        grid=grid)
     return dataclasses.replace(f, constants=sc)

@@ -2,7 +2,8 @@
 
 A ``VecSeq`` holds finitely many nonzero vectors of a fixed dimension at
 strictly increasing positive integer indices.  Given an even map m that
-is nondecreasing along rays, the modular of a sequence at scale rho is
+is nondecreasing along rays (an object with ``dim``, ``evaluate`` and
+``radially_monotone``), the modular of a sequence at scale rho is
 
     modular(s, rho) = sum_i m(v_i / rho)
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError
-from .scalarfn import OrliczFn
 
 __all__ = [
     "VecSeq",
@@ -156,38 +156,22 @@ class VecSeq:
 # modulars and norms
 
 
-def _eval_rows(m, rows: np.ndarray) -> np.ndarray:
-    """Apply the map to vectors along the trailing axis."""
-    if isinstance(m, OrliczFn):
-        if rows.shape[-1] != 1:
-            raise ValueError("a scalar Orlicz function needs dim-1 sequences")
-        return m.value(rows[..., 0])
-    return m.evaluate(rows)
-
-
-def _map_dim(m) -> int:
-    return 1 if isinstance(m, OrliczFn) else int(m.dim)
-
-
 def _check_monotone(m) -> None:
     """Norms require the modular to be nondecreasing along rays."""
-    if isinstance(m, OrliczFn):
-        return
-    if not getattr(m, "radially_monotone", False):
-        raise ValueError(
-            "luxemburg norm needs a radially monotone map; "
-            f"{getattr(m, 'label', type(m).__name__)!r} is not flagged as one")
+    if not m.radially_monotone:
+        raise ValueError("luxemburg norm needs a radially monotone map; "
+                         f"{m.label!r} is not flagged as one")
 
 
 def modular(m, s: VecSeq, rho: float = 1.0) -> float:
     """sum_i m(v_i / rho)."""
     if not rho > 0:
         raise ValueError("scale rho must be positive")
-    if s.dim != _map_dim(m):
+    if s.dim != m.dim:
         raise ValueError("sequence dimension does not match the map")
     if s.is_zero():
         return 0.0
-    return float(_eval_rows(m, s.vectors / rho).sum())
+    return float(m.evaluate(s.vectors / rho).sum())
 
 
 REL_TOL = 1e-12    # relative bracket width at which bisection stops
@@ -262,7 +246,7 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     """
     _check_monotone(m)
     vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 3 or vectors.shape[-1] != _map_dim(m):
+    if vectors.ndim != 3 or vectors.shape[-1] != m.dim:
         raise ValueError("batch must have shape (B, k, dim) matching the map")
     out = np.zeros(vectors.shape[0])
     nonzero = np.any(vectors != 0.0, axis=-1)
@@ -277,7 +261,7 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     work = np.ldexp(work, -e[:, None, None])
 
     def modular_fn(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return _eval_rows(m, work[rows] / rho[:, None, None]).sum(axis=-1)
+        return m.evaluate(work[rows] / rho[:, None, None]).sum(axis=-1)
 
     start = np.linalg.norm(work, axis=-1).max(axis=-1)
     out[live] = np.ldexp(_bracket_bisect(modular_fn, start), e)
@@ -286,7 +270,7 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
 
 def luxemburg_norm(m, s: VecSeq) -> float:
     """Smallest rho > 0 with modular(s, rho) <= 1 (0 for the zero sequence)."""
-    if s.dim != _map_dim(m):
+    if s.dim != m.dim:
         raise ValueError("sequence dimension does not match the map")
     if s.is_zero():
         return 0.0

@@ -58,14 +58,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LipschitzTheta:
-    """Odd Lipschitz function with theta(0) = 0 and known constant K."""
+    """Odd 1-Lipschitz function with theta(0) = 0."""
 
     kind: str          # identity | soft_clip
     a: float = 1.0     # the clip bound
-
-    @property
-    def K(self) -> float:
-        return 1.0
 
     def value(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -190,10 +186,15 @@ def kalton_peck_map(f: OrliczFn, theta: LipschitzTheta) -> YoungMap:
 
 def kp_theoretical_bound(constants: ScalarConstants,
                          theta: LipschitzTheta) -> float:
-    """Proof-side quasi-convexity bound from the certified constants."""
+    """Proof-side quasi-convexity bound max(1 + C*C_K + C**3*C_K*M', C**2).
+
+    C_K = sup f(Kx)/f(x) is f's scale constant at theta's Lipschitz
+    constant K.  Both theta kinds are 1-Lipschitz (the soft clip
+    a*tanh(t/a) has slope sech**2 <= 1), so K = 1 and C_K = 1 for every f:
+    theta enters the bound only through that.
+    """
     C = constants.C
-    C_K = constants.c_b(theta.K)
-    return float(max(1.0 + C * C_K + C ** 3 * C_K * constants.M_prime, C ** 2))
+    return float(max(1.0 + C + C ** 3 * constants.M_prime, C ** 2))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twistnorm import (BracketError, VecSeq, YoungMap, build_space, certify,
                        identity_theta, luxemburg_norm, luxemburg_norm_batch,
                        modular, power, power_log, radial_power)
-from twistnorm.seqspace import _bracket_bisect, _eval_rows
+from twistnorm.seqspace import _bracket_bisect
 
 HSET = settings(max_examples=40, deadline=None)
 
@@ -217,7 +217,7 @@ def dense_luxemburg_norm_batch(m, vectors):
     work = vectors[live]
 
     def modular_fn(rho, rows):
-        return _eval_rows(m, work[rows] / rho[:, None, None]).sum(axis=-1)
+        return m.evaluate(work[rows] / rho[:, None, None]).sum(axis=-1)
 
     out[live] = _bracket_bisect(modular_fn, row_sup[live])
     return out
@@ -267,6 +267,14 @@ def test_packed_psi_norm_matches_dense(f2):
         pairs[::3, :, 0] = 0.0
         pairs[1::3, :, 1] = 0.0
         assert_matches_dense(psi, pairs)
+
+
+@pytest.mark.parametrize("m, dim", [(power(2.0), 2),
+                                     (radial_power(2, 2.0), 1)],
+                         ids=["scalar-on-dim-2", "radial-2-on-dim-1"])
+def test_batch_dimension_must_match_the_map(m, dim):
+    with pytest.raises(ValueError, match="matching the map"):
+        luxemburg_norm_batch(m, np.ones((3, 4, dim)))
 
 
 def test_packing_evaluates_only_nonzero_cells():

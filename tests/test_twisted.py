@@ -276,9 +276,9 @@ def test_from_preset_names():
     sp = from_preset("zp:3", with_envelope=False)
     assert sp.f.p == 3.0
     sc = from_preset("kp-softclip:2,0.5", with_envelope=False)
-    assert sc.theta.K == 1.0
+    assert sc.theta.a == 0.5
     p, theta, label = parse_preset(" kp-softclip:3,0.5 ")
-    assert (p, theta.K, label) == (3.0, 1.0, "kp-softclip:3,0.5")
+    assert (p, theta.a, label) == (3.0, 0.5, "kp-softclip:3,0.5")
     for bad in ("zp:x", "frob", "kp-softclip:2", "kp-softclip:a,b",
                 "kp-softclip:2,1,3"):
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from twistnorm import (GridMap, NumericSignal, YoungMap, convex_envelope,
-                       identity_theta, kalton_peck_map, kp_theoretical_bound,
-                       mollify, power, quasiconvexity_constant, radial_power,
+from twistnorm import (GridMap, NumericSignal, YoungMap, certify,
+                       convex_envelope, extend, identity_theta,
+                       kalton_peck_map, kp_theoretical_bound, mollify, power,
+                       power_log, quasiconvexity_constant, radial_power,
                        soft_clip_theta)
 from twistnorm.youngmap import _grid_axes, _ratio
 
@@ -32,11 +33,9 @@ def lambda_map(scalar_fn):
 def test_theta_kinds():
     t = np.linspace(-3, 3, 13)
     assert np.array_equal(identity_theta().value(t), t)
-    assert identity_theta().K == 1.0
     c = soft_clip_theta(0.7)
     assert np.allclose(c.value(t), 0.7 * np.tanh(t / 0.7))
     assert np.all(np.abs(c.value(t * 100)) <= 0.7 + 1e-15)
-    assert c.K == 1.0
 
 
 def test_theta_validation():
@@ -88,6 +87,26 @@ def test_kp_nonconvex_witness(f2):
 def test_kp_theoretical_bound_value(f2):
     assert kp_theoretical_bound(f2.constants, identity_theta()) == \
         pytest.approx(KP_BOUND_Z2, rel=1e-15)
+
+
+# exact bounds; f's scale constant C_K at theta's K is 1 for every f, so
+# both theta kinds give the same value
+KP_BOUNDS = {
+    "power(1.5)": (lambda: power(1.5), 1.5, 5.693543793907976),
+    "power(2)": (lambda: power(2.0), 2.0, 7.3307290635716065),
+    "power(3)": (lambda: power(3.0), 3.0, 16.0),
+    "power_log(2)": (lambda: power_log(2.0), 2.0, 11.853681255141948),
+    "extend(power_log(1.5), 2)": (lambda: extend(power_log(1.5), 2.0), 1.5,
+                                  12.275346577873464),
+}
+
+
+@pytest.mark.parametrize("name", list(KP_BOUNDS))
+def test_kp_theoretical_bound_is_pinned(name):
+    make, p, expected = KP_BOUNDS[name]
+    constants = certify(make(), p).constants
+    for theta in (identity_theta(), soft_clip_theta(0.5)):
+        assert kp_theoretical_bound(constants, theta) == expected
 
 
 def test_quasiconvexity_certificate(f2):

@@ -85,9 +85,7 @@ class GaugeSpec:
 
     def gauge(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        if self.base.dim == 1 and pts.ndim == 0:
-            pts = pts.reshape(1)
-        if pts.shape[-1] != self.base.dim:
+        if pts.ndim == 0 or pts.shape[-1] != self.base.dim:
             raise ValueError(f"points must end in axis of size {self.base.dim}")
         if self.unit_scale is None:
             return _gauge_eval(self.base, self.alpha, pts)
@@ -451,8 +449,7 @@ def suff_criterion_check(norm: StarNorm, phi: YoungMap,
     if phi.dim != norm.dim:
         raise ValueError("phi dimension does not match the norm")
     values = star_iterate(norm, xi)
-    phis = (phi.evaluate(xi.blocks) if xi.n_blocks else
-            np.zeros(0))
+    phis = phi.evaluate(xi.blocks)
     products = list(np.cumprod(1.0 + phis))
     checked = 0
     min_margin = math.inf

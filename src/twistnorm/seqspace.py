@@ -169,8 +169,6 @@ def modular(m, s: VecSeq, rho: float = 1.0) -> float:
         raise ValueError("scale rho must be positive")
     if s.dim != m.dim:
         raise ValueError("sequence dimension does not match the map")
-    if s.is_zero():
-        return 0.0
     return float(m.evaluate(s.vectors / rho).sum())
 
 
@@ -272,6 +270,4 @@ def luxemburg_norm(m, s: VecSeq) -> float:
     """Smallest rho > 0 with modular(s, rho) <= 1 (0 for the zero sequence)."""
     if s.dim != m.dim:
         raise ValueError("sequence dimension does not match the map")
-    if s.is_zero():
-        return 0.0
     return float(luxemburg_norm_batch(m, s.vectors[None, :, :])[0])

@@ -2,10 +2,12 @@
 
 Given an Orlicz function f and a Lipschitz theta, the map
 
-    F(y)_n = y_n * theta(log(||y||_f / |y_n|))        (0 where y_n = 0)
+    F(y)_n = y_n * theta(log ||y||_f - log |y_n|)     (0 where y_n = 0)
 
 is quasi-linear, and pairs (x, y) of finitely supported scalar
 sequences carry the quasi-norm ||(x, y)|| = ||y||_f + ||x - F(y)||_f.
+F is theta.twist(y, ||y||_f), the twist that Phi takes at rho = 1; the
+logs are taken apart, so ||y||_f / |y_n| never overflows.
 This module builds the ambient ``TwistedSpace`` (the two-variable
 twisted map Phi and its grid convex envelope Psi), evaluates F and the
 quasi-norm, and runs the seeded empirical certificates: the
@@ -184,23 +186,12 @@ class PairSeq:
 # the quasi-linear map and the quasi-norm
 
 
-def _twist(theta: LipschitzTheta, Y: np.ndarray, rho) -> np.ndarray:
-    """Y * theta(log(rho / |Y|)) entrywise, 0 where Y = 0; rho is per row."""
-    out = np.zeros_like(Y)
-    nz = Y != 0.0
-    r = np.broadcast_to(np.asarray(rho, dtype=float)[..., None], Y.shape)
-    out[nz] = Y[nz] * theta.value(np.log(r[nz] / np.abs(Y[nz])))
-    return out
-
-
 def kp_F(space: TwistedSpace, y: VecSeq) -> VecSeq:
-    """The quasi-linear map: entries y_n * theta(log(||y|| / |y_n|))."""
+    """The quasi-linear map: entries y_n * theta(log ||y|| - log |y_n|)."""
     if y.dim != 1:
         raise ValueError("F acts on scalar sequences")
-    if y.is_zero():
-        return VecSeq.from_entries(1, [])
     rho = luxemburg_norm_batch(space.f, y.vectors[None])
-    return VecSeq(1, y.indices, _twist(space.theta, y.vectors.T, rho).T)
+    return VecSeq(1, y.indices, space.theta.twist(y.vectors, rho))
 
 
 def twisted_norm(space: TwistedSpace, p: PairSeq) -> float:
@@ -215,7 +206,7 @@ def twisted_norm_batch(space: TwistedSpace, X: np.ndarray,
                        Y: np.ndarray) -> np.ndarray:
     """Quasi-norms of dense pair rows: (B, d), (B, d) -> (B,)."""
     ny = luxemburg_norm_batch(space.f, Y[..., None])
-    diff = X - _twist(space.theta, Y, ny)
+    diff = X - space.theta.twist(Y, ny[:, None])
     return ny + luxemburg_norm_batch(space.f, diff[..., None])
 
 
@@ -232,25 +223,21 @@ class QuasiLinearityResult:
     seed: int
 
 
-def _dims_for(dim_max: int) -> list:
-    dims = sorted({d for d in (16, 64, dim_max) if d <= dim_max})
-    return dims or [dim_max]
-
-
 def _sampled_sup(trials: int, dim_max: int, rng_seed: int, stride: int,
                  draw) -> tuple:
     """Per-dimension sups of a sampled ratio num / den, with a witness.
 
-    The trial budget is split evenly across ``_dims_for(dim_max)``; the
-    dimension at position k draws its chunks from the streams keyed
-    ``k * stride + i``.  ``draw(rng, n, d)`` returns ``num``, ``den`` and
-    a dict of the sampled rows; pairs with ``den == 0`` are skipped.
+    The trial budget is split evenly across those of 16, 64 and dim_max
+    that do not exceed dim_max; the dimension at position k draws its
+    chunks from the streams keyed ``k * stride + i``.  ``draw(rng, n, d)``
+    returns ``num``, ``den`` and a dict of the sampled rows; pairs with
+    ``den == 0`` are skipped.
     Returns ``(sup, per_dim, witness)``, the witness holding the dimension,
     the rows of the best pair and its ratio.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    dims = _dims_for(dim_max)
+    dims = sorted({d for d in (16, 64, dim_max) if d <= dim_max})
     share = max(1, trials // len(dims))
     per_dim = {}
     best = 0.0
@@ -289,8 +276,9 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
         S = X + Y
         nx, ny, ns = (luxemburg_norm_batch(space.f, Z[..., None])
                       for Z in (X, Y, S))
-        dev = (_twist(space.theta, S, ns) - _twist(space.theta, X, nx)
-               - _twist(space.theta, Y, ny))
+        twist = space.theta.twist
+        dev = (twist(S, ns[:, None]) - twist(X, nx[:, None])
+               - twist(Y, ny[:, None]))
         num = luxemburg_norm_batch(space.f, dev[..., None])
         return num, nx + ny, {"x": X, "y": Y}
 

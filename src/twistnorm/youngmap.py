@@ -4,16 +4,18 @@ A ``YoungMap`` is an even map m: R^n -> [0, inf) with m(0) = 0, carried
 around with declared structural flags (radial monotonicity, convexity).
 The central construction is the twisted composition
 
-    Phi(x, y) = f(y) + f(x - y * theta(log(1/|y|)))      (y != 0)
-    Phi(x, 0) = f(x)
+    Phi(x, y) = f(y) + f(x - theta.twist(y, 1))
 
-for an Orlicz function f and a Lipschitz theta with theta(0) = 0.
+for an Orlicz function f and a Lipschitz theta with theta(0) = 0, where
+theta.twist(y, rho) = y * theta(log rho - log|y|), 0 at y = 0, is the
+one twist shared with the quasi-linear map F of the twisted module.
 Phi reads only the values of f; the certified constants of f (see
 scalarfn.certify) enter only the proof-side quasi-convexity bound.
 Phi is even and quasi-convex but not convex; this module certifies the
 quasi-convexity constant empirically, computes the lower convex
 envelope on a centred box as the lower convex hull of the lifted grid
-nodes, and smooths maps by averaging over scaled balls.
+nodes, and smooths maps in dimensions 1 and 2 by averaging over scaled
+balls.
 
 Grid-backed maps evaluate by multilinear interpolation inside their box
 and by positively homogeneous degree-1 ray extension outside it;
@@ -71,6 +73,17 @@ class LipschitzTheta:
             return self.a * np.tanh(t / self.a)
         raise ValueError(f"unknown theta kind {self.kind!r}")
 
+    def twist(self, y, rho) -> np.ndarray:
+        """y * theta(log rho - log|y|) entrywise, 0 where y = 0; rho
+        broadcasts against y.  The two logs are taken apart, so rho / |y|
+        never overflows, and log rho only where y != 0, so rho may be 0."""
+        y = np.asarray(y, dtype=float)
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), y.shape)
+        out = np.zeros_like(y)
+        nz = y != 0.0
+        out[nz] = y[nz] * self.value(np.log(rho[nz]) - np.log(np.abs(y[nz])))
+        return out
+
     def describe(self) -> str:
         if self.kind == "identity":
             return "identity"
@@ -93,10 +106,7 @@ def soft_clip_theta(b: float) -> LipschitzTheta:
 
 def _as_points(pts, dim: int) -> np.ndarray:
     a = np.asarray(pts, dtype=float)
-    if dim == 1:
-        if a.ndim == 0 or a.shape[-1] != 1:
-            a = a[..., None] if a.ndim > 0 else a.reshape(1, 1)
-    elif a.ndim == 0 or a.shape[-1] != dim:
+    if a.ndim == 0 or a.shape[-1] != dim:
         raise ValueError(f"points must have trailing axis of size {dim}")
     return a
 
@@ -168,12 +178,7 @@ def kalton_peck_map(f: OrliczFn, theta: LipschitzTheta) -> YoungMap:
     def fn(pts: np.ndarray) -> np.ndarray:
         x = pts[..., 0]
         y = pts[..., 1]
-        ay = np.abs(y)
-        shift = np.zeros_like(y)
-        nz = ay > 0
-        if np.any(nz):
-            shift[nz] = y[nz] * theta.value(-np.log(ay[nz]))
-        return f.value(y) + f.value(x - shift)
+        return f.value(y) + f.value(x - theta.twist(y, 1.0))
 
     return YoungMap(
         dim=2,
@@ -355,9 +360,7 @@ class GridMap:
 
     def evaluate(self, pts) -> np.ndarray:
         pts = _as_points(pts, self.dim)
-        hw = self.halfwidth
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stretch = np.max(np.abs(pts) / hw, axis=-1)
+        stretch = np.max(np.abs(pts) / self.halfwidth, axis=-1)
         stretch = np.maximum(stretch, 1.0)
         inner = pts / stretch[..., None]
         return stretch * self._interp(inner)
@@ -550,39 +553,27 @@ class MollifyResult:
 
 
 def _ball_offsets(dim: int):
-    """Unit-ball quadrature nodes and weights with uniform (volume) measure."""
+    """Unit-ball quadrature nodes and weights with uniform (volume) measure,
+    in dimensions 1 and 2."""
     if dim == 1:
         g, w = leggauss(33)
         return g[:, None], w / w.sum()
+    if dim != 2:
+        raise ValueError("mollify supports dimensions 1 and 2 only")
     g, w = leggauss(16)
     u = (g + 1.0) / 2.0          # uniform in volume fraction
     wu = w / w.sum()
-    if dim == 2:
-        r = np.sqrt(u)
-        ang = 2.0 * math.pi * (np.arange(24) + 0.5) / 24
-        pts = np.stack([np.outer(r, np.cos(ang)).ravel(),
-                        np.outer(r, np.sin(ang)).ravel()], axis=-1)
-        wts = np.repeat(wu / 24, 24)
-        return pts, wts
-    # dim 3: radius from volume fraction, product rule on the sphere
-    r = u ** (1.0 / 3.0)
-    gc, wc = leggauss(8)
-    wc = wc / wc.sum()
-    ang = 2.0 * math.pi * (np.arange(12) + 0.5) / 12
-    ct = gc
-    st = np.sqrt(1.0 - ct ** 2)
-    dirs = np.stack([np.outer(st, np.cos(ang)).ravel(),
-                     np.outer(st, np.sin(ang)).ravel(),
-                     np.repeat(ct, 12)], axis=-1)
-    dw = np.repeat(wc / 12, 12)
-    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    wts = (wu[:, None] * dw[None, :]).ravel()
+    r = np.sqrt(u)
+    ang = 2.0 * math.pi * (np.arange(24) + 0.5) / 24
+    pts = np.stack([np.outer(r, np.cos(ang)).ravel(),
+                    np.outer(r, np.sin(ang)).ravel()], axis=-1)
+    wts = np.repeat(wu / 24, 24)
     return pts, wts
 
 
 def mollify(m: YoungMap, radius_fraction: float, halfwidth,
             resolution: int) -> MollifyResult:
-    """Average m over balls B(x, c*||x||) at the grid nodes.
+    """Average m over balls B(x, c*||x||) at the grid nodes; m.dim is 1 or 2.
 
     Checks the two-sided sandwich m/2 <= average <= 2m on the annulus of
     nodes whose balls stay inside the box and which sit at least two grid
@@ -591,10 +582,10 @@ def mollify(m: YoungMap, radius_fraction: float, halfwidth,
     """
     if not 0.0 <= radius_fraction < 1.0:
         raise ValueError("radius fraction must lie in [0, 1)")
+    offsets, weights = _ball_offsets(m.dim)
     axes = _grid_axes(m.dim, halfwidth, resolution)
     _, nodes = _grid_nodes(axes)
     base_vals = m.evaluate(nodes)
-    offsets, weights = _ball_offsets(m.dim)
     step = max(float(ax[1] - ax[0]) for ax in axes)
     hw_min = min(float(ax[-1]) for ax in axes)
     norms = np.linalg.norm(nodes, axis=-1)

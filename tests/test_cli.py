@@ -147,6 +147,15 @@ def test_certify_quasilinear(tmp_path):
     assert body["dim_spread"] <= 2.0
 
 
+def test_quasilinear_per_dim_keys_in_string_order(tmp_path):
+    # the body's int dimension keys become strings before sort_keys sorts
+    # them, so the report reads "100" before "16"
+    out = tmp_path / "r.json"
+    assert run("certify", "quasilinear", "--trials", "30", "--dim-max", "100",
+               "--out", str(out)) == 0
+    assert list(body_of(out)["per_dim"]) == ["100", "16", "64"]
+
+
 def test_certify_equivalence(tmp_path):
     out = tmp_path / "e.json"
     assert run("certify", "equivalence", "--preset", "z2",

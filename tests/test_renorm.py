@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,8 @@ def test_star_norm_tiny_first_coordinate(name, t2_pipe, r2_pipe):
 def test_gauge_dimension_check(t2_pipe):
     with pytest.raises(ValueError):
         t2_pipe.g.gauge(np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="axis of size 1"):
+        t2_pipe.g.gauge(2.0)      # points must end in an axis of size dim
 
 
 def test_level_constant_square():
@@ -473,11 +476,21 @@ def test_suff_criterion_holds(t2_pipe):
         1.0 + float(t2_pipe.phitilde.evaluate(np.array([[0.3]]))[0]))
 
 
-def test_suff_criterion_empty_is_vacuous(t2_pipe):
-    rep = suff_criterion_check(t2_pipe.norm, t2_pipe.phitilde,
-                               BlockSeq(1, np.zeros((0, 1))))
-    assert rep.ok and rep.checked == 0
-    assert rep.min_margin == math.inf
+def test_suff_criterion_empty_is_vacuous(t2_pipe, r2_pipe):
+    # phi.evaluate of a (0, dim) array is empty, for the closed-form gauge
+    # of the pipelines and for the bisected one
+    for pipe in (t2_pipe, r2_pipe):
+        dim = pipe.norm.dim
+        g = pipe.g
+        bisected = GaugeSpec(base=g.base, alpha=g.alpha, M=g.M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = suff_criterion_check(pipe.norm, pipe.phitilde,
+                                       BlockSeq(dim, []))
+            assert bisected.gauge(np.zeros((0, dim))).shape == (0,)
+        assert rep.ok and rep.checked == 0
+        assert rep.min_margin == math.inf
+        assert rep.values == [] and rep.products == []
 
 
 def test_suff_criterion_dimension_check(t2_pipe):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistnorm import (BracketError, VecSeq, YoungMap, build_space, certify,
-                       identity_theta, luxemburg_norm, luxemburg_norm_batch,
-                       modular, power, power_log, radial_power)
+                       convex_envelope, identity_theta, kalton_peck_map,
+                       luxemburg_norm, luxemburg_norm_batch, modular, power,
+                       power_log, radial_power)
 from twistnorm.seqspace import _bracket_bisect
 
 HSET = settings(max_examples=40, deadline=None)
@@ -141,6 +143,23 @@ def test_luxemburg_zero_and_scaling(f2):
     s = seq1(1.0, -2.0, 0.5)
     n = luxemburg_norm(f2, s)
     assert luxemburg_norm(f2, s.scaled(3.0)) == pytest.approx(3.0 * n, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: power(2.0),
+    lambda: radial_power(2, 2.0),
+    lambda: convex_envelope(kalton_peck_map(power(2.0), identity_theta()),
+                            2.0, 9).envelope_map(),
+], ids=["power", "radial", "envelope"])
+def test_zero_sequence_takes_the_general_path(make):
+    # the batch and evaluate paths give 0 on empty arrays, without a warning
+    m = make()
+    zero = VecSeq.from_entries(m.dim, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert modular(m, zero) == 0.0
+        assert modular(m, zero, 1e-300) == 0.0
+        assert luxemburg_norm(m, zero) == 0.0
 
 
 def test_batch_matches_singles_and_ignores_padding(f2):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ def test_F_homogeneity(z2_noenv):
         scaled = kp_F(z2_noenv, y.scaled(lam))
         assert np.allclose(scaled.vectors, base.vectors * lam, rtol=1e-11)
     assert kp_F(z2_noenv, VecSeq.from_values([0.0])).n_terms == 0
+
+
+def test_F_of_zero_sequence_has_no_terms(z2_noenv):
+    # the empty row has norm 0 and twists without a warning from log(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = kp_F(z2_noenv, VecSeq.from_entries(1, []))
+    assert out.n_terms == 0 and out.vectors.shape == (0, 1)
+
+
+def test_twist_takes_the_logs_apart(z2_noenv):
+    # ||y|| / |y_2| = 1e310 overflows; log ||y|| - log |y_2| does not
+    y = [1e10, 1e-300]
+    p = PairSeq((1, 2), [0.0, 0.0], y)
+    assert twisted_norm(z2_noenv, p) == pytest.approx(1e10, rel=1e-15)
+    out = kp_F(z2_noenv, VecSeq.from_values(y))
+    assert out.indices == (2,)
+    want = 1e-300 * (math.log(1e10) - math.log(1e-300))    # 7.138e-298
+    assert out.vectors[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_F_skips_zero_coordinates(z2_noenv):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -52,6 +53,35 @@ def test_kp_map_reads_only_values(f2, theta):
     pts = np.random.default_rng(11).standard_normal((512, 2)) * 3.0
     assert np.array_equal(kalton_peck_map(power(2.0), theta)(pts),
                           kalton_peck_map(f2, theta)(pts))
+
+
+def _kp_first_formula(f, theta, pts):
+    """Phi as first written: f(y) + f(x - y theta(-log|y|)), no shift at 0."""
+    x, y = pts[..., 0], pts[..., 1]
+    ay = np.abs(y)
+    shift = np.zeros_like(y)
+    nz = ay > 0
+    shift[nz] = y[nz] * theta.value(-np.log(ay[nz]))
+    return f.value(y) + f.value(x - shift)
+
+
+@pytest.mark.parametrize("theta", [identity_theta(), soft_clip_theta(0.5)],
+                         ids=["identity", "soft-clip"])
+def test_kp_map_matches_its_first_formula_bitwise(theta):
+    # twist(y, 1) takes log 1 - log|y|, which is -log|y| exactly
+    rng = np.random.default_rng(15)
+    pts = np.concatenate([
+        rng.standard_normal((100_000, 2)) * 3.0,
+        np.sign(rng.standard_normal((100_000 - 25, 2)))
+        * 10.0 ** rng.uniform(-300.0, 3.0, (100_000 - 25, 2)),
+        list(itertools.product([0.0, 1.0, -2.5, 5e-324, -1e3],
+                               [0.0, 1.0, -1.0, 5e-324, -5e-324])),
+    ])
+    pts[::7, 0] = 0.0
+    assert len(pts) == 200_000
+    f = power(2.0)
+    assert np.array_equal(kalton_peck_map(f, theta)(pts),
+                          _kp_first_formula(f, theta, pts))
 
 
 def test_kp_anchor_values(f2):
@@ -309,6 +339,26 @@ def test_mollify_zero_fraction_is_identity():
     assert res.sandwich_ok
     assert res.ratio_min == pytest.approx(1.0)
     assert res.ratio_max == pytest.approx(1.0)
+
+
+def test_mollify_rejects_dim_3_before_evaluating():
+    calls = []
+    base = radial_power(3, 2.0)
+
+    def counted(pts):
+        calls.append(pts.shape)
+        return base.fn(pts)
+
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        mollify(dataclasses.replace(base, fn=counted), 0.25, 2.0, 9)
+    assert calls == []
+
+
+def test_map_points_need_the_trailing_axis():
+    with pytest.raises(ValueError, match="trailing axis of size 1"):
+        radial_power(1, 2.0).evaluate(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="trailing axis of size 1"):
+        radial_power(1, 2.0).evaluate(2.0)
 
 
 def test_mollify_rejects_bad_fraction():

@@ -136,17 +136,67 @@ def level_constant(g: GaugeSpec) -> float:
 # alpha selection
 
 
+_RAY_MAX_STEPS = 100   # golden-section steps allowed per ray refinement
+_RAY_RTOL = math.sqrt(np.finfo(float).eps)
+_GOLD = (3.0 - math.sqrt(5.0)) / 2.0   # fraction of the larger side probed
+
+
+def _golden_min(f, lo: np.ndarray, mid: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
+    """Vectorised golden-section search (Kiefer 1953) on brackets
+    lo < mid < hi with f(mid) at most f at either end.
+
+    f(t, rows) evaluates the selected rows.  Each step probes the larger
+    side of mid and keeps the lower of the two inner points with its
+    neighbours as the new bracket; a row stops once
+    (hi - lo) / 2 <= |mid| sqrt(eps), Chandrupatla's rule.  A non-finite
+    value, or a row still open after _RAY_MAX_STEPS steps, raises
+    NumericSignal.
+    """
+    def probe(t, rows):
+        val = f(t, rows)
+        bad = ~np.isfinite(val)
+        if bad.any():
+            raise NumericSignal(
+                f"ray minimum did not converge: non-finite value inside the "
+                f"bracket of {int(bad.sum())} of {mid.size} directions")
+        return val
+
+    rows = np.arange(mid.size)
+    fmid = probe(mid, rows)
+    steps = 0
+    while True:
+        rows = rows[hi[rows] - lo[rows] > 2.0 * _RAY_RTOL * np.abs(mid[rows])]
+        if rows.size == 0:
+            return mid
+        if steps >= _RAY_MAX_STEPS:
+            raise NumericSignal(
+                f"ray minimum did not converge for {rows.size} of {mid.size} "
+                f"bracketed directions within {_RAY_MAX_STEPS} steps")
+        steps += 1
+        a, b, c, fb = lo[rows], mid[rows], hi[rows], fmid[rows]
+        x = np.where(c - b > b - a, b + _GOLD * (c - b), b - _GOLD * (b - a))
+        fx = probe(x, rows)
+        # inner points p < q; the lower one with its neighbours brackets
+        left = x < b
+        p, q = np.where(left, x, b), np.where(left, b, x)
+        keep_p = np.where(left, fx, fb) < np.where(left, fb, fx)
+        lo[rows] = np.where(keep_p, a, p)
+        mid[rows] = np.where(keep_p, p, q)
+        hi[rows] = np.where(keep_p, q, c)
+        fmid[rows] = np.minimum(fx, fb)
+
+
 def _tau(base: YoungMap, y: np.ndarray) -> np.ndarray:
     """Largest useful ray parameters, rows (N, dim) -> (N,):
     min(argmin_t (1 + base(t y)) / t, 1 / ||y||_2).
 
     The argmin is located on a 64-point log grid over [1e-8, 1] * cap and
-    refined by a bracketed minimiser; rows whose grid minimum is at the
-    cap keep the cap.  A minimum below the grid, or a refinement that
-    does not converge, raises NumericSignal.
+    refined by golden-section search (_golden_min) inside the grid
+    bracket around it; rows whose grid minimum is at the cap keep the
+    cap.  A minimum below the grid, or a refinement that does not
+    converge, raises NumericSignal.
     """
-    from scipy.optimize.elementwise import find_minimum
-
     cap = 1.0 / np.linalg.norm(y, axis=-1)
     grid = np.geomspace(cap * 1e-8, cap, 64, axis=-1)
     vals = (1.0 + base.evaluate(grid[..., None] * y[:, None, :])) / grid
@@ -160,19 +210,13 @@ def _tau(base: YoungMap, y: np.ndarray) -> np.ndarray:
     tau = cap.copy()
     rows = np.flatnonzero(j < grid.shape[-1] - 1)
     if rows.size:
-        def expr(t, *coords):
-            return (1.0 + base.evaluate(t[..., None]
-                                        * np.stack(coords, axis=-1))) / t
+        yr = y[rows]
 
-        bracket = tuple(grid[rows, j[rows] + k] for k in (-1, 0, 1))
-        res = find_minimum(expr, bracket, args=tuple(y[rows].T))
-        bad = ~res.success
-        if bad.any():
-            raise NumericSignal(
-                f"ray minimum did not converge for {int(bad.sum())} of "
-                f"{rows.size} bracketed directions (status "
-                f"{sorted(set(res.status[bad].tolist()))})")
-        tau[rows] = np.minimum(res.x, cap[rows])
+        def expr(t, sel):
+            return (1.0 + base.evaluate(t[:, None] * yr[sel])) / t
+
+        lo, mid, hi = (grid[rows, j[rows] + k] for k in (-1, 0, 1))
+        tau[rows] = np.minimum(_golden_min(expr, lo, mid, hi), cap[rows])
     return tau
 
 

@@ -13,7 +13,8 @@ halving, capped at 2**64 in either direction) followed by bisection in
 log scale to a relative width of 1e-12 in at most 54 steps.  Batches of
 sequences are solved simultaneously on their nonzero cells only, each
 row at the exact power-of-two scale that puts its largest entry in
-[1/2, 1), so no row underflows or overflows (Blue, ACM TOMS 4, 1978).
+[1/2, 1), so no row underflows or overflows while bisecting (Blue, ACM
+TOMS 4, 1978); a norm beyond the float64 range raises NumericSignal.
 The renorming gauge is a one-term Luxemburg norm and is solved here too.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, NumericSignal
 
 __all__ = [
     "VecSeq",
@@ -241,6 +242,8 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     Zero cells anywhere in a row are dropped before bisecting (the map
     sends 0 to 0), so ragged collections can be padded to a common length,
     and the cost scales with the widest row's nonzero count, not with k.
+    A row with a non-finite entry, or whose norm exceeds the float64
+    range, raises NumericSignal naming the rows.
     """
     _check_monotone(m)
     vectors = np.asarray(vectors, dtype=float)
@@ -255,14 +258,26 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     order = np.argsort(~nonzero, axis=-1, kind="stable")
     order = order[:, :nonzero.sum(axis=-1).max(), None]
     work = np.take_along_axis(vectors[live], order, axis=1)
-    e = np.frexp(np.abs(work).max(axis=(1, 2)))[1]
+    top = np.abs(work).max(axis=(1, 2))
+    if not np.isfinite(top).all():
+        bad = np.flatnonzero(live)[~np.isfinite(top)]
+        raise NumericSignal(
+            f"Luxemburg norm input is non-finite in {bad.size} of "
+            f"{out.size} rows, first rows {bad[:5].tolist()}")
+    e = np.frexp(top)[1]
     work = np.ldexp(work, -e[:, None, None])
 
     def modular_fn(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return m.evaluate(work[rows] / rho[:, None, None]).sum(axis=-1)
 
     start = np.linalg.norm(work, axis=-1).max(axis=-1)
-    out[live] = np.ldexp(_bracket_bisect(modular_fn, start), e)
+    with np.errstate(over="ignore"):
+        out[live] = np.ldexp(_bracket_bisect(modular_fn, start), e)
+    big = np.flatnonzero(np.isinf(out))
+    if big.size:
+        raise NumericSignal(
+            f"Luxemburg norm overflows float64 in {big.size} of {out.size} "
+            f"rows, first rows {big[:5].tolist()}")
     return out
 
 

@@ -204,10 +204,24 @@ def twisted_norm(space: TwistedSpace, p: PairSeq) -> float:
 
 def twisted_norm_batch(space: TwistedSpace, X: np.ndarray,
                        Y: np.ndarray) -> np.ndarray:
-    """Quasi-norms of dense pair rows: (B, d), (B, d) -> (B,)."""
+    """Quasi-norms of dense pair rows: (B, d), (B, d) -> (B,).
+
+    A row whose x - F(y) or quasi-norm exceeds the float64 range raises
+    NumericSignal naming the rows.
+    """
     ny = luxemburg_norm_batch(space.f, Y[..., None])
-    diff = X - space.theta.twist(Y, ny[:, None])
-    return ny + luxemburg_norm_batch(space.f, diff[..., None])
+    fy = space.theta.twist(Y, ny[:, None])
+    with np.errstate(over="ignore"):
+        diff = X - fy          # an overflowed row raises in the next norm
+    nd = luxemburg_norm_batch(space.f, diff[..., None])
+    with np.errstate(over="ignore"):
+        out = ny + nd
+    big = np.flatnonzero(np.isinf(out))
+    if big.size:
+        raise NumericSignal(
+            f"twisted quasi-norm ||y|| + ||x - F(y)|| overflows float64 in "
+            f"{big.size} of {out.size} rows, first rows {big[:5].tolist()}")
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -327,21 +327,33 @@ def test_console_script_numeric_signal():
     assert proc.stderr.strip() != ""
 
 
-def test_import_and_norm_load_no_scipy(seq_file):
-    # scipy is imported only inside the envelope hull and the ray minimum
+def test_import_and_norm_load_no_scipy(seq_file, blocks_file, tmp_path):
+    # scipy is imported only inside the envelope's Qhull hull
+    seq, blocks = str(seq_file), str(blocks_file)
+    out = str(tmp_path / "report.json")
     code = (
         "import json, sys\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "from twistnorm.renorm import PIPELINES, build_pipeline\n"
         "from twistnorm.cli import main\n"
-        "after_import = scipy_modules()\n"
-        f"rc = main(['norm', '--preset', 'zp:2', '--seq', {str(seq_file)!r}])\n"
-        "print(json.dumps([rc, after_import, scipy_modules()]))\n")
+        "seen = {'import': scipy_modules()}\n"
+        f"rcs = [main(['norm', '--preset', 'zp:2', '--seq', {seq!r}])]\n"
+        "seen['norm'] = scipy_modules()\n"
+        "rcs.append(main(['lambda-norm', '--pipeline', 't4-pipeline',\n"
+        f"                 '--blocks', {blocks!r}, '--out', {out!r}]))\n"
+        "seen['lambda-norm'] = scipy_modules()\n"
+        "for name in PIPELINES:\n"
+        "    build_pipeline(name)\n"
+        "    seen[name] = scipy_modules()\n"
+        "print(json.dumps([rcs, seen]))\n")
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    rc, after_import, after_norm = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == 0
-    assert after_import == [] and after_norm == []
+    rcs, seen = json.loads(proc.stdout.splitlines()[-1])
+    assert rcs == [0, 0]
+    assert set(seen) == {"import", "norm", "lambda-norm", "t2-pipeline",
+                         "t4-pipeline", "r2-pipeline"}
+    assert all(mods == [] for mods in seen.values()), seen
 
 
 def test_console_script_entry_point_declared():

@@ -39,3 +39,29 @@ def test_module_graph_is_acyclic():
 
 def test_seqspace_depends_only_on_errors():
     assert module_imports()["seqspace"] == {"errors"}
+
+
+def scipy_import_sites():
+    """'module.function' of every scipy import in the package."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):     # outer functions first, inner win
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for child in ast.walk(node):
+                    owner[child] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                sites.append(f"{path.stem}.{owner.get(node, '<module>')}")
+    return sites
+
+
+def test_scipy_is_imported_only_by_the_envelope_hull():
+    assert scipy_import_sites() == ["youngmap.convex_envelope"]

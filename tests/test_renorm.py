@@ -158,14 +158,57 @@ def test_ray_minimum_below_the_grid_raises():
 
 
 def test_ray_refinement_failure_raises(monkeypatch):
-    real = elementwise.find_minimum
-
-    def one_step(*args, **kwargs):
-        return real(*args, **kwargs, maxiter=1)
-
-    monkeypatch.setattr(elementwise, "find_minimum", one_step)
+    monkeypatch.setattr(renorm, "_RAY_MAX_STEPS", 1)
     with pytest.raises(NumericSignal, match="did not converge"):
         _tau(radial_power(1, 4.0), np.array([[0.5]]))
+
+
+def test_ray_refinement_non_finite_raises():
+    # finite on the grid, NaN at every point the refinement probes
+    calls = []
+
+    def fn(p):
+        calls.append(p.shape)
+        val = p[..., 0] ** 4
+        return val if len(calls) == 1 else np.full_like(val, np.nan)
+
+    quartic = YoungMap(dim=1, fn=fn, radially_monotone=True, convex=True)
+    with pytest.raises(NumericSignal, match="did not converge: non-finite"):
+        _tau(quartic, np.array([[0.5]]))
+
+
+def reference_tau(base, y):
+    """_tau with scipy's Chandrupatla minimiser on the same grid bracket."""
+    cap = 1.0 / np.linalg.norm(y, axis=-1)
+    grid = np.geomspace(cap * 1e-8, cap, 64, axis=-1)
+    vals = (1.0 + base.evaluate(grid[..., None] * y[:, None, :])) / grid
+    j = np.argmin(vals, axis=-1)
+    rows = np.flatnonzero(j < 63)
+
+    def expr(t, *coords):
+        return (1.0 + base.evaluate(t[..., None]
+                                    * np.stack(coords, axis=-1))) / t
+
+    res = elementwise.find_minimum(
+        expr, tuple(grid[rows, j[rows] + k] for k in (-1, 0, 1)),
+        args=tuple(y[rows].T))
+    assert res.success.all()
+    tau = cap.copy()
+    tau[rows] = np.minimum(res.x, cap[rows])
+    return tau
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ray_refinement_differential(dim, p):
+    # argmin of (1 + (t r)^p) / t is (p - 1)^(-1/p) / r, inside the cap 1 / r
+    y = 0.5 * renorm._sphere_dirs(dim, renorm.N_SPHERE)
+    base = radial_power(dim, p)
+    tau = _tau(base, y)
+    closed = (p - 1.0) ** (-1.0 / p) / np.linalg.norm(y, axis=-1)
+    np.testing.assert_allclose(tau, closed, rtol=1e-7, atol=0.0)
+    np.testing.assert_allclose(tau, reference_tau(base, y), rtol=1e-7,
+                               atol=0.0)
 
 
 def test_select_alpha_radial(r2_pipe):
@@ -531,6 +574,34 @@ def test_substitution_mismatch_reported(t2_pipe):
 
 
 # -- pipelines ---------------------------------------------------------------------------
+
+PIPELINE_REPORTS = {   # frozen at the default seed 1234
+    "t2-pipeline": {
+        "M": 1.0000000000551472, "N_unit": 1.0, "alpha": 0.5,
+        "decreasing_max_step": -9.91530643651468e-09, "decreasing_ok": True,
+        "limit_gap": 2.924562555225627e-07,
+        "monotone_max_violation": -7.619331369366392e-09, "seed": 1234,
+    },
+    "t4-pipeline": {
+        "M": 1.000000000035521, "N_unit": 1.0, "alpha": 0.25,
+        "decreasing_max_step": -4.957654119330364e-09, "decreasing_ok": True,
+        "limit_gap": 1.4622812786561742e-07,
+        "monotone_max_violation": -3.809705722129654e-09, "seed": 1234,
+    },
+    "r2-pipeline": {
+        "M": 1.0000000000924607, "N_unit": 1.0, "alpha": 0.5,
+        "decreasing_max_step": -9.915306436144706e-09, "decreasing_ok": True,
+        "limit_gap": 9.102751054555132e-08,
+        "monotone_max_violation": -5.564150008341155e-09, "seed": 1234,
+    },
+}
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_pipeline_reports_are_pinned(pipe, request):
+    built = request.getfixturevalue(pipe)
+    assert built.norm.report == PIPELINE_REPORTS[built.name]
+
 
 def test_build_pipeline_names(t2_pipe):
     assert t2_pipe.name == "t2-pipeline"

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistnorm import (BracketError, VecSeq, YoungMap, build_space, certify,
-                       convex_envelope, identity_theta, kalton_peck_map,
-                       luxemburg_norm, luxemburg_norm_batch, modular, power,
-                       power_log, radial_power)
+from twistnorm import (BracketError, NumericSignal, VecSeq, YoungMap,
+                       build_space, certify, convex_envelope, identity_theta,
+                       kalton_peck_map, luxemburg_norm, luxemburg_norm_batch,
+                       modular, power, power_log, radial_power)
 from twistnorm.seqspace import _bracket_bisect
 
 HSET = settings(max_examples=40, deadline=None)
@@ -186,6 +186,25 @@ def test_bracket_error_when_modular_saturates():
 
 
 # -- extreme scales -----------------------------------------------------------
+
+def test_luxemburg_norm_beyond_float64_raises():
+    # ||(1.5e308, 1.5e308)||_2 = 2.1e308 has no float64; the rows are named
+    huge = [[1.5e308], [1.5e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericSignal, match=r"overflows .* rows \[0\]"):
+            luxemburg_norm(power(2), seq1(1.5e308, 1.5e308))
+        batch = np.array([[[1.0], [0.0]], huge, [[0.0], [0.0]], huge])
+        with pytest.raises(NumericSignal,
+                           match=r"overflows float64 in 2 of 4 rows, first "
+                                 r"rows \[1, 3\]"):
+            luxemburg_norm_batch(power(2), batch)
+        batch[2, 0, 0] = np.inf
+        with pytest.raises(NumericSignal,
+                           match=r"non-finite in 1 of 4 rows, first "
+                                 r"rows \[2\]"):
+            luxemburg_norm_batch(power(2), batch)
+
 
 def lp_closed_form(vals, p):
     """(sum |v|**p)**(1/p), scaled by the largest |v| so nothing under/overflows."""

@@ -104,6 +104,21 @@ def test_twist_takes_the_logs_apart(z2_noenv):
     assert out.vectors[0, 0] == pytest.approx(want, rel=1e-12)
 
 
+def test_twisted_norm_beyond_float64_raises(z2_noenv):
+    # ||y|| = 1.4e308 and ||x - F(y)|| = 4.9e307 are finite, their sum is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericSignal,
+                           match=r"quasi-norm .* overflows float64 in 1 of 1 "
+                                 r"rows, first rows \[0\]"):
+            twisted_norm(z2_noenv, PairSeq((1, 2), [0.0, 0.0], [1e308, 1e308]))
+        # here x - F(y) itself leaves the float64 range in row 1
+        X = np.array([[1.0, 0.0], [1.7e308, 1.7e308]])
+        Y = np.array([[0.0, 1.0], [-1e308, -1e308]])
+        with pytest.raises(NumericSignal, match=r"rows \[1\]"):
+            twisted_norm_batch(z2_noenv, X, Y)
+
+
 def test_F_skips_zero_coordinates(z2_noenv):
     y = VecSeq.from_entries(1, [(1, [1.0]), (3, [0.0]), (4, [1.0])])
     out = kp_F(z2_noenv, y)

@@ -230,10 +230,10 @@ def select_alpha(base: YoungMap) -> GaugeSpec:
     """Halving search for the first alpha = 2**-j with M <= 1 and
     alpha below the sampled ray-infimum ceiling.
 
-    At each alpha tried, gauge(e1) is bisected once and the closed form
+    At each alpha tried, gauge(e1) is solved once and the closed form
     |x| * gauge(e1) is kept when the base equals alpha to 1e-9 on its unit
     gauge sphere (every even map in dimension 1, every radial map);
-    otherwise the gauge is bisected point by point.
+    otherwise the gauge is solved point by point.
     """
     if not base.convex:
         raise ValueError("alpha selection needs a convex base map")

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistnorm import (BracketError, NumericSignal, VecSeq, YoungMap,
-                       build_space, certify, convex_envelope, identity_theta,
-                       kalton_peck_map, luxemburg_norm, luxemburg_norm_batch,
-                       modular, power, power_log, radial_power)
-from twistnorm.seqspace import _bracket_bisect
+                       build_space, certify, convex_envelope, extend,
+                       from_preset, identity_theta, kalton_peck_map,
+                       luxemburg_norm, luxemburg_norm_batch, modular, power,
+                       power_log, radial_power)
+from twistnorm.seqspace import MAX_POW, REL_TOL, _bracket_bisect
 
 HSET = settings(max_examples=40, deadline=None)
 
@@ -231,34 +232,177 @@ def test_luxemburg_homogeneous_across_scales(p):
         assert luxemburg_norm(f, s.scaled(2.0 ** k)) == n * 2.0 ** k
 
 
-def test_bracket_bisect_underflowing_bracket_raises():
-    # sqrt(lo * hi) underflows to 0 near 1e-200; the step cap must end it
+def test_bracket_bisect_midpoint_is_scale_safe():
+    # sqrt(lo * hi) would underflow to 0 near 1e-200; lo * sqrt(hi / lo) does not
     def modular_fn(rho, rows):
         return (1e-200 / rho) ** 2
 
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        with pytest.raises(BracketError, match="rows, e.g. lo="):
-            _bracket_bisect(modular_fn, np.array([3e-200]))
+    root = _bracket_bisect(modular_fn, np.array([3e-200]))[0]
+    assert abs(root - 1e-200) <= REL_TOL * 1e-200
+
+
+def test_bracket_bisect_underflowing_bracket_raises():
+    # the root 0.7**0.5 * 3e-322 is subnormal: its neighbours are 2% apart, so
+    # the bracket cannot close to 1e-12 and the step cap must end the search
+    def modular_fn(rho, rows):
+        return 0.7 * (3e-322 / rho) ** 2
+
+    with pytest.raises(BracketError, match="rows, e.g. lo="):
+        _bracket_bisect(modular_fn, np.array([3e-322]))
 
 
 # -- packing: differential oracle and work count -------------------------------
 
-def dense_luxemburg_norm_batch(m, vectors):
-    """Reference: every cell of the batch, unscaled, on every step."""
+def dense_problem(m, vectors):
+    """The modular of every cell of the live rows, unscaled, and a start."""
     vectors = np.asarray(vectors, dtype=float)
-    out = np.zeros(vectors.shape[0])
     row_sup = (np.linalg.norm(vectors, axis=-1).max(axis=-1)
-               if vectors.shape[1] else out)
+               if vectors.shape[1] else np.zeros(vectors.shape[0]))
     live = row_sup > 0.0
-    if not live.any():
-        return out
     work = vectors[live]
 
     def modular_fn(rho, rows):
         return m.evaluate(work[rows] / rho[:, None, None]).sum(axis=-1)
 
-    out[live] = _bracket_bisect(modular_fn, row_sup[live])
+    return modular_fn, row_sup[live], live
+
+
+def dense_luxemburg_norm_batch(m, vectors):
+    """Reference: every cell of the batch, unscaled, on every step."""
+    modular_fn, start, live = dense_problem(m, vectors)
+    out = np.zeros(live.size)
+    if live.any():
+        out[live] = _bracket_bisect(modular_fn, start)
     return out
+
+
+def bisect_reference(modular_fn, start):
+    """Reference: plain log bisection from the same bracket search.
+
+    Returns the roots, the number of scales start * 2**k the bracket search
+    visits and the number of bisection steps, per row.
+    """
+    hi = np.array(start, dtype=float)
+    first = modular_fn(hi, np.arange(hi.size))
+    exact = first == 1.0
+    rows = np.flatnonzero(first > 1.0)
+    for doublings in range(MAX_POW + 1):
+        if rows.size == 0:
+            break
+        if doublings == MAX_POW:
+            raise BracketError("no scale with modular <= 1")
+        hi[rows] *= 2.0
+        rows = rows[modular_fn(hi[rows], rows) > 1.0]
+    lo = hi.copy()
+    rows = np.flatnonzero(~exact)
+    for halvings in range(MAX_POW + 1):
+        rows = rows[modular_fn(lo[rows], rows) <= 1.0]
+        if rows.size == 0:
+            break
+        if halvings == MAX_POW:
+            raise BracketError("no scale with modular > 1")
+        lo[rows] /= 2.0
+    scales = 1 + np.rint(np.maximum(np.log2(hi / start), np.log2(start / lo)))
+    steps = np.zeros(hi.size, dtype=int)
+    rows = np.flatnonzero(~exact)
+    while True:
+        rows = rows[hi[rows] / lo[rows] - 1.0 > REL_TOL]
+        if rows.size == 0:
+            return np.sqrt(lo * hi), scales, steps
+        assert steps.max() < 54, "the bisection's own step cap"
+        steps[rows] += 1
+        mid = np.sqrt(lo[rows] * hi[rows])
+        val = modular_fn(mid, rows)
+        hit = val == 1.0
+        lo[rows[hit]] = hi[rows[hit]] = mid[hit]
+        lo[rows[~hit & (val > 1.0)]] = mid[~hit & (val > 1.0)]
+        hi[rows[~hit & ~(val > 1.0)]] = mid[~hit & ~(val > 1.0)]
+
+
+def step_like(t):
+    """Strictly increasing, with a jump of 1/8 wherever 8 t**2 is an integer."""
+    t = np.abs(t[..., 0])
+    return (np.floor(8.0 * t * t) + t * t) / 8.0
+
+
+def kinked(t):
+    """Convex and piecewise linear, with kinks at 1 and 2."""
+    t = np.abs(t[..., 0])
+    return np.maximum(np.maximum(t, 3.0 * t - 2.0), 10.0 * t - 16.0)
+
+
+ORACLE_MAPS = {
+    "power(1.5)": lambda: power(1.5),
+    "power(2)": lambda: power(2.0),
+    "power(3)": lambda: power(3.0),
+    "power(20)": lambda: power(20.0),
+    "power_log(2)": lambda: power_log(2.0),
+    "extend(power_log(1.5), 2)": lambda: extend(power_log(1.5), 2.0),
+    "psi-z2": lambda: from_preset("z2", resolution=17).psi_map,
+    "psi-kp-softclip:2,1": lambda: from_preset("kp-softclip:2,1",
+                                               resolution=17).psi_map,
+    "radial_power(2, 2)": lambda: radial_power(2, 2.0),
+    "kinked": lambda: YoungMap(dim=1, fn=kinked, radially_monotone=True),
+    "step-like": lambda: YoungMap(dim=1, fn=step_like, radially_monotone=True),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MAPS))
+def test_root_finder_matches_bisection(name):
+    m = ORACLE_MAPS[name]()
+    batch = ragged_batch(np.random.default_rng(61), 200, 16, m.dim)
+    modular_fn, start, _ = dense_problem(m, batch)
+    got = _bracket_bisect(modular_fn, start)
+    want, _, _ = bisect_reference(modular_fn, start)
+    assert np.all(np.abs(got - want) <= REL_TOL * want)
+    # the returned scale lies in a bracket of relative width REL_TOL
+    rows = np.arange(got.size)
+    below = modular_fn(got / (1.0 + REL_TOL), rows)
+    assert np.all((below > 1.0) | (modular_fn(got, rows) == 1.0))
+    assert np.all(modular_fn(got * (1.0 + REL_TOL), rows) <= 1.0)
+
+
+def test_saturating_modular_raises_in_both_finders():
+    flat = YoungMap(dim=1, fn=lambda p: np.minimum(p[..., 0] ** 2, 0.5),
+                    radially_monotone=True)
+    modular_fn, start, _ = dense_problem(flat, np.ones((3, 1, 1)))
+    with pytest.raises(BracketError, match="modular > 1"):
+        bisect_reference(modular_fn, start)
+    with pytest.raises(BracketError, match="modular > 1 within 2\\*\\*-64"):
+        _bracket_bisect(modular_fn, start)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 20.0])
+def test_power_rows_solve_in_at_most_8_evaluations(p):
+    # log modular is affine in log rho, so false position lands on the root
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return np.abs(pts[..., 0]) ** p
+
+    m = YoungMap(dim=1, fn=counted, radially_monotone=True)
+    batch = ragged_batch(np.random.default_rng(53), 64, 16, 1)
+    out = luxemburg_norm_batch(m, batch)
+    # each call evaluates every row still open once
+    assert 0 < len(calls) <= 8
+    want = [lp_closed_form(row, p) if row.any() else 0.0 for row in batch]
+    assert np.allclose(out, want, rtol=1e-11, atol=0.0)
+
+
+def test_step_like_modular_costs_at_most_twice_the_bisection():
+    m = YoungMap(dim=1, fn=step_like, radially_monotone=True)
+    batch = ragged_batch(np.random.default_rng(59), 200, 16, 1)
+    modular_fn, start, _ = dense_problem(m, batch)
+    count = np.zeros(start.size, dtype=int)
+
+    def counted(rho, rows):
+        count[rows] += 1
+        return modular_fn(rho, rows)
+
+    _bracket_bisect(counted, start)
+    _, scales, steps = bisect_reference(modular_fn, start)
+    assert np.all(count <= scales + 2 * steps)
 
 
 def ragged_batch(rng, n, width, dim):

@@ -5,8 +5,7 @@ pipeline
 
   1. selects a level alpha (halving search) whose sublevel-set Minkowski
      gauge |.|_a has level constant M = sup <grad(base)(x), x> over the
-     unit gauge sphere at most 1, subject to alpha not exceeding the
-     sampled infimum of base(tau(y) y) over the ||y||_2 = 1/2 sphere;
+     unit gauge sphere at most 1, and alpha at most min base on ||x||_2 = 1;
   2. extends the base across the unit gauge sphere by
      phitilde(x) = base(x) inside, alpha + M(gauge(x) - 1) outside,
      which keeps t -> (1 + phitilde(t x)) / t nonincreasing on rays;
@@ -136,99 +135,17 @@ def level_constant(g: GaugeSpec) -> float:
 # alpha selection
 
 
-_RAY_MAX_STEPS = 100   # golden-section steps allowed per ray refinement
-_RAY_RTOL = math.sqrt(np.finfo(float).eps)
-_GOLD = (3.0 - math.sqrt(5.0)) / 2.0   # fraction of the larger side probed
-
-
-def _golden_min(f, lo: np.ndarray, mid: np.ndarray,
-                hi: np.ndarray) -> np.ndarray:
-    """Vectorised golden-section search (Kiefer 1953) on brackets
-    lo < mid < hi with f(mid) at most f at either end.
-
-    f(t, rows) evaluates the selected rows.  Each step probes the larger
-    side of mid and keeps the lower of the two inner points with its
-    neighbours as the new bracket; a row stops once
-    (hi - lo) / 2 <= |mid| sqrt(eps), Chandrupatla's rule.  A non-finite
-    value, or a row still open after _RAY_MAX_STEPS steps, raises
-    NumericSignal.
-    """
-    def probe(t, rows):
-        val = f(t, rows)
-        bad = ~np.isfinite(val)
-        if bad.any():
-            raise NumericSignal(
-                f"ray minimum did not converge: non-finite value inside the "
-                f"bracket of {int(bad.sum())} of {mid.size} directions")
-        return val
-
-    rows = np.arange(mid.size)
-    fmid = probe(mid, rows)
-    steps = 0
-    while True:
-        rows = rows[hi[rows] - lo[rows] > 2.0 * _RAY_RTOL * np.abs(mid[rows])]
-        if rows.size == 0:
-            return mid
-        if steps >= _RAY_MAX_STEPS:
-            raise NumericSignal(
-                f"ray minimum did not converge for {rows.size} of {mid.size} "
-                f"bracketed directions within {_RAY_MAX_STEPS} steps")
-        steps += 1
-        a, b, c, fb = lo[rows], mid[rows], hi[rows], fmid[rows]
-        x = np.where(c - b > b - a, b + _GOLD * (c - b), b - _GOLD * (b - a))
-        fx = probe(x, rows)
-        # inner points p < q; the lower one with its neighbours brackets
-        left = x < b
-        p, q = np.where(left, x, b), np.where(left, b, x)
-        keep_p = np.where(left, fx, fb) < np.where(left, fb, fx)
-        lo[rows] = np.where(keep_p, a, p)
-        mid[rows] = np.where(keep_p, p, q)
-        hi[rows] = np.where(keep_p, q, c)
-        fmid[rows] = np.minimum(fx, fb)
-
-
-def _tau(base: YoungMap, y: np.ndarray) -> np.ndarray:
-    """Largest useful ray parameters, rows (N, dim) -> (N,):
-    min(argmin_t (1 + base(t y)) / t, 1 / ||y||_2).
-
-    The argmin is located on a 64-point log grid over [1e-8, 1] * cap and
-    refined by golden-section search (_golden_min) inside the grid
-    bracket around it; rows whose grid minimum is at the cap keep the
-    cap.  A minimum below the grid, or a refinement that does not
-    converge, raises NumericSignal.
-    """
-    cap = 1.0 / np.linalg.norm(y, axis=-1)
-    grid = np.geomspace(cap * 1e-8, cap, 64, axis=-1)
-    vals = (1.0 + base.evaluate(grid[..., None] * y[:, None, :])) / grid
-    j = np.argmin(vals, axis=-1)
-    low = j == 0
-    if low.any():
-        raise NumericSignal(
-            f"ray minimum of (1 + base(t y)) / t lies below t = 1e-8 / ||y|| "
-            f"for {int(low.sum())} of {j.size} directions, first y = "
-            f"{y[low][0].tolist()}")
-    tau = cap.copy()
-    rows = np.flatnonzero(j < grid.shape[-1] - 1)
-    if rows.size:
-        yr = y[rows]
-
-        def expr(t, sel):
-            return (1.0 + base.evaluate(t[:, None] * yr[sel])) / t
-
-        lo, mid, hi = (grid[rows, j[rows] + k] for k in (-1, 0, 1))
-        tau[rows] = np.minimum(_golden_min(expr, lo, mid, hi), cap[rows])
-    return tau
-
-
-def _alpha_ceiling(base: YoungMap, n_sphere: int) -> float:
-    """inf over the ||y||_2 = 1/2 sphere of base(tau(y) y)."""
-    y = 0.5 * _sphere_dirs(base.dim, n_sphere)
-    return float(base.evaluate(_tau(base, y)[:, None] * y).min())
-
-
 def select_alpha(base: YoungMap) -> GaugeSpec:
-    """Halving search for the first alpha = 2**-j with M <= 1 and
-    alpha below the sampled ray-infimum ceiling.
+    """Halving search for the first alpha = 2**-j with M <= 1 and alpha at
+    most the least sampled base value on the unit sphere.
+
+    Once M <= 1 that is the ray ceiling, inf over ||y||_2 = 1/2 of
+    base(tau(y) y), tau(y) = min(argmin_t (1 + base(t y)) / t, 2): for a
+    convex base, h(x) = <grad(base)(x), x> - base(x) never falls along a
+    ray and h <= M - alpha < 1 on the unit gauge sphere, so (1 + base(t y)) / t
+    still falls where the ray leaves {base <= alpha}; only the cap binds.
+    With the 1e-9 slack on M this holds for alpha > 1e-9; below, check
+    (a) of build_star_norm certifies.
 
     At each alpha tried, gauge(e1) is solved once and the closed form
     |x| * gauge(e1) is kept when the base equals alpha to 1e-9 on its unit
@@ -239,7 +156,10 @@ def select_alpha(base: YoungMap) -> GaugeSpec:
         raise ValueError("alpha selection needs a convex base map")
     if base.dim not in (1, 2):
         raise ValueError("alpha selection supports dimensions 1 and 2 only")
-    ceiling = _alpha_ceiling(base, N_SPHERE)
+    sphere = base.evaluate(_sphere_dirs(base.dim, N_SPHERE))
+    if not np.all(np.isfinite(sphere)):
+        raise NumericSignal("base is not finite on the unit sphere")
+    ceiling = float(sphere.min())
     alpha = 1.0
     for _ in range(60):
         unit = float(_gauge_eval(base, alpha, np.eye(1, base.dim))[0])
@@ -391,6 +311,8 @@ def triangle_violation(norm: StarNorm, trials: int, rng_seed: int) -> float:
 
     Chunk i of the trials draws from the stream keyed ``77 + i``.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     worst = 0.0
     for rng, n in sampling.chunks(rng_seed, trials, 77):
         shape = (n, norm.dim + 1)
@@ -506,8 +428,6 @@ def suff_criterion_check(norm: StarNorm, phi: YoungMap,
             min_margin = min(min_margin, margin)
             if margin < -CHECK_TOL:
                 ok = False
-    if checked == 0:
-        min_margin = math.inf
     return SuffReport(ok=ok, checked=checked, min_margin=min_margin,
                       values=values, products=products)
 

@@ -95,8 +95,8 @@ def identity_theta() -> LipschitzTheta:
 
 
 def soft_clip_theta(b: float) -> LipschitzTheta:
-    if not b > 0:
-        raise ValueError("clip bound must be positive")
+    if not 0 < b < math.inf:
+        raise ValueError("clip bound must be positive and finite")
     return LipschitzTheta("soft_clip", float(b))
 
 

@@ -281,6 +281,9 @@ def test_schema_errors_exit_two(tmp_path, seq_file, capsys):
     assert run("renorm", "build", "--pipeline", "bogus") == 2
     assert run("certify", "quasiconvex", "--preset", "kp-softclip:2,1,3",
                "--trials", "10") == 2
+    # an infinite clip bound would make a tanh(t / a) NaN
+    assert run("envelope", "--preset", "kp-softclip:2,inf",
+               "--resolution", "9") == 2
     assert run("certify", "no-such-kind") == 2
     assert run("norm", "--seq", str(seq_file), "--trials", "0") == 2
     capsys.readouterr()

@@ -11,7 +11,6 @@ from twistnorm import (BlockSeq, GaugeSpec, NumericSignal, YoungMap,
                        prefix_substitution_check, radial_power, select_alpha,
                        star_iterate, suff_criterion_check, triangle_violation)
 from twistnorm import renorm, sampling
-from twistnorm.renorm import _alpha_ceiling, _tau
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,59 +129,14 @@ def test_select_alpha_quartic(t4_pipe):
     assert t4_pipe.g.M == pytest.approx(1.0, abs=1e-8)
 
 
-def test_quartic_ray_geometry():
-    base = radial_power(1, 4.0)
-    # the argmin of a smooth flat-bottomed expression is only sqrt(eps) sharp
-    tau = _tau(base, np.array([[0.5], [-0.5]]))
-    assert tau == pytest.approx([(16.0 / 3.0) ** 0.25] * 2, rel=1e-7)
-    assert _alpha_ceiling(base, 8) == pytest.approx(1.0 / 3.0, rel=1e-6)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_square_ray_minimum_is_the_cap(dim):
-    # (1 + t^2 / 4) / t decreases up to t = 2 = 1 / ||y||: every ray is capped
-    y = 0.5 * renorm._sphere_dirs(dim, 720)
-    tau = _tau(radial_power(dim, 2.0), y)
-    assert np.array_equal(tau, 1.0 / np.linalg.norm(y, axis=-1))
-
-
-def test_ray_minimum_below_the_grid_raises():
-    # (1 + 1e30 t^2 / 4) / t is least at t = 2e-15, below the 2e-8 grid floor;
-    # the true ceiling is 1, and the grid endpoint would report 1e14
-    steep = YoungMap(dim=1, fn=lambda p: 1e30 * p[..., 0] ** 2,
-                     radially_monotone=True, convex=True)
-    with pytest.raises(NumericSignal, match="below"):
-        _alpha_ceiling(steep, 8)
-    with pytest.raises(NumericSignal):
-        select_alpha(steep)
-
-
-def test_ray_refinement_failure_raises(monkeypatch):
-    monkeypatch.setattr(renorm, "_RAY_MAX_STEPS", 1)
-    with pytest.raises(NumericSignal, match="did not converge"):
-        _tau(radial_power(1, 4.0), np.array([[0.5]]))
-
-
-def test_ray_refinement_non_finite_raises():
-    # finite on the grid, NaN at every point the refinement probes
-    calls = []
-
-    def fn(p):
-        calls.append(p.shape)
-        val = p[..., 0] ** 4
-        return val if len(calls) == 1 else np.full_like(val, np.nan)
-
-    quartic = YoungMap(dim=1, fn=fn, radially_monotone=True, convex=True)
-    with pytest.raises(NumericSignal, match="did not converge: non-finite"):
-        _tau(quartic, np.array([[0.5]]))
-
-
 def reference_tau(base, y):
-    """_tau with scipy's Chandrupatla minimiser on the same grid bracket."""
+    """min(argmin_t (1 + base(t y)) / t, 1 / ||y||) per row of y: scipy's
+    Chandrupatla minimiser inside the bracket of a 64-point log grid."""
     cap = 1.0 / np.linalg.norm(y, axis=-1)
     grid = np.geomspace(cap * 1e-8, cap, 64, axis=-1)
     vals = (1.0 + base.evaluate(grid[..., None] * y[:, None, :])) / grid
     j = np.argmin(vals, axis=-1)
+    assert not (j == 0).any()
     rows = np.flatnonzero(j < 63)
 
     def expr(t, *coords):
@@ -198,17 +152,113 @@ def reference_tau(base, y):
     return tau
 
 
+def reference_ceiling(base):
+    """inf over the ||y||_2 = 1/2 sphere of base(tau(y) y): the ray
+    ceiling that select_alpha replaces by base on the unit sphere."""
+    y = 0.5 * renorm._sphere_dirs(base.dim, renorm.N_SPHERE)
+    return float(base.evaluate(reference_tau(base, y)[:, None] * y).min())
+
+
+def test_quartic_ray_geometry():
+    base = radial_power(1, 4.0)
+    # the argmin of a smooth flat-bottomed expression is only sqrt(eps) sharp
+    tau = reference_tau(base, np.array([[0.5], [-0.5]]))
+    assert tau == pytest.approx([(16.0 / 3.0) ** 0.25] * 2, rel=1e-7)
+    assert reference_ceiling(base) == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_square_ray_minimum_is_the_cap(dim):
+    # (1 + t^2 / 4) / t decreases up to t = 2 = 1 / ||y||: every ray is capped
+    y = 0.5 * renorm._sphere_dirs(dim, 720)
+    tau = reference_tau(radial_power(dim, 2.0), y)
+    assert np.array_equal(tau, 1.0 / np.linalg.norm(y, axis=-1))
+
+
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_ray_refinement_differential(dim, p):
     # argmin of (1 + (t r)^p) / t is (p - 1)^(-1/p) / r, inside the cap 1 / r
     y = 0.5 * renorm._sphere_dirs(dim, renorm.N_SPHERE)
-    base = radial_power(dim, p)
-    tau = _tau(base, y)
     closed = (p - 1.0) ** (-1.0 / p) / np.linalg.norm(y, axis=-1)
-    np.testing.assert_allclose(tau, closed, rtol=1e-7, atol=0.0)
-    np.testing.assert_allclose(tau, reference_tau(base, y), rtol=1e-7,
-                               atol=0.0)
+    np.testing.assert_allclose(reference_tau(radial_power(dim, p), y),
+                               closed, rtol=1e-7, atol=0.0)
+
+
+def _convex(dim, fn):
+    return YoungMap(dim=dim, fn=fn, radially_monotone=True, convex=True)
+
+
+# base, and the alpha and M that select_alpha picks; both were pinned with
+# reference_ceiling's ray minima in place of the unit-sphere minimum
+ALPHA_BASES = {
+    "tenth-square-d1": (lambda: _convex(1, lambda p: 0.1 * p[..., 0] ** 2),
+                        0.0625, 0.12500000000737013),
+    "tenth-square-d2": (lambda: _convex(2, lambda p: 0.1 * np.sum(p * p, -1)),
+                        0.0625, 0.12500000001067177),
+    "square-d1": (lambda: radial_power(1, 2.0), 0.5, 1.0000000000349558),
+    "cube-d1": (lambda: radial_power(1, 3.0), 0.25, 0.75000000002136),
+    "quartic-d1": (lambda: radial_power(1, 4.0), 0.25, 1.0000000000251428),
+    "cosh-d1": (lambda: _convex(1, lambda p: np.cosh(p[..., 0]) - 1.0),
+                0.25, 0.5198603854156927),
+    "square-d2": (lambda: radial_power(2, 2.0), 0.5, 1.0000000000860216),
+    "sixth-d2": (lambda: radial_power(2, 6.0), 0.125, 0.7500000000692207),
+    "ellipse-d2": (lambda: _convex(2, lambda p: p[..., 0] ** 2
+                                   + 4.0 * p[..., 1] ** 2),
+                   0.5, 1.0000000000645783),
+    "max-square-d2": (lambda: _convex(2, lambda p: np.max(np.abs(p), -1) ** 2),
+                      0.25, 0.5000005000033169),
+    "l1-square-d2": (lambda: _convex(2, lambda p: np.sum(np.abs(p), -1) ** 2),
+                     0.5, 1.000000000035456),
+    "square-quartic-d2": (lambda: _convex(2, lambda p: p[..., 0] ** 2
+                                          + p[..., 1] ** 4),
+                          0.25, 1.0000000000251428),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_BASES))
+def test_select_alpha_matches_the_ray_ceiling(name):
+    make, alpha, M = ALPHA_BASES[name]
+    base = make()
+    g = select_alpha(base)
+    ceiling = reference_ceiling(base)
+    assert g.alpha == alpha
+    assert g.alpha <= ceiling + 1e-12
+    # the alpha tried before this one fails the level constant or the ceiling
+    if 2.0 * g.alpha <= 1.0:
+        prev = level_constant(GaugeSpec(base=base, alpha=2.0 * g.alpha,
+                                        M=math.nan))
+        assert prev > 1.0 + 1e-9 or 2.0 * g.alpha > ceiling + 1e-12
+    assert g.M == M
+
+
+@pytest.mark.parametrize("name", ["tenth-square-d1", "tenth-square-d2"])
+def test_select_alpha_only_the_cap_rejects(name):
+    # 0.1 |x|^2 has M = 2 alpha, so alpha = 1/8 passes the level constant;
+    # base = 0.1 on the unit sphere is the only bound that rejects it
+    base = ALPHA_BASES[name][0]()
+    assert level_constant(GaugeSpec(base=base, alpha=0.125, M=math.nan)) < 1
+    assert reference_ceiling(base) == pytest.approx(0.1, rel=1e-12)
+    assert select_alpha(base).alpha == 0.0625
+
+
+def test_select_alpha_steep_base_raises():
+    # 1e30 t^2 puts the unit gauge sphere at 1e-15, inside the 1e-4 ball
+    steep = YoungMap(dim=1, fn=lambda p: 1e30 * p[..., 0] ** 2,
+                     radially_monotone=True, convex=True)
+    with pytest.raises(NumericSignal, match="1e-4 ball"):
+        select_alpha(steep)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_select_alpha_non_finite_on_the_unit_sphere_raises(dim):
+    # |x|^2 on the open unit ball, +inf from the unit sphere outwards
+    def fn(p):
+        r2 = np.sum(p * p, axis=-1)
+        return np.where(r2 < 1.0, r2, np.inf)
+
+    with pytest.raises(NumericSignal, match="not finite on the unit sphere"):
+        select_alpha(_convex(dim, fn))
 
 
 def test_select_alpha_radial(r2_pipe):
@@ -380,6 +430,12 @@ def test_star_norm_radial_anchor(r2_pipe):
 
 def test_star_norm_triangle(t2_pipe):
     assert triangle_violation(t2_pipe.norm, 20_000, 3) <= 1e-10
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_triangle_violation_needs_trials(trials, t2_pipe):
+    with pytest.raises(ValueError, match="trials must be positive"):
+        triangle_violation(t2_pipe.norm, trials, 3)
 
 
 def test_star_norm_certificate_failure():

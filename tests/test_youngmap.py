@@ -40,8 +40,9 @@ def test_theta_kinds():
 
 
 def test_theta_validation():
-    with pytest.raises(ValueError):
-        soft_clip_theta(-1.0)
+    for b in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            soft_clip_theta(b)
 
 
 # -- the twisted two-variable map ---------------------------------------------

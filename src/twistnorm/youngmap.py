@@ -330,7 +330,15 @@ class GridMap:
     Outside the box a query is pulled back along its ray to the boundary
     and the boundary value is scaled linearly (degree-1 extension).
     Every axis must be a uniform grid centred at 0, as ``_grid_axes``
-    builds them; interpolation locates cells by index arithmetic.
+    builds them; axes and table are stored as float arrays.
+
+    ``evaluate`` takes the stretch max(1, max_i |x_i| / h_i), pulls each
+    coordinate back by its own division, finds its cell by index
+    arithmetic and reads each of the 2**dim corners with one ``take``;
+    no (N, dim) or (N, 2**dim) array is built.  Scaling a query outside
+    the box by 2**k scales its stretch exactly and leaves its pull-back
+    unchanged, so the value scales by exactly 2**k (short of subnormals
+    and overflow).
     """
 
     axes: tuple
@@ -340,11 +348,16 @@ class GridMap:
     label: str = ""
 
     def __post_init__(self):
-        if np.shape(self.table) != tuple(len(ax) for ax in self.axes):
+        if not self.axes:
+            raise ValueError("a grid map needs at least one axis")
+        object.__setattr__(self, "axes", tuple(
+            np.asarray(ax, dtype=float) for ax in self.axes))
+        object.__setattr__(self, "table", np.asarray(self.table, dtype=float))
+        if self.table.shape != tuple(ax.size for ax in self.axes):
             raise ValueError("grid table shape must match the axis sizes")
         for ax in self.axes:
-            h = float(ax[-1]) if np.ndim(ax) == 1 and len(ax) >= 2 else 0.0
-            if not (h > 0 and np.allclose(ax, np.linspace(-h, h, len(ax)),
+            h = float(ax[-1]) if ax.ndim == 1 and ax.size >= 2 else 0.0
+            if not (h > 0 and np.allclose(ax, np.linspace(-h, h, ax.size),
                                           rtol=0.0, atol=1e-12 * h)):
                 raise ValueError(
                     "grid axes must be uniform and centred at 0 "
@@ -360,35 +373,54 @@ class GridMap:
 
     def evaluate(self, pts) -> np.ndarray:
         pts = _as_points(pts, self.dim)
-        stretch = np.max(np.abs(pts) / self.halfwidth, axis=-1)
-        stretch = np.maximum(stretch, 1.0)
-        inner = pts / stretch[..., None]
-        return stretch * self._interp(inner)
+        flat = pts.reshape(-1, self.dim)
+        stretch = np.ones(flat.shape[0])
+        for i, ax in enumerate(self.axes):
+            np.maximum(stretch, np.abs(flat[:, i]) / ax[-1], out=stretch)
+        return self._interp(pts, stretch)
 
     def __call__(self, pts):
         return self.evaluate(pts)
 
-    def _interp(self, pts: np.ndarray) -> np.ndarray:
+    def _interp(self, pts: np.ndarray, stretch=1.0) -> np.ndarray:
+        """stretch * (the interpolant at pts / stretch); stretch is 1.0 or
+        one value per point."""
         flat = pts.reshape(-1, self.dim)
-        table = self.table.ravel()
         base = np.zeros(flat.shape[0], dtype=np.intp)   # flat cell index
-        frac = []
+        weights = []            # (1 - frac, frac) per axis
         for i, ax in enumerate(self.axes):
             h = ax[-1]
-            j = np.floor((flat[:, i] + h) * ((ax.size - 1) / (2.0 * h)))
+            x = flat[:, i] / stretch
+            j = x + h
+            j *= (ax.size - 1) / (2.0 * h)
+            np.floor(j, out=j)
             # fmax/fmin send a NaN coordinate to cell 0, not to a bad index
-            j = np.fmin(np.fmax(j, 0.0), ax.size - 2).astype(np.intp)
-            base = base * ax.size + j
-            frac.append((flat[:, i] - ax[j]) / (ax[j + 1] - ax[j]))
+            np.fmax(j, 0.0, out=j)
+            np.fmin(j, ax.size - 2, out=j)
+            j = j.astype(np.intp)
+            base *= ax.size
+            base += j
+            x -= ax.take(j)
+            x /= (ax[1:] - ax[:-1]).take(j)
+            weights.append((1.0 - x, x))
+        table = self.table.ravel()
         out = np.zeros(flat.shape[0])
+        vals = w = None         # scratch reused by every corner
+        prev = 0
         for corner in range(2 ** self.dim):
-            w = np.ones(flat.shape[0])
-            off = 0
-            for i, ax in enumerate(self.axes):
-                hi = (corner >> i) & 1
-                w *= frac[i] if hi else 1.0 - frac[i]
-                off = off * ax.size + hi
-            out += w * table[base + off]
+            hi = [(corner >> i) & 1 for i in range(self.dim)]
+            off = int(np.ravel_multi_index(hi, self.table.shape))
+            base += off - prev          # base now indexes this corner
+            prev = off
+            # the cells are clamped, so "clip" never moves an index
+            vals = table.take(base, out=vals, mode="clip")
+            # in dim 1 the weight itself is read, never scaled in place
+            weight = weights[0][hi[0]]
+            for i in range(1, self.dim):
+                weight = w = np.multiply(weight, weights[i][hi[i]], out=w)
+            vals *= weight
+            out += vals
+        out *= stretch
         return out.reshape(pts.shape[:-1])
 
     def as_young(self) -> YoungMap:

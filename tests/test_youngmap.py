@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from twistnorm import (GridMap, NumericSignal, YoungMap, certify,
+from twistnorm import (GridMap, NumericSignal, YoungMap, build_space, certify,
                        convex_envelope, extend, identity_theta,
-                       kalton_peck_map, kp_theoretical_bound, mollify, power,
-                       power_log, quasiconvexity_constant, radial_power,
-                       soft_clip_theta)
+                       kalton_peck_map, kp_theoretical_bound,
+                       luxemburg_norm_batch, mollify, power, power_log,
+                       quasiconvexity_constant, radial_power, soft_clip_theta)
 from twistnorm.youngmap import _grid_axes, _ratio
 
 # frozen expected values
@@ -306,6 +308,115 @@ def test_grid_map_rejects_bad_axes():
     assert ok.dim == 1
 
 
+def test_grid_map_rejects_no_axes():
+    with pytest.raises(ValueError, match="at least one axis"):
+        GridMap(axes=(), table=np.array(1.0))
+
+
+def test_grid_map_stores_list_axes_as_arrays():
+    gm = GridMap(axes=([-1.0, 0.0, 1.0],), table=[1.0, 0.0, 1.0])
+    assert isinstance(gm.axes[0], np.ndarray)
+    assert gm.axes[0].dtype == float
+    assert np.array_equal(gm([[0.5], [-3.0]]), [0.5, 3.0])
+    axes = _grid_axes(2, 1.0, 9)
+    assert all(a is b for a, b in zip(GridMap(axes, np.zeros((9, 9))).axes,
+                                       axes))
+
+
+def reference_grid_evaluate(gm, pts):
+    """Two-pass GridMap.evaluate: build the pulled-back (N, dim) array,
+    then interpolate it with a fresh weight and gather per corner."""
+    pts = np.asarray(pts, dtype=float)
+    stretch = np.max(np.abs(pts) / gm.halfwidth, axis=-1)
+    stretch = np.maximum(stretch, 1.0)
+    flat = (pts / stretch[..., None]).reshape(-1, gm.dim)
+    table = gm.table.ravel()
+    base = np.zeros(flat.shape[0], dtype=np.intp)
+    frac = []
+    for i, ax in enumerate(gm.axes):
+        h = ax[-1]
+        j = np.floor((flat[:, i] + h) * ((ax.size - 1) / (2.0 * h)))
+        j = np.fmin(np.fmax(j, 0.0), ax.size - 2).astype(np.intp)
+        base = base * ax.size + j
+        frac.append((flat[:, i] - ax[j]) / (ax[j + 1] - ax[j]))
+    out = np.zeros(flat.shape[0])
+    for corner in range(2 ** gm.dim):
+        w = np.ones(flat.shape[0])
+        off = 0
+        for i, ax in enumerate(gm.axes):
+            hi = (corner >> i) & 1
+            w *= frac[i] if hi else 1.0 - frac[i]
+            off = off * ax.size + hi
+        out += w * table[base + off]
+    return stretch * out.reshape(pts.shape[:-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_evaluate_is_bitwise_the_two_pass_form(dim):
+    rng = np.random.default_rng(29 + dim)
+    sizes = (9, 13, 11)[:dim]
+    axes = tuple(np.linspace(-h, h, n)
+                 for h, n in zip((0.7, 2.3, 1.9)[:dim], sizes))
+    # signed values, and a corner block of -0.0 whose cells sum to +0.0,
+    # so a -0.0/+0.0 flip in the sums would show
+    table = rng.normal(size=sizes)
+    table[(slice(0, 3),) * dim] = -0.0
+    gm = GridMap(axes=axes, table=table)
+    hw = gm.halfwidth
+    inside = hw * (2.0 * rng.random((3000, dim)) - 1.0)
+    faces = hw * (2.0 * rng.random((64, dim)) - 1.0)
+    axis = rng.integers(0, dim, 64)
+    scale = np.array([-1.0, 1.0, -1.0 - 1e-12, 1.0 + 1e-12])[np.arange(64) % 4]
+    faces[np.arange(64), axis] = scale * hw[axis]
+    far = inside[:400] * 2.0 ** rng.integers(-60, 61, (400, 1)).astype(float)
+    far[:200] *= 2.0 ** 60 / hw
+    zero = np.zeros((3, dim))
+    zero[1, 0] = -0.0
+    nan = inside[:8].copy()
+    nan[:, rng.integers(0, dim, 8)] = np.nan
+    pts = np.concatenate([inside, faces, far, zero, nan])
+    ours, ref = gm.evaluate(pts), reference_grid_evaluate(gm, pts)
+    assert np.isnan(ours[-8:]).all()
+    assert (ours == 0.0).any()
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+    batch = pts[:600].reshape(20, 30, dim)
+    assert np.array_equal(gm(batch).view(np.int64),
+                          reference_grid_evaluate(gm, batch).view(np.int64))
+    assert gm(np.empty((0, dim))).shape == (0,)
+    assert gm._interp(inside).tobytes() == gm.evaluate(inside).tobytes()
+
+
+@pytest.fixture(scope="module")
+def psi_z2(f2):
+    return build_space(f2, identity_theta(), resolution=17).psi_map
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 60), st.integers(-60, 240))
+def test_grid_evaluate_is_exactly_homogeneous_outside_the_box(seed, m, k):
+    # x = 2^m u with u on or past the boundary, 2^k x likewise: the stretch
+    # of both is at least 1 and their values stay clear of subnormals
+    k = max(k, -m)
+    rng = np.random.default_rng(seed)
+    axes = _grid_axes(2, [1.5, 2.5], 9)
+    gm = GridMap(axes=axes, table=rng.random((9, 9)))
+    u = 2.0 * rng.random((64, 2)) - 1.0
+    u *= (1.0 + rng.random((64, 1))) / np.max(np.abs(u) / gm.halfwidth,
+                                                axis=-1, keepdims=True)
+    x = np.ldexp(u, m)
+    assert np.array_equal(gm(np.ldexp(x, k)), np.ldexp(gm(x), k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(-900, 900))
+def test_psi_norm_is_exactly_homogeneous(psi_z2, seed, k):
+    rng = np.random.default_rng(seed)
+    pairs = rng.normal(size=(16, 8, 2)) * (rng.random((16, 8, 1)) < 0.7)
+    ref = luxemburg_norm_batch(psi_z2, pairs)
+    assert np.array_equal(luxemburg_norm_batch(psi_z2, np.ldexp(pairs, k)),
+                          np.ldexp(ref, k))
+
+
 def test_grid_map_interp_and_ray_extension():
     grid = convex_envelope(radial_power(2, 2.0), 2.0, 21)
     gm = grid.envelope_map()
@@ -315,7 +426,7 @@ def test_grid_map_interp_and_ray_extension():
     assert gm([[1.0, 1.0]])[0] == pytest.approx(2.0, abs=1e-2)
     # degree-1 extension along rays outside the box
     inside = gm([[2.0, 2.0]])[0]
-    assert gm([[4.0, 4.0]])[0] == pytest.approx(2.0 * inside, rel=1e-12)
+    assert gm([[4.0, 4.0]])[0] == 2.0 * inside
 
 
 # -- mollification ------------------------------------------------------------

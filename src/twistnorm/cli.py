@@ -25,8 +25,8 @@ import numpy as np
 
 from . import sampling
 from .errors import NumericSignal
-from .renorm import (PIPELINES, BlockSeq, build_pipeline, lambda_norm,
-                     match_lambda_norm, prefix_substitution_check,
+from .renorm import (_PRECONDITION, PIPELINES, BlockSeq, _pad,
+                     _step_margins, _substitutions, _walk, build_pipeline,
                      star_iterate, suff_criterion_check, triangle_violation)
 from .scalarfn import certify, power
 from .seqspace import VecSeq, luxemburg_norm
@@ -86,9 +86,9 @@ def _space_preset(args):
                        with_envelope=False)
 
 
-def _random_blocks(rng: np.random.Generator, dim: int) -> BlockSeq:
+def _random_blocks(rng: np.random.Generator, dim: int) -> np.ndarray:
     k = int(rng.integers(1, 5))    # 1 to 4 blocks
-    return BlockSeq(dim, sampling.signed_log_uniform(rng, (k, dim), 1e-2, 10.0))
+    return sampling.signed_log_uniform(rng, (k, dim), 1e-2, 10.0)
 
 
 # --------------------------------------------------------------------------
@@ -203,38 +203,46 @@ def _certify_triangle(args) -> tuple[bool, dict]:
 
 def _certify_suff(args) -> tuple[bool, dict]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
-    worst = math.inf
-    checked = 0
+    seqs, targets = [], []
     for k in range(args.trials):
         rng = sampling.rng(args.seed, k)
-        xi = _random_blocks(rng, pipe.norm.dim)
-        target = float(rng.random()) or 0.5
-        xi = match_lambda_norm(pipe.norm, xi, target)
-        rep = suff_criterion_check(pipe.norm, pipe.phitilde, xi)
-        checked += rep.checked
-        if rep.checked:
-            worst = min(worst, rep.min_margin)
+        seqs.append(_random_blocks(rng, pipe.norm.dim))
+        targets.append(float(rng.random()) or 0.5)
+    # all trials walk as one batch; zero padding repeats a row's last value,
+    # so a row's max is its sequence's Lambda norm and the rescale to the
+    # target is match_lambda_norm's
+    blocks, lengths = _pad(seqs)
+    blocks *= (np.array(targets)
+               / _walk(pipe.norm, blocks).max(axis=1))[:, None, None]
+    margins = _step_margins(_walk(pipe.norm, blocks),
+                            pipe.phitilde.evaluate(blocks), lengths)
+    worst = float(margins.min(initial=math.inf))
     ok = bool(worst >= -1e-9)
     return ok, {
         "kind": "suff", "pipeline": args.pipeline, "min_margin": worst,
-        "steps_checked": checked, **_provenance(args),
+        "steps_checked": margins.size, **_provenance(args),
     }
 
 
 def _certify_property_m(args) -> tuple[bool, dict]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
-    worst = 0.0
+    us, vs, tails = [], [], []
     for k in range(args.trials):
         rng = sampling.rng(args.seed, 10_000_019 + k)
-        u = _random_blocks(rng, pipe.norm.dim)
-        v = _random_blocks(rng, pipe.norm.dim)
-        tail = _random_blocks(rng, pipe.norm.dim)
-        v = match_lambda_norm(pipe.norm, v, lambda_norm(pipe.norm, u))
-        rep = prefix_substitution_check(pipe.norm, u, v, tail)
-        if not rep.precondition_ok:
-            raise NumericSignal(
-                f"constructed triple failed its precondition: {rep.reason}")
-        worst = max(worst, rep.difference)
+        for seqs in (us, vs, tails):
+            seqs.append(_random_blocks(rng, pipe.norm.dim))
+    # match each v to its u as match_lambda_norm does, all in one walk
+    lam = _walk(pipe.norm, _pad(us + vs)[0]).max(axis=1)
+    vs = [v * c for v, c in zip(vs, lam[:len(us)] / lam[len(us):])]
+    lu, lv, code, diff = _substitutions(pipe.norm, us + vs, tails)
+    failed = np.flatnonzero(code)
+    if failed.size:
+        i = failed[0]
+        reason = _PRECONDITION[code[i]].format(lu=float(lu[i]),
+                                               lv=float(lv[i]))
+        raise NumericSignal(
+            f"constructed triple failed its precondition: {reason}")
+    worst = float(diff.max())
     ok = bool(worst <= 1e-9)
     return ok, {
         "kind": "property-m", "pipeline": args.pipeline,

@@ -17,6 +17,12 @@ pipeline
      construction: the per-step product inequality and the invariance
      of continuations under prefix substitution.
 
+One batched walk (_walk) iterates N for every caller: zero-padded blocks
+(B, k, n) give values (B, k), one evaluation of N per block index on a
+(B, n + 1) buffer whose first column carries the running values.  The
+per-sequence functions are its B = 1 case; the CLI's suff and
+property-m certificates walk all their trials at once.
+
 The gauge is |x| * gauge(e1) where that is exact (see select_alpha);
 otherwise it is the Luxemburg norm of the one-term sequence (x) under
 base / alpha, from seqspace.luxemburg_norm_batch.
@@ -187,7 +193,8 @@ def build_phitilde(g: GaugeSpec) -> YoungMap:
     def fn(pts: np.ndarray) -> np.ndarray:
         out = base.evaluate(pts).copy()
         outside = out > alpha
-        out[outside] = alpha + M * (g.gauge(pts[outside]) - 1.0)
+        if outside.any():
+            out[outside] = alpha + M * (g.gauge(pts[outside]) - 1.0)
         return out
 
     made = YoungMap(dim=base.dim, fn=fn, radially_monotone=True, convex=True,
@@ -213,16 +220,17 @@ class StarNorm:
         pts = np.asarray(pts, dtype=float)
         if pts.shape[-1] != self.dim + 1:
             raise ValueError(f"points must end in axis of size {self.dim + 1}")
-        x0 = pts[..., 0]
+        ax0 = np.abs(pts[..., 0])
         x = pts[..., 1:]
-        ax0 = np.abs(x0)
+        if ax0.all():     # no x0 is 0: every walk step after the first
+            return ax0 * (1.0 + self.young.evaluate(x / ax0[..., None]))
         out = np.empty(ax0.shape)
         zero = ax0 == 0.0
-        if np.any(~zero):
-            scaled = x[~zero] / ax0[~zero][..., None]
-            out[~zero] = ax0[~zero] * (1.0 + self.young.evaluate(scaled))
-        if np.any(zero):
-            out[zero] = self.g.M * self.g.gauge(x[zero])
+        live = ~zero
+        if live.any():
+            out[live] = ax0[live] * (
+                1.0 + self.young.evaluate(x[live] / ax0[live][..., None]))
+        out[zero] = self.g.M * self.g.gauge(x[zero])
         return out
 
     def __call__(self, pts):
@@ -368,22 +376,50 @@ class BlockSeq:
     def scaled(self, c: float) -> "BlockSeq":
         return BlockSeq(self.dim, self.blocks * float(c))
 
-    def extend(self, tail: "BlockSeq") -> "BlockSeq":
-        if tail.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return BlockSeq(self.dim, np.vstack([self.blocks, tail.blocks]))
+
+def _pad(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of (k_i, n) blocks as zero-padded (B, max k_i, n) blocks,
+    with their (B,) lengths."""
+    lengths = np.array([len(s) for s in seqs], dtype=int)
+    out = np.zeros((len(seqs), lengths.max(initial=0), seqs[0].shape[-1]))
+    for row, s in zip(out, seqs):
+        row[:len(s)] = s
+    return out, lengths
+
+
+def _walk(norm: StarNorm, blocks: np.ndarray) -> np.ndarray:
+    """Iterated values (B, k) of B padded block sequences (B, k, n).
+
+    Step j evaluates N once on a (B, n + 1) buffer whose first column
+    holds each row's v_{j-1} (0 at the first step) and whose other columns
+    hold block j.  N acts point by point, so a row's values are the bits
+    of its own walk, and a zero block repeats the value before it exactly
+    (N(v, 0) = v).  A value past the double range raises NumericSignal.
+    """
+    B, k, dim = blocks.shape
+    if dim != norm.dim:
+        raise ValueError("block dimension does not match the norm")
+    values = np.empty((B, k))
+    pt = np.zeros((B, dim + 1))
+    # an overflow inside N can end finite (base(x / x0) = inf takes the
+    # gauge branch); a value that is not finite raises below
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            pt[:, 1:] = blocks[:, j]
+            values[:, j] = pt[:, 0] = norm.evaluate(pt)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        step = int(bad.any(axis=0).argmax())
+        rows = np.flatnonzero(bad.any(axis=1))[:8].tolist()
+        raise NumericSignal(
+            f"iterated norm not finite from block {step} on, in rows {rows} "
+            f"of {B}; the walk left the double range")
+    return values
 
 
 def star_iterate(norm: StarNorm, xi: BlockSeq) -> list:
     """Iterated values: v1 = N(0, b1), v_k = N(v_{k-1}, b_k)."""
-    if xi.dim != norm.dim:
-        raise ValueError("block dimension does not match the norm")
-    values = []
-    prev = 0.0
-    for row in xi.blocks:
-        prev = norm.value(prev, row)
-        values.append(prev)
-    return values
+    return _walk(norm, xi.blocks[None]).tolist()[0]
 
 
 def lambda_norm(norm: StarNorm, xi: BlockSeq) -> float:
@@ -404,6 +440,18 @@ class SuffReport:
     products: list
 
 
+def _step_margins(values: np.ndarray, phis: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray:
+    """Margins v_k - v_{k-1} (1 + phi(b_k)) of padded walks (B, k) with
+    their phi values (B, k), at the steps k inside each row whose v_{k-1}
+    lies in (0, 1]."""
+    prev = values[:, :-1]
+    margins = values[:, 1:] - prev * (1.0 + phis[:, 1:])
+    checked = ((0.0 < prev) & (prev <= 1.0)
+               & (np.arange(1, values.shape[1]) < lengths[:, None]))
+    return margins[checked]
+
+
 def suff_criterion_check(norm: StarNorm, phi: YoungMap,
                          xi: BlockSeq) -> SuffReport:
     """Per-step inequality value_k >= value_{k-1} (1 + phi(block_k)), to
@@ -416,20 +464,12 @@ def suff_criterion_check(norm: StarNorm, phi: YoungMap,
         raise ValueError("phi dimension does not match the norm")
     values = star_iterate(norm, xi)
     phis = phi.evaluate(xi.blocks)
-    products = list(np.cumprod(1.0 + phis))
-    checked = 0
-    min_margin = math.inf
-    ok = True
-    for k in range(1, len(values)):
-        prev = values[k - 1]
-        if 0.0 < prev <= 1.0:
-            margin = values[k] - prev * (1.0 + float(phis[k]))
-            checked += 1
-            min_margin = min(min_margin, margin)
-            if margin < -CHECK_TOL:
-                ok = False
-    return SuffReport(ok=ok, checked=checked, min_margin=min_margin,
-                      values=values, products=products)
+    margins = _step_margins(np.array([values]), phis[None],
+                            np.array([xi.n_blocks]))
+    min_margin = float(margins.min(initial=math.inf))
+    return SuffReport(ok=min_margin >= -CHECK_TOL, checked=margins.size,
+                      min_margin=min_margin, values=values,
+                      products=list(np.cumprod(1.0 + phis)))
 
 
 @dataclass(frozen=True)
@@ -442,6 +482,41 @@ class SubstitutionReport:
     ok: bool
 
 
+# the precondition clauses, by the code _substitutions gives a failure
+_PRECONDITION = ("", "prefix norms differ: {lu!r} vs {lv!r}",
+                 "prefix u does not attain its norm at its last block",
+                 "prefix v does not attain its norm at its last block")
+
+
+def _substitutions(norm: StarNorm, prefixes: list, tails: list) -> tuple:
+    """Prefix substitution on B triples (u_i, v_i, tail_i) of (k, n) blocks,
+    given as prefixes u_1..u_B, v_1..v_B and tails tail_1..tail_B.
+
+    One walk of the 2B rows prefix + tail: the first len(prefix) values
+    of a row are the prefix's walk.  Per triple, returns the prefix norms
+    lu and lv, the code of the first precondition clause that fails (0
+    when it holds) and the difference of the norms of u + tail and
+    v + tail.
+    """
+    B = len(tails)
+    full, n_full = _pad([np.concatenate([p, t])
+                         for p, t in zip(prefixes, tails * 2)])
+    values = _walk(norm, full)
+    n = np.array([len(p) for p in prefixes])[:, None]
+    cols = np.arange(values.shape[1])
+
+    def pick(mask):      # max of each row's masked values, 0 where none
+        return np.where(mask, values, 0.0).max(axis=1, initial=0.0)
+
+    lam, whole = pick(cols < n), pick(cols < n_full[:, None])
+    attained = pick(cols == n - 1) == lam
+    lu, lv = lam[:B], lam[B:]
+    code = np.select([np.abs(lu - lv)
+                      > 1e-12 * np.maximum(1.0, np.maximum(lu, lv)),
+                      ~attained[:B], ~attained[B:]], [1, 2, 3], 0)
+    return lu, lv, code, np.abs(whole[:B] - whole[B:])
+
+
 def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
                               tail: BlockSeq) -> SubstitutionReport:
     """Continuations agree when prefixes have matching iterated value.
@@ -449,31 +524,19 @@ def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
     Precondition: the two prefix norms agree to 1e-12 (relative to their
     size) and each prefix attains its norm at its final step.  Then the
     norms of u + tail and v + tail must agree within CHECK_TOL.  Only
-    u + tail and v + tail are iterated: the first len(u) and len(v) values
-    of those walks are the walks of the prefixes.
+    u + tail and v + tail are iterated, in one walk.
     """
-    full_u = star_iterate(norm, u.extend(tail))
-    full_v = star_iterate(norm, v.extend(tail))
-    walks = {"u": full_u[:u.n_blocks], "v": full_v[:v.n_blocks]}
-    lu, lv = (max(vals) if vals else 0.0 for vals in walks.values())
-    scale = max(1.0, lu, lv)
-    if abs(lu - lv) > 1e-12 * scale:
+    lu, lv, code, diff = _substitutions(norm, [u.blocks, v.blocks],
+                                        [tail.blocks])
+    lu, lv, diff = float(lu[0]), float(lv[0]), float(diff[0])
+    if code[0]:
         return SubstitutionReport(
             precondition_ok=False,
-            reason=f"prefix norms differ: {lu!r} vs {lv!r}",
+            reason=_PRECONDITION[code[0]].format(lu=lu, lv=lv),
             norm_u=lu, norm_v=lv, difference=math.nan, ok=False)
-    for name, vals in walks.items():
-        if vals and vals[-1] != max(vals):
-            return SubstitutionReport(
-                precondition_ok=False,
-                reason=f"prefix {name} does not attain its norm at its last "
-                       "block",
-                norm_u=lu, norm_v=lv, difference=math.nan, ok=False)
-    diff = abs((max(full_u) if full_u else 0.0)
-               - (max(full_v) if full_v else 0.0))
     return SubstitutionReport(precondition_ok=True, reason="",
                               norm_u=lu, norm_v=lv, difference=diff,
-                              ok=bool(diff <= CHECK_TOL))
+                              ok=diff <= CHECK_TOL)
 
 
 def match_lambda_norm(norm: StarNorm, xi: BlockSeq,
@@ -484,8 +547,9 @@ def match_lambda_norm(norm: StarNorm, xi: BlockSeq,
     iterated value scales with the blocks), hence one rescale by
     target / Lambda(xi) suffices.
     """
-    if target < 0:
-        raise ValueError("target must be nonnegative")
+    if not (math.isfinite(target) and target >= 0):
+        raise ValueError(
+            f"target must be finite and nonnegative, got {float(target)!r}")
     if target == 0.0:
         return xi.scaled(0.0)
     base = lambda_norm(norm, xi)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import twistnorm
-from twistnorm import BlockSeq, VecSeq, build_pipeline, cli, renorm, scalarfn
+from twistnorm import (BlockSeq, VecSeq, build_pipeline, cli, lambda_norm,
+                       match_lambda_norm, prefix_substitution_check, renorm,
+                       sampling, scalarfn, suff_criterion_check)
 
 
 def run(*argv):
@@ -250,23 +252,94 @@ def test_block_commands_walk_once(argv, tmp_path, monkeypatch):
     blocks = tmp_path / "blocks.json"
     xi = BlockSeq(1, [[0.3], [-0.2], [0.4]])
     blocks.write_text(xi.to_json())
-    calls = []
-    walk = renorm.star_iterate
-
-    def counted(norm, seq):
-        calls.append(seq.n_blocks)
-        return walk(norm, seq)
-
-    monkeypatch.setattr(renorm, "star_iterate", counted)
-    monkeypatch.setattr(cli, "star_iterate", counted)
+    calls = _count_walks(monkeypatch)
     out = tmp_path / "report.json"
     assert run(*argv, "--pipeline", "t2-pipeline", "--blocks", str(blocks),
                "--out", str(out)) == 0
-    assert calls == [3]
-    values = walk(build_pipeline("t2-pipeline").norm, xi)
+    assert calls == [1]
+    values = renorm.star_iterate(build_pipeline("t2-pipeline").norm, xi)
     body = body_of(out)
     assert body["values"] == values
     assert body["lambda_norm"] == max(values)
+
+
+def _count_walks(monkeypatch):
+    """Count calls of renorm._walk by the number of sequences walked."""
+    calls = []
+    walk = renorm._walk
+
+    def counted(norm, blocks):
+        calls.append(len(blocks))
+        return walk(norm, blocks)
+
+    monkeypatch.setattr(renorm, "_walk", counted)
+    monkeypatch.setattr(cli, "_walk", counted)
+    return calls
+
+
+def by_trial(kind, pipe, seed, trials):
+    """certify suff or property-m one trial at a time through the public
+    checks, each trial drawn from its own stream as the command draws it."""
+    norm, d = pipe.norm, pipe.norm.dim
+
+    def draw(rng):
+        k = int(rng.integers(1, 5))
+        return BlockSeq(d, sampling.signed_log_uniform(rng, (k, d), 1e-2,
+                                                       10.0))
+
+    if kind == "suff":
+        worst, checked = math.inf, 0
+        for k in range(trials):
+            rng = sampling.rng(seed, k)
+            xi = draw(rng)
+            xi = match_lambda_norm(norm, xi, float(rng.random()) or 0.5)
+            rep = suff_criterion_check(norm, pipe.phitilde, xi)
+            checked += rep.checked
+            worst = min(worst, rep.min_margin)
+        return {"min_margin": worst, "steps_checked": checked}
+    worst = 0.0
+    for k in range(trials):
+        rng = sampling.rng(seed, 10_000_019 + k)
+        u, v, tail = draw(rng), draw(rng), draw(rng)
+        v = match_lambda_norm(norm, v, lambda_norm(norm, u))
+        rep = prefix_substitution_check(norm, u, v, tail)
+        assert rep.precondition_ok
+        worst = max(worst, rep.difference)
+    return {"max_difference": worst}
+
+
+@pytest.mark.parametrize("pipeline", ["t2-pipeline", "r2-pipeline"])
+@pytest.mark.parametrize("kind", ["suff", "property-m"])
+def test_certify_walks_all_trials_at_once(kind, pipeline, tmp_path,
+                                          monkeypatch):
+    calls = _count_walks(monkeypatch)
+    out = tmp_path / "c.json"
+    assert run("certify", kind, "--pipeline", pipeline, "--trials", "60",
+               "--seed", "7", "--out", str(out)) == 0
+    # suff: the Lambda norms, then the matched sequences; property-m: every
+    # u and v, then every u and matched v with its tail
+    assert calls == {"suff": [60, 60], "property-m": [120, 120]}[kind]
+    monkeypatch.undo()
+    want = by_trial(kind, build_pipeline(pipeline, rng_seed=7), 7, 60)
+    assert {key: body_of(out)[key] for key in want} == want
+
+
+def test_certify_property_m_names_the_first_failed_precondition(monkeypatch,
+                                                                capsys):
+    real = cli._substitutions
+    seen = {}
+
+    def failing(norm, prefixes, tails):
+        lu, lv, code, diff = real(norm, prefixes, tails)
+        code[[3, 5]] = [1, 2]
+        seen.update(lu=float(lu[3]), lv=float(lv[3]))
+        return lu, lv, code, diff
+
+    monkeypatch.setattr(cli, "_substitutions", failing)
+    assert run("certify", "property-m", "--trials", "8") == 3
+    assert capsys.readouterr().err.strip() == (
+        "numeric signal: constructed triple failed its precondition: "
+        f"prefix norms differ: {seen['lu']!r} vs {seen['lv']!r}")
 
 
 # -- failure modes ------------------------------------------------------------

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import elementwise
 
 from twistnorm import (BlockSeq, GaugeSpec, NumericSignal, YoungMap,
@@ -449,6 +451,56 @@ def test_star_norm_certificate_failure():
         build_star_norm(wobble, g)
 
 
+# -- exact binary-scale equivariance ------------------------------------------------
+# Each map below is positively 1-homogeneous, and scaling by 2**k moves no
+# rounding: x / |x0| is unchanged, hypot and the gauge's bisection scale
+# exactly, and each walk step is N of scaled inputs.  Magnitudes stay in
+# 1e-4 .. 1e4 times 2**+-60, clear of subnormals and overflow.
+
+POWERS = st.sampled_from([-60, -7, -1, 1, 3, 5, 60])
+
+
+def _exactly_scaled(got, ref, k):
+    return np.array_equal(_bits(got), _bits(np.ldexp(ref, k)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), POWERS)
+def test_star_norm_is_exactly_homogeneous(t2_pipe, t4_pipe, r2_pipe, seed, k):
+    rng = np.random.default_rng(seed)
+    for norm in (t2_pipe.norm, t4_pipe.norm, r2_pipe.norm):
+        pts = sampling.signed_log_uniform(rng, (48, norm.dim + 1), 1e-4, 1e4)
+        pts[:16, 0] = 0.0                       # the x0 = 0 branch
+        for batch in (pts, pts[16:], pts[:16]):  # mixed, x0 != 0, x0 = 0
+            assert _exactly_scaled(norm.evaluate(np.ldexp(batch, k)),
+                                   norm.evaluate(batch), k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), POWERS)
+def test_gauge_is_exactly_homogeneous(t2_pipe, t4_pipe, r2_pipe, seed, k):
+    rng = np.random.default_rng(seed)
+    bisected = GaugeSpec(base=_ellipse(4.0), alpha=0.5, M=math.nan)
+    for g in (t2_pipe.g, t4_pipe.g, r2_pipe.g, bisected):
+        pts = sampling.signed_log_uniform(rng, (32, g.base.dim), 1e-4, 1e4)
+        assert _exactly_scaled(g.gauge(np.ldexp(pts, k)), g.gauge(pts), k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), POWERS)
+def test_lambda_norm_is_exactly_homogeneous(t2_pipe, t4_pipe, r2_pipe, seed,
+                                            k):
+    rng = np.random.default_rng(seed)
+    for norm in (t2_pipe.norm, t4_pipe.norm, r2_pipe.norm):
+        xi = BlockSeq(norm.dim, sampling.signed_log_uniform(
+            rng, (int(rng.integers(1, 9)), norm.dim), 1e-4, 1e4))
+        scaled = xi.scaled(2.0 ** k)
+        assert _exactly_scaled(star_iterate(norm, scaled),
+                               star_iterate(norm, xi), k)
+        assert _exactly_scaled(lambda_norm(norm, scaled),
+                               lambda_norm(norm, xi), k)
+
+
 # -- block sequences --------------------------------------------------------------
 
 def test_blockseq_json_round_trip():
@@ -467,10 +519,6 @@ def test_blockseq_json_round_trip():
 def test_blockseq_ops():
     xi = BlockSeq(2, [[1.0, 0.0]])
     assert xi.scaled(3.0).blocks[0, 0] == 3.0
-    tail = BlockSeq(2, [[0.0, 1.0]])
-    assert xi.extend(tail).n_blocks == 2
-    with pytest.raises(ValueError):
-        xi.extend(BlockSeq(1, [[1.0]]))
 
 
 # -- iterated norms ----------------------------------------------------------------
@@ -498,7 +546,7 @@ def test_lambda_norm_empty_and_single(t2_pipe):
 def test_lambda_norm_zero_blocks_inert(t2_pipe):
     n = t2_pipe.norm
     xi = BlockSeq(1, [[0.3], [0.2]])
-    padded = xi.extend(BlockSeq(1, [[0.0], [0.0]]))
+    padded = BlockSeq(1, [[0.3], [0.2], [0.0], [0.0]])
     assert lambda_norm(n, padded) == lambda_norm(n, xi)
 
 
@@ -524,22 +572,32 @@ def test_match_lambda_norm(t2_pipe):
 
 
 def _count_walks(monkeypatch):
-    """Count calls of renorm.star_iterate, the one walk over a sequence."""
+    """Count calls of renorm._walk, the one walk over block sequences, by
+    (sequences, padded length)."""
     calls = []
-    walk = renorm.star_iterate
+    walk = renorm._walk
 
-    def counted(norm, xi):
-        calls.append(xi.n_blocks)
-        return walk(norm, xi)
+    def counted(norm, blocks):
+        calls.append(blocks.shape[:2])
+        return walk(norm, blocks)
 
-    monkeypatch.setattr(renorm, "star_iterate", counted)
+    monkeypatch.setattr(renorm, "_walk", counted)
     return calls
 
 
 def test_match_lambda_norm_walks_once(t2_pipe, monkeypatch):
     calls = _count_walks(monkeypatch)
     match_lambda_norm(t2_pipe.norm, BlockSeq(1, [[0.3], [-0.5]]), 0.8)
-    assert len(calls) == 1
+    assert calls == [(1, 2)]
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_match_lambda_norm_rejects_a_non_finite_target(target, t2_pipe,
+                                                       monkeypatch):
+    calls = _count_walks(monkeypatch)
+    with pytest.raises(ValueError, match=f"got {target!r}"):
+        match_lambda_norm(t2_pipe.norm, BlockSeq(1, [[0.3]]), target)
+    assert calls == []                # rejected before any walk
 
 
 def test_prefix_substitution_walks_each_sequence_once(t2_pipe, monkeypatch):
@@ -549,7 +607,93 @@ def test_prefix_substitution_walks_each_sequence_once(t2_pipe, monkeypatch):
     calls = _count_walks(monkeypatch)
     rep = prefix_substitution_check(n, u, v, BlockSeq(1, [[0.5], [0.2]]))
     assert rep.precondition_ok
-    assert calls == [3, 4]            # u and v with the tail
+    assert calls == [(2, 4)]          # u and v with the tail, in one walk
+
+
+def reference_value(norm, x0, block):
+    """N(x0, block) at one point, both branches behind masks: the scalar
+    step that the batched walk replaced."""
+    pts = np.concatenate([[float(x0)], np.asarray(block, float)])[None, :]
+    x0 = pts[..., 0]
+    x = pts[..., 1:]
+    ax0 = np.abs(x0)
+    out = np.empty(ax0.shape)
+    zero = ax0 == 0.0
+    if np.any(~zero):
+        scaled = x[~zero] / ax0[~zero][..., None]
+        out[~zero] = ax0[~zero] * (1.0 + norm.young.evaluate(scaled))
+    if np.any(zero):
+        out[zero] = norm.g.M * norm.g.gauge(x[zero])
+    return float(out[0])
+
+
+def reference_walk(norm, blocks):
+    """The scalar loop: one reference_value per block."""
+    values, prev = [], 0.0
+    with np.errstate(over="ignore"):   # base(1e290) overflows into the gauge
+        for row in blocks:
+            prev = reference_value(norm, prev, row)
+            values.append(prev)
+    return values
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _oracle_sequences(dim):
+    """Seeded sequences of 0 to 11 blocks over eight decades, with all-zero
+    prefixes, trailing zeros, the empty sequence, and a first value near
+    1e-300 followed by a block that sends x / x0 to 1e290."""
+    rng = sampling.rng(41, dim)
+    seqs = [sampling.signed_log_uniform(rng, (int(rng.integers(0, 12)), dim),
+                                        1e-4, 1e4) for _ in range(60)]
+    zero = np.zeros((2, dim))
+    seqs[3] = np.concatenate([zero, seqs[3], [[0.5] * dim]])
+    seqs[7] = np.concatenate([[[0.5] * dim], seqs[7], zero])
+    seqs[11] = np.zeros((3, dim))
+    seqs[13] = np.zeros((0, dim))
+    tiny = np.zeros((3, dim))
+    tiny[0, 0], tiny[1, 0], tiny[2, -1] = 1e-300, 1e-10, 0.5
+    seqs[17] = tiny
+    return seqs
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_walk_is_bitwise_the_scalar_loop(pipe, request):
+    norm = request.getfixturevalue(pipe).norm
+    seqs = _oracle_sequences(norm.dim)
+    refs = [reference_walk(norm, s) for s in seqs]
+    for s, ref in zip(seqs, refs):            # B = 1
+        got = star_iterate(norm, BlockSeq(norm.dim, s))
+        assert np.array_equal(_bits(got), _bits(ref))
+        if ref:
+            assert lambda_norm(norm, BlockSeq(norm.dim, s)) == max(ref)
+    # one batch: rows with x0 = 0 at a step sit between rows without, and
+    # every shorter row walks on through its zero padding
+    blocks, lengths = renorm._pad(seqs)
+    values = renorm._walk(norm, blocks)
+    for row, n, ref in zip(values, lengths, refs):
+        assert np.array_equal(_bits(row[:n]), _bits(ref))
+        assert np.array_equal(_bits(row[n:]), _bits([ref[-1] if ref else 0.0]
+                                                    * (len(row) - n)))
+
+
+@pytest.mark.parametrize("pipe, blocks", [
+    ("t2_pipe", [[1e308], [1e308]]),    # v_2 = N(1.41e308, 1e308) overflows
+    ("t4_pipe", [[1e-200], [1e200]]),   # x / x0 = 7e399 overflows, though
+])                                      # the true v_2 is finite
+def test_walk_past_the_double_range_raises(pipe, blocks, request):
+    norm = request.getfixturevalue(pipe).norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericSignal,
+                           match=r"from block 1 on, in rows \[0\] of 1"):
+            lambda_norm(norm, BlockSeq(1, blocks))
+        batch = np.array([[[0.5], [0.25]], blocks, [[2.0], [0.0]], blocks])
+        with pytest.raises(NumericSignal,
+                           match=r"from block 1 on, in rows \[1, 3\] of 4"):
+            renorm._walk(norm, batch)
 
 
 @pytest.mark.parametrize("pipe", ["t4_pipe", "r2_pipe"])

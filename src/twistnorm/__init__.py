@@ -38,6 +38,7 @@ from .renorm import (BlockSeq, GaugeSpec, RenormPipeline, StarNorm,
                      build_pipeline, build_star_norm, lambda_norm,
                      level_constant, match_lambda_norm,
                      prefix_substitution_check, select_alpha, star_iterate,
-                     suff_criterion_check, triangle_violation)
+                     substitution_differences, suff_criterion_check,
+                     suff_margins, triangle_violation)
 
 __version__ = "0.1.0"

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import sampling
 from .errors import NumericSignal
-from .renorm import (_PRECONDITION, PIPELINES, BlockSeq, _pad,
-                     _step_margins, _substitutions, _walk, build_pipeline,
-                     star_iterate, suff_criterion_check, triangle_violation)
+from .renorm import (PIPELINES, BlockSeq, build_pipeline, star_iterate,
+                     substitution_differences, suff_criterion_check,
+                     suff_margins, triangle_violation)
 from .scalarfn import certify, power
 from .seqspace import VecSeq, luxemburg_norm
 from .twisted import (PairSeq, equivalence_certificate, from_preset,
@@ -89,6 +89,17 @@ def _space_preset(args):
 def _random_blocks(rng: np.random.Generator, dim: int) -> np.ndarray:
     k = int(rng.integers(1, 5))    # 1 to 4 blocks
     return sampling.signed_log_uniform(rng, (k, dim), 1e-2, 10.0)
+
+
+TRIAL_BATCH = 4096   # trials walked together by certify suff and property-m
+
+
+def _trial_batches(trials: int):
+    """The trial indices in batches of at most TRIAL_BATCH, so memory
+    stays bounded whatever --trials is.  Each trial draws from its own
+    stream, so the batching moves no result."""
+    for start in range(0, trials, TRIAL_BATCH):
+        yield range(start, min(start + TRIAL_BATCH, trials))
 
 
 # --------------------------------------------------------------------------
@@ -203,46 +214,38 @@ def _certify_triangle(args) -> tuple[bool, dict]:
 
 def _certify_suff(args) -> tuple[bool, dict]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
-    seqs, targets = [], []
-    for k in range(args.trials):
-        rng = sampling.rng(args.seed, k)
-        seqs.append(_random_blocks(rng, pipe.norm.dim))
-        targets.append(float(rng.random()) or 0.5)
-    # all trials walk as one batch; zero padding repeats a row's last value,
-    # so a row's max is its sequence's Lambda norm and the rescale to the
-    # target is match_lambda_norm's
-    blocks, lengths = _pad(seqs)
-    blocks *= (np.array(targets)
-               / _walk(pipe.norm, blocks).max(axis=1))[:, None, None]
-    margins = _step_margins(_walk(pipe.norm, blocks),
-                            pipe.phitilde.evaluate(blocks), lengths)
-    worst = float(margins.min(initial=math.inf))
+    worst = math.inf
+    checked = 0
+    for batch in _trial_batches(args.trials):
+        seqs, targets = [], []
+        for k in batch:
+            rng = sampling.rng(args.seed, k)
+            seqs.append(_random_blocks(rng, pipe.norm.dim))
+            targets.append(float(rng.random()) or 0.5)
+        margins = suff_margins(pipe.norm, pipe.phitilde, seqs, targets)
+        worst = min(worst, float(margins.min(initial=math.inf)))
+        checked += margins.size
     ok = bool(worst >= -1e-9)
     return ok, {
         "kind": "suff", "pipeline": args.pipeline, "min_margin": worst,
-        "steps_checked": margins.size, **_provenance(args),
+        "steps_checked": checked, **_provenance(args),
     }
 
 
 def _certify_property_m(args) -> tuple[bool, dict]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
-    us, vs, tails = [], [], []
-    for k in range(args.trials):
-        rng = sampling.rng(args.seed, 10_000_019 + k)
-        for seqs in (us, vs, tails):
-            seqs.append(_random_blocks(rng, pipe.norm.dim))
-    # match each v to its u as match_lambda_norm does, all in one walk
-    lam = _walk(pipe.norm, _pad(us + vs)[0]).max(axis=1)
-    vs = [v * c for v, c in zip(vs, lam[:len(us)] / lam[len(us):])]
-    lu, lv, code, diff = _substitutions(pipe.norm, us + vs, tails)
-    failed = np.flatnonzero(code)
-    if failed.size:
-        i = failed[0]
-        reason = _PRECONDITION[code[i]].format(lu=float(lu[i]),
-                                               lv=float(lv[i]))
-        raise NumericSignal(
-            f"constructed triple failed its precondition: {reason}")
-    worst = float(diff.max())
+    worst = 0.0
+    for batch in _trial_batches(args.trials):
+        us, vs, tails = [], [], []
+        for k in batch:
+            rng = sampling.rng(args.seed, 10_000_019 + k)
+            for seqs in (us, vs, tails):
+                seqs.append(_random_blocks(rng, pipe.norm.dim))
+        diffs, reason = substitution_differences(pipe.norm, us, vs, tails)
+        if reason:
+            raise NumericSignal(
+                f"constructed triple failed its precondition: {reason}")
+        worst = max(worst, float(diffs.max()))
     ok = bool(worst <= 1e-9)
     return ok, {
         "kind": "property-m", "pipeline": args.pipeline,

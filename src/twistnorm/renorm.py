@@ -20,8 +20,9 @@ pipeline
 One batched walk (_walk) iterates N for every caller: zero-padded blocks
 (B, k, n) give values (B, k), one evaluation of N per block index on a
 (B, n + 1) buffer whose first column carries the running values.  The
-per-sequence functions are its B = 1 case; the CLI's suff and
-property-m certificates walk all their trials at once.
+per-sequence functions walk through star_iterate, its B = 1 case;
+suff_margins and substitution_differences run the suff and prefix
+checks, with their rescales, on B sequences in two walks.
 
 The gauge is |x| * gauge(e1) where that is exact (see select_alpha);
 otherwise it is the Luxemburg norm of the one-term sequence (x) under
@@ -55,8 +56,10 @@ __all__ = [
     "lambda_norm",
     "SuffReport",
     "suff_criterion_check",
+    "suff_margins",
     "SubstitutionReport",
     "prefix_substitution_check",
+    "substitution_differences",
     "match_lambda_norm",
     "BlockSeq",
     "RenormPipeline",
@@ -376,12 +379,20 @@ class BlockSeq:
     def scaled(self, c: float) -> "BlockSeq":
         return BlockSeq(self.dim, self.blocks * float(c))
 
+    def extend(self, tail: "BlockSeq") -> "BlockSeq":
+        if tail.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return BlockSeq(self.dim, np.vstack([self.blocks, tail.blocks]))
 
-def _pad(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Sequences of (k_i, n) blocks as zero-padded (B, max k_i, n) blocks,
-    with their (B,) lengths."""
+
+def _pad(seqs, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of (k_i, dim) blocks as zero-padded (B, max k_i, dim)
+    blocks, with their (B,) lengths."""
+    seqs = [np.asarray(s, dtype=float) for s in seqs]
+    if any(s.ndim != 2 or s.shape[1] != dim for s in seqs):
+        raise ValueError(f"blocks must be rows of length {dim}")
     lengths = np.array([len(s) for s in seqs], dtype=int)
-    out = np.zeros((len(seqs), lengths.max(initial=0), seqs[0].shape[-1]))
+    out = np.zeros((len(seqs), lengths.max(initial=0), dim))
     for row, s in zip(out, seqs):
         row[:len(s)] = s
     return out, lengths
@@ -472,6 +483,25 @@ def suff_criterion_check(norm: StarNorm, phi: YoungMap,
                       products=list(np.cumprod(1.0 + phis)))
 
 
+def suff_margins(norm: StarNorm, phi: YoungMap, seqs: list,
+                 targets) -> np.ndarray:
+    """The checked step margins of B sequences of (k, n) blocks, each
+    rescaled to its target Lambda norm first.
+
+    Bitwise the margins of suff_criterion_check on
+    match_lambda_norm(norm, seq, target), for all sequences in two walks:
+    one for the Lambda norms, one of the rescaled blocks.  Zero padding
+    repeats a row's last value, so a padded row's max is its Lambda norm.
+    """
+    if phi.dim != norm.dim:
+        raise ValueError("phi dimension does not match the norm")
+    targets = _check_targets(targets)
+    blocks, lengths = _pad(seqs, norm.dim)
+    blocks = _rescale(blocks, _walk(norm, blocks).max(axis=1, initial=0.0),
+                      targets)
+    return _step_margins(_walk(norm, blocks), phi.evaluate(blocks), lengths)
+
+
 @dataclass(frozen=True)
 class SubstitutionReport:
     precondition_ok: bool
@@ -482,39 +512,38 @@ class SubstitutionReport:
     ok: bool
 
 
-# the precondition clauses, by the code _substitutions gives a failure
-_PRECONDITION = ("", "prefix norms differ: {lu!r} vs {lv!r}",
-                 "prefix u does not attain its norm at its last block",
-                 "prefix v does not attain its norm at its last block")
-
-
-def _substitutions(norm: StarNorm, prefixes: list, tails: list) -> tuple:
-    """Prefix substitution on B triples (u_i, v_i, tail_i) of (k, n) blocks,
-    given as prefixes u_1..u_B, v_1..v_B and tails tail_1..tail_B.
-
-    One walk of the 2B rows prefix + tail: the first len(prefix) values
-    of a row are the prefix's walk.  Per triple, returns the prefix norms
-    lu and lv, the code of the first precondition clause that fails (0
-    when it holds) and the difference of the norms of u + tail and
-    v + tail.
-    """
-    B = len(tails)
-    full, n_full = _pad([np.concatenate([p, t])
-                         for p, t in zip(prefixes, tails * 2)])
-    values = _walk(norm, full)
-    n = np.array([len(p) for p in prefixes])[:, None]
+def _prefix_walks(values: np.ndarray, n_prefix, n_full) -> tuple:
+    """From padded walks (B, k) of prefix + tail with their prefix and
+    full lengths: the prefix norms, whether each prefix attains its norm
+    at its last block, and the norms of the whole rows."""
     cols = np.arange(values.shape[1])
 
     def pick(mask):      # max of each row's masked values, 0 where none
         return np.where(mask, values, 0.0).max(axis=1, initial=0.0)
 
-    lam, whole = pick(cols < n), pick(cols < n_full[:, None])
-    attained = pick(cols == n - 1) == lam
-    lu, lv = lam[:B], lam[B:]
-    code = np.select([np.abs(lu - lv)
-                      > 1e-12 * np.maximum(1.0, np.maximum(lu, lv)),
-                      ~attained[:B], ~attained[B:]], [1, 2, 3], 0)
-    return lu, lv, code, np.abs(whole[:B] - whole[B:])
+    n, n_full = np.asarray(n_prefix)[:, None], np.asarray(n_full)[:, None]
+    lam = pick(cols < n)
+    return lam, pick(cols == n - 1) == lam, pick(cols < n_full)
+
+
+def _substitution_verdict(walk_u: tuple, walk_v: tuple) -> tuple:
+    """Per triple, from the _prefix_walks of u + tail and v + tail: the
+    prefix norms lu and lv, the difference of the whole norms, and the
+    reason the precondition of the first failing triple fails ("" when
+    every precondition holds)."""
+    (lu, attained_u, whole_u), (lv, attained_v, whole_v) = walk_u, walk_v
+    differ = np.abs(lu - lv) > 1e-12 * np.maximum(1.0, np.maximum(lu, lv))
+    failed = np.flatnonzero(differ | ~attained_u | ~attained_v)
+    reason = ""
+    if failed.size:
+        i = failed[0]
+        if differ[i]:
+            reason = (f"prefix norms differ: {float(lu[i])!r} vs "
+                      f"{float(lv[i])!r}")
+        else:
+            reason = (f"prefix {'v' if attained_u[i] else 'u'} does not "
+                      "attain its norm at its last block")
+    return lu, lv, np.abs(whole_u - whole_v), reason
 
 
 def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
@@ -524,19 +553,73 @@ def prefix_substitution_check(norm: StarNorm, u: BlockSeq, v: BlockSeq,
     Precondition: the two prefix norms agree to 1e-12 (relative to their
     size) and each prefix attains its norm at its final step.  Then the
     norms of u + tail and v + tail must agree within CHECK_TOL.  Only
-    u + tail and v + tail are iterated, in one walk.
+    u + tail and v + tail are iterated: the first len(u) and len(v) values
+    of those walks are the walks of the prefixes.
     """
-    lu, lv, code, diff = _substitutions(norm, [u.blocks, v.blocks],
-                                        [tail.blocks])
+    walks = []
+    for prefix in (u, v):
+        full = star_iterate(norm, prefix.extend(tail))
+        walks.append(_prefix_walks(np.array([full]), [prefix.n_blocks],
+                                   [len(full)]))
+    lu, lv, diff, reason = _substitution_verdict(*walks)
     lu, lv, diff = float(lu[0]), float(lv[0]), float(diff[0])
-    if code[0]:
+    if reason:
         return SubstitutionReport(
-            precondition_ok=False,
-            reason=_PRECONDITION[code[0]].format(lu=lu, lv=lv),
+            precondition_ok=False, reason=reason,
             norm_u=lu, norm_v=lv, difference=math.nan, ok=False)
     return SubstitutionReport(precondition_ok=True, reason="",
                               norm_u=lu, norm_v=lv, difference=diff,
                               ok=diff <= CHECK_TOL)
+
+
+def substitution_differences(norm: StarNorm, us: list, vs: list,
+                             tails: list) -> tuple[np.ndarray, str]:
+    """Prefix substitution on B triples (u_i, v_i, tail_i) of (k, n)
+    blocks, each v_i rescaled to the Lambda norm of u_i first.
+
+    Returns the differences of prefix_substitution_check on
+    (u_i, match_lambda_norm(norm, v_i, lambda_norm(norm, u_i)), tail_i),
+    bitwise, and the reason the precondition of the first failing triple
+    fails ("" when every precondition holds).  Two walks: every u + tail
+    beside every v, whose first len(u) values are u's walk; then every
+    rescaled v + tail.
+    """
+    B = len(us)
+    if len(vs) != B or len(tails) != B:
+        raise ValueError("us, vs and tails must have the same length")
+    first, n_first = _pad([np.concatenate([u, t]) for u, t in zip(us, tails)]
+                          + list(vs), norm.dim)
+    values = _walk(norm, first)
+    walk_u = _prefix_walks(values[:B], [len(u) for u in us], n_first[:B])
+    n_v = n_first[B:]
+    matched = _rescale(first[B:], values[B:].max(axis=1, initial=0.0),
+                       walk_u[0])
+    second, n_second = _pad([np.concatenate([v[:n], t])
+                             for v, n, t in zip(matched, n_v, tails)],
+                            norm.dim)
+    walk_v = _prefix_walks(_walk(norm, second), n_v, n_second)
+    return _substitution_verdict(walk_u, walk_v)[2:]
+
+
+def _check_targets(targets) -> np.ndarray:
+    """Lambda-norm targets as an array; each must be finite and >= 0."""
+    targets = np.asarray(targets, dtype=float)
+    bad = ~(np.isfinite(targets) & (targets >= 0.0))
+    if bad.any():
+        raise ValueError("target must be finite and nonnegative, got "
+                         f"{float(targets[bad][0])!r}")
+    return targets
+
+
+def _rescale(blocks: np.ndarray, norms: np.ndarray,
+             targets: np.ndarray) -> np.ndarray:
+    """Padded blocks (B, k, n) scaled row by row by target / norm, or by 0
+    for a zero target."""
+    if np.any((norms == 0.0) & (targets > 0.0)):
+        raise ValueError("cannot scale a zero sequence to a positive norm")
+    scale = np.zeros(len(targets))
+    np.divide(targets, norms, out=scale, where=targets != 0.0)
+    return blocks * scale[:, None, None]
 
 
 def match_lambda_norm(norm: StarNorm, xi: BlockSeq,
@@ -547,15 +630,11 @@ def match_lambda_norm(norm: StarNorm, xi: BlockSeq,
     iterated value scales with the blocks), hence one rescale by
     target / Lambda(xi) suffices.
     """
-    if not (math.isfinite(target) and target >= 0):
-        raise ValueError(
-            f"target must be finite and nonnegative, got {float(target)!r}")
+    targets = _check_targets([target])
     if target == 0.0:
         return xi.scaled(0.0)
-    base = lambda_norm(norm, xi)
-    if base == 0.0:
-        raise ValueError("cannot scale a zero sequence to a positive norm")
-    return xi.scaled(target / base)
+    lam = np.array([lambda_norm(norm, xi)])
+    return BlockSeq(xi.dim, _rescale(xi.blocks[None], lam, targets)[0])
 
 
 # --------------------------------------------------------------------------

@@ -273,7 +273,6 @@ def _count_walks(monkeypatch):
         return walk(norm, blocks)
 
     monkeypatch.setattr(renorm, "_walk", counted)
-    monkeypatch.setattr(cli, "_walk", counted)
     return calls
 
 
@@ -308,17 +307,21 @@ def by_trial(kind, pipe, seed, trials):
     return {"max_difference": worst}
 
 
+@pytest.mark.parametrize("batch, sizes", [(4096, [60]), (25, [25, 25, 10])])
 @pytest.mark.parametrize("pipeline", ["t2-pipeline", "r2-pipeline"])
 @pytest.mark.parametrize("kind", ["suff", "property-m"])
-def test_certify_walks_all_trials_at_once(kind, pipeline, tmp_path,
-                                          monkeypatch):
+def test_certify_walks_trials_in_batches(kind, pipeline, batch, sizes,
+                                         tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "TRIAL_BATCH", batch)
     calls = _count_walks(monkeypatch)
     out = tmp_path / "c.json"
     assert run("certify", kind, "--pipeline", pipeline, "--trials", "60",
                "--seed", "7", "--out", str(out)) == 0
-    # suff: the Lambda norms, then the matched sequences; property-m: every
-    # u and v, then every u and matched v with its tail
-    assert calls == {"suff": [60, 60], "property-m": [120, 120]}[kind]
+    # two walks per batch.  suff: the Lambda norms, then the matched
+    # sequences; property-m: every u with its tail beside every v, then
+    # every matched v with its tail
+    per_batch = {"suff": [1, 1], "property-m": [2, 1]}[kind]
+    assert calls == [m * n for n in sizes for m in per_batch]
     monkeypatch.undo()
     want = by_trial(kind, build_pipeline(pipeline, rng_seed=7), 7, 60)
     assert {key: body_of(out)[key] for key in want} == want
@@ -326,20 +329,26 @@ def test_certify_walks_all_trials_at_once(kind, pipeline, tmp_path,
 
 def test_certify_property_m_names_the_first_failed_precondition(monkeypatch,
                                                                 capsys):
-    real = cli._substitutions
-    seen = {}
+    # triple 3 of the second batch gets a v norm off by 1, triple 5 a u
+    # that misses its norm; the command names triple 3's clause
+    monkeypatch.setattr(cli, "TRIAL_BATCH", 8)
+    real = renorm._substitution_verdict
+    seen = []
 
-    def failing(norm, prefixes, tails):
-        lu, lv, code, diff = real(norm, prefixes, tails)
-        code[[3, 5]] = [1, 2]
-        seen.update(lu=float(lu[3]), lv=float(lv[3]))
-        return lu, lv, code, diff
+    def failing(walk_u, walk_v):
+        if seen:
+            walk_u[1][5] = False
+            walk_v[0][3] = walk_u[0][3] + 1.0
+        seen.append(float(walk_u[0][3]))
+        return real(walk_u, walk_v)
 
-    monkeypatch.setattr(cli, "_substitutions", failing)
-    assert run("certify", "property-m", "--trials", "8") == 3
+    monkeypatch.setattr(renorm, "_substitution_verdict", failing)
+    assert run("certify", "property-m", "--trials", "16") == 3
+    lu = seen[-1]
+    assert len(seen) == 2
     assert capsys.readouterr().err.strip() == (
         "numeric signal: constructed triple failed its precondition: "
-        f"prefix norms differ: {seen['lu']!r} vs {seen['lv']!r}")
+        f"prefix norms differ: {lu!r} vs {lu + 1.0!r}")
 
 
 # -- failure modes ------------------------------------------------------------

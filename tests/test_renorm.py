@@ -11,7 +11,8 @@ from twistnorm import (BlockSeq, GaugeSpec, NumericSignal, YoungMap,
                        build_phitilde, build_pipeline, build_star_norm,
                        lambda_norm, level_constant, match_lambda_norm,
                        prefix_substitution_check, radial_power, select_alpha,
-                       star_iterate, suff_criterion_check, triangle_violation)
+                       star_iterate, substitution_differences,
+                       suff_criterion_check, suff_margins, triangle_violation)
 from twistnorm import renorm, sampling
 
 SQRT2 = math.sqrt(2.0)
@@ -519,6 +520,10 @@ def test_blockseq_json_round_trip():
 def test_blockseq_ops():
     xi = BlockSeq(2, [[1.0, 0.0]])
     assert xi.scaled(3.0).blocks[0, 0] == 3.0
+    tail = BlockSeq(2, [[0.0, 1.0]])
+    assert xi.extend(tail).n_blocks == 2
+    with pytest.raises(ValueError):
+        xi.extend(BlockSeq(1, [[1.0]]))
 
 
 # -- iterated norms ----------------------------------------------------------------
@@ -546,7 +551,7 @@ def test_lambda_norm_empty_and_single(t2_pipe):
 def test_lambda_norm_zero_blocks_inert(t2_pipe):
     n = t2_pipe.norm
     xi = BlockSeq(1, [[0.3], [0.2]])
-    padded = BlockSeq(1, [[0.3], [0.2], [0.0], [0.0]])
+    padded = xi.extend(BlockSeq(1, [[0.0], [0.0]]))
     assert lambda_norm(n, padded) == lambda_norm(n, xi)
 
 
@@ -607,7 +612,7 @@ def test_prefix_substitution_walks_each_sequence_once(t2_pipe, monkeypatch):
     calls = _count_walks(monkeypatch)
     rep = prefix_substitution_check(n, u, v, BlockSeq(1, [[0.5], [0.2]]))
     assert rep.precondition_ok
-    assert calls == [(2, 4)]          # u and v with the tail, in one walk
+    assert calls == [(1, 3), (1, 4)]  # u and v with the tail
 
 
 def reference_value(norm, x0, block):
@@ -671,7 +676,7 @@ def test_walk_is_bitwise_the_scalar_loop(pipe, request):
             assert lambda_norm(norm, BlockSeq(norm.dim, s)) == max(ref)
     # one batch: rows with x0 = 0 at a step sit between rows without, and
     # every shorter row walks on through its zero padding
-    blocks, lengths = renorm._pad(seqs)
+    blocks, lengths = renorm._pad(seqs, norm.dim)
     values = renorm._walk(norm, blocks)
     for row, n, ref in zip(values, lengths, refs):
         assert np.array_equal(_bits(row[:n]), _bits(ref))
@@ -745,6 +750,44 @@ def test_suff_criterion_dimension_check(t2_pipe):
                              BlockSeq(1, [[0.5]]))
 
 
+def _draws(dim, n, key):
+    """n seeded sequences of 1 to 4 blocks, as the CLI certificates draw."""
+    rng = sampling.rng(key, dim)
+    return [sampling.signed_log_uniform(rng, (int(rng.integers(1, 5)), dim),
+                                        1e-2, 10.0) for _ in range(n)]
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_suff_margins_are_the_per_sequence_checks(pipe, request,
+                                                  monkeypatch):
+    p = request.getfixturevalue(pipe)
+    norm = p.norm
+    seqs = _draws(norm.dim, 40, 5)
+    targets = np.linspace(0.05, 0.99, 40)
+    calls = _count_walks(monkeypatch)
+    batch = suff_margins(norm, p.phitilde, seqs, targets)
+    assert [c[0] for c in calls] == [40, 40]      # two walks for the batch
+    singles = [suff_margins(norm, p.phitilde, [s], [t])
+               for s, t in zip(seqs, targets)]
+    assert np.array_equal(_bits(batch), _bits(np.concatenate(singles)))
+    for s, t, one in zip(seqs, targets, singles):
+        rep = suff_criterion_check(norm, p.phitilde, match_lambda_norm(
+            norm, BlockSeq(norm.dim, s), float(t)))
+        assert rep.checked == one.size
+        assert rep.min_margin == one.min(initial=math.inf)
+
+
+def test_suff_margins_rejects_bad_input(t2_pipe, monkeypatch):
+    calls = _count_walks(monkeypatch)
+    with pytest.raises(ValueError, match="got nan"):
+        suff_margins(t2_pipe.norm, t2_pipe.phitilde,
+                     [np.array([[0.3]]), np.array([[0.2]])], [0.5, math.nan])
+    with pytest.raises(ValueError, match="phi dimension"):
+        suff_margins(t2_pipe.norm, radial_power(2, 2.0),
+                     [np.array([[0.3]])], [0.5])
+    assert calls == []
+
+
 # -- prefix substitution ---------------------------------------------------------------
 
 def test_substitution_identical_prefixes(t2_pipe):
@@ -774,6 +817,57 @@ def test_substitution_mismatch_reported(t2_pipe):
     assert not rep.precondition_ok
     assert "differ" in rep.reason
     assert not rep.ok
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_substitution_differences_are_the_per_triple_checks(pipe, request,
+                                                            monkeypatch):
+    norm = request.getfixturevalue(pipe).norm
+    us, vs, tails = (_draws(norm.dim, 30, key) for key in (1, 2, 3))
+    calls = _count_walks(monkeypatch)
+    diffs, reason = substitution_differences(norm, us, vs, tails)
+    # every u + tail beside every v, then every matched v + tail
+    assert [c[0] for c in calls] == [60, 30]
+    assert reason == ""
+    monkeypatch.undo()
+    want = []
+    for u, v, tail in zip(us, vs, tails):
+        u, v, tail = (BlockSeq(norm.dim, b) for b in (u, v, tail))
+        v = match_lambda_norm(norm, v, lambda_norm(norm, u))
+        rep = prefix_substitution_check(norm, u, v, tail)
+        assert rep.precondition_ok
+        want.append(rep.difference)
+    assert np.array_equal(_bits(diffs), _bits(want))
+
+
+def test_batched_checks_reject_malformed_batches(t2_pipe, monkeypatch):
+    norm, phi = t2_pipe.norm, t2_pipe.phitilde
+    one, two = np.array([[0.3]]), np.array([[0.3, 0.1]])
+    calls = _count_walks(monkeypatch)
+    with pytest.raises(ValueError, match="rows of length 1"):
+        suff_margins(norm, phi, [one, two], [0.5, 0.5])
+    with pytest.raises(ValueError, match="rows of length 1"):
+        substitution_differences(norm, [one], [two], [one])
+    with pytest.raises(ValueError, match="same length"):
+        substitution_differences(norm, [one, one], [one, one], [one])
+    assert calls == []
+
+
+def test_substitution_verdict_names_the_first_failing_triple():
+    lam = np.array([0.5, 0.5, 0.5])
+    whole = np.array([0.7, 0.7, 0.7])
+    yes = np.array([True, True, True])
+    walk_u = (lam, np.array([True, False, True]), whole)
+    walk_v = (np.array([0.5, 0.5, 0.6]), yes, whole)
+    assert renorm._substitution_verdict(walk_u, walk_v)[3] == (
+        "prefix u does not attain its norm at its last block")
+    walk_u = (lam, yes, whole)
+    assert renorm._substitution_verdict(walk_u, walk_v)[3] == (
+        "prefix norms differ: 0.5 vs 0.6")
+    walk_v = (lam, np.array([True, True, False]), whole)
+    assert renorm._substitution_verdict(walk_u, walk_v)[3] == (
+        "prefix v does not attain its norm at its last block")
+    assert renorm._substitution_verdict(walk_u, (lam, yes, whole))[3] == ""
 
 
 # -- pipelines ---------------------------------------------------------------------------

@@ -15,10 +15,13 @@ within a factor 2, followed by safeguarded false position on
 1973).  A power modular is affine in those logs, so its root is found
 in one step; any other takes at most 80 steps, twice those of log
 bisection.  Batches of sequences are solved simultaneously on their
-nonzero cells only, each row at the exact power-of-two scale that puts
-its largest entry in [1/2, 1), so no row underflows or overflows while
-solving (Blue, ACM TOMS 4, 1978); a norm beyond the float64 range
-raises NumericSignal.
+nonzero cells only, scattered left in order by ``compact_rows``, each
+row at the exact power-of-two scale that puts its largest entry in
+[1/2, 1), so no row underflows or overflows while solving (Blue, ACM
+TOMS 4, 1978); a norm beyond the float64 range raises NumericSignal.
+A row's modular is summed in cell order, so the padding to the widest
+row adds exact zeros and a row's norm is bitwise its one-row solve,
+whatever batch it is solved in.
 The renorming gauge is a one-term Luxemburg norm and is solved here too.
 """
 
@@ -262,12 +265,32 @@ def _bracket_bisect(modular_fn, start: np.ndarray) -> np.ndarray:
         take_mid[rows] = interp & (np.log(hi[rows] / lo[rows]) > width / 2.0)
 
 
+def compact_rows(*arrays: np.ndarray) -> tuple:
+    """Each row's shared support moved left, cells kept in order.
+
+    Arrays of shape (B, d, ...) -> arrays of shape (B, w, ...), where a
+    cell is kept when it is nonzero in any of the arrays and w is the
+    widest row's count of kept cells; the rest of a row is zero.
+    """
+    keep = np.any([np.any(a != 0.0, axis=tuple(range(2, a.ndim)))
+                   for a in arrays], axis=0)
+    rows, cols = np.nonzero(keep)
+    count = keep.sum(axis=1)
+    pos = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    out = tuple(np.zeros((a.shape[0], count.max(initial=0)) + a.shape[2:])
+                for a in arrays)
+    for o, a in zip(out, arrays):
+        o[rows, pos] = a[rows, cols]
+    return out
+
+
 def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     """Luxemburg norms of a dense batch, shape (B, k, dim) -> (B,).
 
     Zero cells anywhere in a row are dropped before solving (the map
     sends 0 to 0), so ragged collections can be padded to a common length,
     and the cost scales with the widest row's nonzero count, not with k.
+    A row's norm does not depend on the other rows of the batch.
     A row with a non-finite entry, or whose norm exceeds the float64
     range, raises NumericSignal naming the rows.
     """
@@ -276,14 +299,10 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     if vectors.ndim != 3 or vectors.shape[-1] != m.dim:
         raise ValueError("batch must have shape (B, k, dim) matching the map")
     out = np.zeros(vectors.shape[0])
-    nonzero = np.any(vectors != 0.0, axis=-1)
-    live = nonzero.any(axis=-1)
+    live = np.any(vectors != 0.0, axis=(1, 2))
     if not live.any():
         return out
-    nonzero = nonzero[live]
-    order = np.argsort(~nonzero, axis=-1, kind="stable")
-    order = order[:, :nonzero.sum(axis=-1).max(), None]
-    work = np.take_along_axis(vectors[live], order, axis=1)
+    work, = compact_rows(vectors[live])
     top = np.abs(work).max(axis=(1, 2))
     if not np.isfinite(top).all():
         bad = np.flatnonzero(live)[~np.isfinite(top)]
@@ -294,7 +313,8 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     work = np.ldexp(work, -e[:, None, None])
 
     def modular_fn(rho: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return m.evaluate(work[rows] / rho[:, None, None]).sum(axis=-1)
+        vals = m.evaluate(work[rows] / rho[:, None, None])
+        return np.add.accumulate(vals, axis=-1)[:, -1]
 
     start = np.linalg.norm(work, axis=-1).max(axis=-1)
     with np.errstate(over="ignore"):

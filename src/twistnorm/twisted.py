@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericSignal
 from . import sampling
 from .scalarfn import OrliczFn, power
-from .seqspace import VecSeq, luxemburg_norm_batch
+from .seqspace import VecSeq, compact_rows, luxemburg_norm_batch
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, YoungMap,
                        convex_envelope, identity_theta, kalton_peck_map,
                        soft_clip_theta)
@@ -206,9 +206,11 @@ def twisted_norm_batch(space: TwistedSpace, X: np.ndarray,
                        Y: np.ndarray) -> np.ndarray:
     """Quasi-norms of dense pair rows: (B, d), (B, d) -> (B,).
 
-    A row whose x - F(y) or quasi-norm exceeds the float64 range raises
-    NumericSignal naming the rows.
+    The rows are first compacted to their shared support, where F(y) and
+    x - F(y) live.  A row whose x - F(y) or quasi-norm exceeds the float64
+    range raises NumericSignal naming the rows.
     """
+    X, Y = compact_rows(X, Y)
     ny = luxemburg_norm_batch(space.f, Y[..., None])
     fy = space.theta.twist(Y, ny[:, None])
     with np.errstate(over="ignore"):
@@ -282,17 +284,20 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
 
     The trial budget is split across ambient dimensions (16, 64, dim_max
     capped at dim_max) so stability across dimension is visible in the
-    per-dimension table.
+    per-dimension table.  Each chunk solves ||x||, ||y|| and ||x + y|| as
+    one batch of compacted rows, then the deviation.
     """
     def draw(rng, n, d):
         X = sampling.random_rows(rng, n, d)
         Y = sampling.random_rows(rng, n, d)
-        S = X + Y
-        nx, ny, ns = (luxemburg_norm_batch(space.f, Z[..., None])
-                      for Z in (X, Y, S))
+        Xc, Yc = compact_rows(X, Y)
+        S = Xc + Yc
+        norms = luxemburg_norm_batch(space.f,
+                                     np.concatenate([Xc, Yc, S])[..., None])
+        nx, ny, ns = np.split(norms, 3)
         twist = space.theta.twist
-        dev = (twist(S, ns[:, None]) - twist(X, nx[:, None])
-               - twist(Y, ny[:, None]))
+        dev = (twist(S, ns[:, None]) - twist(Xc, nx[:, None])
+               - twist(Yc, ny[:, None]))
         num = luxemburg_norm_batch(space.f, dev[..., None])
         return num, nx + ny, {"x": X, "y": Y}
 
@@ -304,13 +309,18 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
 
 def quasi_triangle_constant(space: TwistedSpace, trials: int, dim_max: int,
                             rng_seed: int) -> dict:
-    """Empirical sup of ||p+q|| / (||p|| + ||q||) for the quasi-norm."""
+    """Empirical sup of ||p+q|| / (||p|| + ||q||) for the quasi-norm.
+
+    Each chunk solves p + q, p and q as one twisted_norm_batch of
+    compacted rows.
+    """
     def draw(rng, n, d):
-        X1, Y1, X2, Y2 = (sampling.random_rows(rng, n, d) for _ in range(4))
-        num = twisted_norm_batch(space, X1 + X2, Y1 + Y2)
-        den = (twisted_norm_batch(space, X1, Y1)
-               + twisted_norm_batch(space, X2, Y2))
-        return num, den, {}
+        X1, Y1, X2, Y2 = compact_rows(
+            *(sampling.random_rows(rng, n, d) for _ in range(4)))
+        norms = twisted_norm_batch(space, np.concatenate([X1 + X2, X1, X2]),
+                                   np.concatenate([Y1 + Y2, Y1, Y2]))
+        num, n1, n2 = np.split(norms, 3)
+        return num, n1 + n2, {}
 
     best, per_dim, _ = _sampled_sup(trials, dim_max, rng_seed, 2_000_003,
                                     draw)
@@ -344,8 +354,8 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
         contained = True
         done = 0
         for rng, n in sampling.chunks(rng_seed, 2 * trials):
-            X = sampling.random_rows(rng, n, dim_max)
-            Y = sampling.random_rows(rng, n, dim_max)
+            X, Y = compact_rows(sampling.random_rows(rng, n, dim_max),
+                                sampling.random_rows(rng, n, dim_max))
             tw = twisted_norm_batch(space, X, Y)
             pairs = np.stack([X, Y], axis=-1)
             pn = luxemburg_norm_batch(psi, pairs)

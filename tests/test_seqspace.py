@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -11,7 +12,8 @@ from twistnorm import (BracketError, NumericSignal, VecSeq, YoungMap,
                        from_preset, identity_theta, kalton_peck_map,
                        luxemburg_norm, luxemburg_norm_batch, modular, power,
                        power_log, radial_power)
-from twistnorm.seqspace import MAX_POW, REL_TOL, _bracket_bisect
+from twistnorm.seqspace import (MAX_POW, REL_TOL, _bracket_bisect,
+                                compact_rows)
 
 HSET = settings(max_examples=40, deadline=None)
 
@@ -254,7 +256,8 @@ def test_bracket_bisect_underflowing_bracket_raises():
 # -- packing: differential oracle and work count -------------------------------
 
 def dense_problem(m, vectors):
-    """The modular of every cell of the live rows, unscaled, and a start."""
+    """The modular of every cell of the live rows, summed in cell order,
+    unscaled, and a start."""
     vectors = np.asarray(vectors, dtype=float)
     row_sup = (np.linalg.norm(vectors, axis=-1).max(axis=-1)
                if vectors.shape[1] else np.zeros(vectors.shape[0]))
@@ -262,7 +265,8 @@ def dense_problem(m, vectors):
     work = vectors[live]
 
     def modular_fn(rho, rows):
-        return m.evaluate(work[rows] / rho[:, None, None]).sum(axis=-1)
+        vals = m.evaluate(work[rows] / rho[:, None, None])
+        return np.add.accumulate(vals, axis=-1)[:, -1]
 
     return modular_fn, row_sup[live], live
 
@@ -418,14 +422,10 @@ def ragged_batch(rng, n, width, dim):
 
 
 def assert_matches_dense(m, batch):
+    # both sum each row's modular in cell order, and a zero cell adds +0.0,
+    # so every row sees the same modular values and the same iterates
     packed = luxemburg_norm_batch(m, batch)
-    dense = dense_luxemburg_norm_batch(m, batch)
-    assert np.allclose(packed, dense, rtol=1e-12, atol=0.0)
-    # numpy sums fewer than 8 cells in order, and any two in either order,
-    # so these rows see the same modular values and the same iterates
-    same = ((np.any(batch != 0.0, axis=-1).sum(axis=-1) <= 2)
-            | (batch.shape[1] < 8))
-    assert np.array_equal(packed[same], dense[same])
+    assert np.array_equal(packed, dense_luxemburg_norm_batch(m, batch))
     return packed
 
 
@@ -473,6 +473,56 @@ def test_packing_evaluates_only_nonzero_cells():
     assert widths and max(widths) <= 8
     want = np.sqrt(np.sum(batch[..., 0] ** 2, axis=-1))
     assert np.allclose(out, want, rtol=1e-11, atol=0.0)
+
+
+@functools.cache
+def oracle_map(name):
+    return ORACLE_MAPS[name]()
+
+
+def padded_rows(m, rows):
+    """Dense rows (k nonzero cells, pad zero cells, seed) in random cell
+    order, each of its own width k + pad."""
+    out = []
+    for k, pad, seed in rows:
+        rng = np.random.default_rng(seed)
+        row = np.zeros((k + pad, m.dim))
+        mags = 10.0 ** rng.uniform(-3.0, 2.0, (k, m.dim))
+        row[rng.choice(k + pad, size=k, replace=False)] = mags * np.where(
+            rng.random((k, m.dim)) < 0.5, -1.0, 1.0)
+        if m.dim > 1:
+            row[rng.random(k + pad) < 0.2, 0] = 0.0    # some (0, y) cells
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("name", ["power(2)", "power_log(2)", "psi-z2"])
+@HSET
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 24),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=8))
+def test_every_batch_row_is_its_one_row_solve(name, rows):
+    # the modular sums each row in cell order, so neither the other rows
+    # nor the padding that the widest of them forces can move a norm
+    m = oracle_map(name)
+    dense = padded_rows(m, rows)
+    batch = np.zeros((len(dense), max(r.shape[0] for r in dense), m.dim))
+    for b, row in enumerate(dense):
+        batch[b, :row.shape[0]] = row
+    alone = [luxemburg_norm_batch(m, row[None])[0] for row in dense]
+    assert np.array_equal(luxemburg_norm_batch(m, batch), alone)
+
+
+def test_compact_rows_keeps_the_shared_support_in_order():
+    X = np.array([[0, 1, 0, 2, 0], [0] * 5, [3, 0, 0, 0, 4]], dtype=float)
+    Y = np.array([[0, 0, 5, -1, 0], [0] * 5, [0, 0, 0, 0, np.nan]])
+    Xc, Yc = compact_rows(X, Y)
+    assert np.array_equal(Xc, [[1, 0, 2], [0] * 3, [3, 4, 0]])
+    assert np.array_equal(Yc, [[0, 5, -1], [0] * 3, [0, np.nan, 0]],
+                          equal_nan=True)
+    cells, = compact_rows(np.array([[[0.0, 0.0], [0.0, 7.0], [1.0, 0.0]]]))
+    assert np.array_equal(cells, [[[0.0, 7.0], [1.0, 0.0]]])
+    none, = compact_rows(np.zeros((2, 4)))
+    assert none.shape == (2, 0)
 
 
 # -- structural properties, randomized ----------------------------------------

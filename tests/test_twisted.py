@@ -216,11 +216,102 @@ def test_twisted_norm_batch_bisects_twice(z2_noenv, monkeypatch):
     assert len(calls) == 2
 
 
-def test_quasi_linearity_draw_bisects_four_times(z2_noenv, monkeypatch):
-    # ||x||, ||y||, ||x + y|| once each, then the deviation
+def test_quasi_linearity_draw_bisects_twice(z2_noenv, monkeypatch):
+    # per chunk (one per dimension, 50 pairs each): ||x||, ||y|| and
+    # ||x + y|| in one batch, then the deviation, each on rows compacted to
+    # the pair's shared support (at most 16 cells)
     calls = counting_lux(monkeypatch)
-    quasi_linearity_constant(z2_noenv, trials=100, dim_max=16, rng_seed=5)
-    assert len(calls) == 4
+    quasi_linearity_constant(z2_noenv, trials=100, dim_max=64, rng_seed=5)
+    assert [(n, k <= 16) for n, k, _ in calls] == [(150, True), (50, True)] * 2
+
+
+def test_quasi_triangle_draw_bisects_twice(z2_noenv, monkeypatch):
+    # per chunk: p + q, p and q in one twisted_norm_batch, so the ||y||
+    # solve, then the ||x - F(y)|| solve, on rows compacted to the four
+    # rows' shared support (at most 32 cells)
+    calls = counting_lux(monkeypatch)
+    quasi_triangle_constant(z2_noenv, trials=100, dim_max=64, rng_seed=5)
+    assert [(n, k <= 32) for n, k, _ in calls] == [(150, True)] * 4
+
+
+# -- differential oracle: the per-call draws on dense rows --------------------
+
+def per_call_twisted_norm(space, X, Y):
+    """||y|| + ||x - F(y)|| on the dense rows, one solve after the other."""
+    ny = luxemburg_norm_batch(space.f, Y[..., None])
+    diff = X - space.theta.twist(Y, ny[:, None])
+    return ny + luxemburg_norm_batch(space.f, diff[..., None])
+
+
+def per_call_quasi_linearity(space, trials, dim_max, seed):
+    def draw(rng, n, d):
+        X = sampling.random_rows(rng, n, d)
+        Y = sampling.random_rows(rng, n, d)
+        S = X + Y
+        nx, ny, ns = (luxemburg_norm_batch(space.f, Z[..., None])
+                      for Z in (X, Y, S))
+        twist = space.theta.twist
+        dev = (twist(S, ns[:, None]) - twist(X, nx[:, None])
+               - twist(Y, ny[:, None]))
+        num = luxemburg_norm_batch(space.f, dev[..., None])
+        return num, nx + ny, {"x": X, "y": Y}
+
+    return twisted._sampled_sup(trials, dim_max, seed, 1_000_003, draw)
+
+
+def per_call_quasi_triangle(space, trials, dim_max, seed):
+    def draw(rng, n, d):
+        X1, Y1, X2, Y2 = (sampling.random_rows(rng, n, d) for _ in range(4))
+        num = per_call_twisted_norm(space, X1 + X2, Y1 + Y2)
+        den = (per_call_twisted_norm(space, X1, Y1)
+               + per_call_twisted_norm(space, X2, Y2))
+        return num, den, {}
+
+    return twisted._sampled_sup(trials, dim_max, seed, 2_000_003, draw)
+
+
+@pytest.fixture(scope="module", params=["z2", "kp-softclip:3,1"])
+def sampled_space(request):
+    return from_preset(request.param, with_envelope=False)
+
+
+@pytest.mark.parametrize("seed", [5, 77])
+def test_stacked_draws_are_the_per_call_draws(sampled_space, seed):
+    best, per_dim, witness = per_call_quasi_linearity(sampled_space, 900,
+                                                      256, seed)
+    res = quasi_linearity_constant(sampled_space, 900, 256, seed)
+    assert (res.c_hat, res.per_dim, res.witness) == (best, per_dim, witness)
+    assert set(per_dim) == {16, 64, 256}
+    best, per_dim, _ = per_call_quasi_triangle(sampled_space, 900, 256, seed)
+    rep = quasi_triangle_constant(sampled_space, 900, 256, seed)
+    assert (rep["Q_hat"], rep["per_dim"]) == (best, per_dim)
+
+
+@pytest.mark.parametrize("width", [1, 16, 256])
+def test_twisted_norm_batch_is_the_dense_form(sampled_space, width):
+    rng = sampling.rng(9, width)
+    X, Y = (sampling.random_rows(rng, 64, width) for _ in range(2))
+    X[::4] = 0.0                  # y-only rows
+    Y[1::4] = 0.0                 # x-only rows
+    X[2], Y[2] = 0.0, 0.0         # a zero row
+    got = twisted_norm_batch(sampled_space, X, Y)
+    assert np.array_equal(got, per_call_twisted_norm(sampled_space, X, Y))
+    assert got[2] == 0.0
+
+
+def test_twisted_norm_batch_names_non_finite_rows(z2_noenv):
+    # compaction keeps every row, so the signal names the caller's rows
+    X, Y = (sampling.random_rows(sampling.rng(3), 6, 64) for _ in range(2))
+    bad_x, bad_y = X.copy(), Y.copy()
+    bad_x[4, 63] = np.nan         # raises in the ||x - F(y)|| solve
+    bad_y[1, 63] = np.inf         # raises in the ||y|| solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, row in (((bad_x, Y), 4), ((X, bad_y), 1)):
+            with pytest.raises(NumericSignal,
+                               match=rf"non-finite in 1 of 6 rows, first "
+                                     rf"rows \[{row}\]"):
+                twisted_norm_batch(z2_noenv, *args)
 
 
 def test_quasi_triangle_constant(z2_noenv):
@@ -274,6 +365,20 @@ def test_equivalence_first_half_is_the_first_trials_pairs(z2_small):
          / luxemburg_norm_batch(space.psi_map, np.stack([X, Y], axis=-1)))
     assert rep["ratio"] == [r.min(), r.max()]
     assert rep["ratio_first_half"] == [r[:trials].min(), r[:trials].max()]
+
+
+def test_equivalence_ratio_is_the_dense_per_call_ratio(z2_small):
+    # one chunk of 400 pairs: the extremes of the dense per-call ratios
+    trials, dim = 200, 64
+    rep = equivalence_certificate(z2_small, trials=trials, dim_max=dim,
+                                  rng_seed=3)
+    space = z2_small.with_box(rep["box_halfwidth"])
+    (rng, n), = sampling.chunks(3, 2 * trials)
+    X = sampling.random_rows(rng, n, dim)
+    Y = sampling.random_rows(rng, n, dim)
+    r = (per_call_twisted_norm(space, X, Y)
+         / luxemburg_norm_batch(space.psi_map, np.stack([X, Y], axis=-1)))
+    assert rep["ratio"] == [r.min(), r.max()]
 
 
 def test_equivalence_needs_envelope(z2_noenv):

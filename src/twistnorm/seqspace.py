@@ -272,15 +272,19 @@ def compact_rows(*arrays: np.ndarray) -> tuple:
     cell is kept when it is nonzero in any of the arrays and w is the
     widest row's count of kept cells; the rest of a row is zero.
     """
-    keep = np.any([np.any(a != 0.0, axis=tuple(range(2, a.ndim)))
-                   for a in arrays], axis=0)
-    rows, cols = np.nonzero(keep)
+    keep = np.zeros(arrays[0].shape[:2], dtype=bool)
+    for a in arrays:
+        keep |= np.any(a != 0.0, axis=tuple(range(2, a.ndim)))
+    flat = np.flatnonzero(keep)
     count = keep.sum(axis=1)
-    pos = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
-    out = tuple(np.zeros((a.shape[0], count.max(initial=0)) + a.shape[2:])
-                for a in arrays)
+    width = count.max(initial=0)
+    # kept cell i of the flat order, the j-th of row r, goes to r * width + j
+    dest = np.arange(flat.size) + np.repeat(
+        np.arange(count.size) * width - (np.cumsum(count) - count), count)
+    out = tuple(np.zeros((a.shape[0], width) + a.shape[2:]) for a in arrays)
     for o, a in zip(out, arrays):
-        o[rows, pos] = a[rows, cols]
+        cells = (-1,) + a.shape[2:]
+        o.reshape(cells)[dest] = a.reshape(cells)[flat]
     return out
 
 

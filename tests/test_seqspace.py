@@ -521,8 +521,8 @@ def test_compact_rows_keeps_the_shared_support_in_order():
                           equal_nan=True)
     cells, = compact_rows(np.array([[[0.0, 0.0], [0.0, 7.0], [1.0, 0.0]]]))
     assert np.array_equal(cells, [[[0.0, 7.0], [1.0, 0.0]]])
-    none, = compact_rows(np.zeros((2, 4)))
-    assert none.shape == (2, 0)
+    for empty in (np.zeros((2, 4)), np.zeros((2, 0)), np.zeros((2, 0, 2))):
+        assert compact_rows(empty)[0].shape == (2, 0) + empty.shape[2:]
 
 
 # -- structural properties, randomized ----------------------------------------

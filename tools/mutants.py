@@ -35,13 +35,12 @@ MUTANTS = {
         "return vals.sum(axis=-1)",
         [f"{SEQ}::test_every_batch_row_is_its_one_row_solve"]),
     "support-from-x-alone": (
-        "seqspace", "for a in arrays], axis=0)",
-        "for a in arrays[:1]], axis=0)",
+        "seqspace", "for a in arrays:", "for a in arrays[:1]:",
         [f"{TW}::test_twisted_norm_batch_is_the_dense_form",
          f"{TW}::test_stacked_draws_are_the_per_call_draws"]),
     "scatter-position-off-by-one": (
-        "seqspace", "pos = np.arange(rows.size) - (",
-        "pos = np.arange(rows.size) - 1 - (",
+        "seqspace", "dest = np.arange(flat.size) + np.repeat(",
+        "dest = np.arange(flat.size) - 1 + np.repeat(",
         [f"{SEQ}::test_packed_batch_matches_dense",
          f"{SEQ}::test_compact_rows_keeps_the_shared_support_in_order"]),
     "quasilinear-split-swapped": (

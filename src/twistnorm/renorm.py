@@ -10,7 +10,10 @@ pipeline
      phitilde(x) = base(x) inside, alpha + M(gauge(x) - 1) outside,
      which keeps t -> (1 + phitilde(t x)) / t nonincreasing on rays;
   3. builds the norm N(x0, x) = |x0| (1 + phitilde(x / |x0|)) on
-     R^(n+1), with the x0 = 0 branch equal to its limit M |x|_a;
+     R^(n+1) as |x0| plus the perspective |x0| phitilde(x / |x0|) of the
+     extension; where x / |x0| lies outside the unit gauge ball that is
+     |x0| alpha + M (|x|_a - |x0|), which divides nothing and at x0 = 0
+     is the limit M |x|_a;
   4. iterates N over block sequences by threading each running value
      through the first coordinate, takes the max as the Lambda norm,
      and certifies the two finite-support invariants behind the
@@ -188,20 +191,36 @@ def select_alpha(base: YoungMap) -> GaugeSpec:
 # the extension and the norm
 
 
+def _scaled_extension(g: GaugeSpec, s: float | np.ndarray, x: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """s phitilde(y) at y = x / s, s >= 0: the perspective of phitilde.
+
+    s base(y) inside the unit gauge ball {base <= alpha}; outside it
+    s alpha + M (gauge(x) - s), since the gauge is 1-homogeneous, and the
+    gauge runs only there.  At s = 0, y is inf or nan and fails
+    base(y) <= alpha, so the value is the recession function M gauge(x),
+    0 at x = 0.  s is a float or one value per point.
+    """
+    inner = g.base.evaluate(y)
+    shape = inner.shape
+    idx = np.flatnonzero(~(inner <= g.alpha))
+    out = (inner * s).reshape(-1)   # a copy: base may return a view of y
+    del inner                       # freed before the gauge allocates
+    if idx.size:
+        s_out = np.ravel(s).take(idx) if np.ndim(s) else s
+        gauge = g.gauge(x.reshape(-1, x.shape[-1]).take(idx, axis=0))
+        out[idx] = s_out * g.alpha + g.M * (gauge - s_out)
+    return out.reshape(shape)
+
+
 def build_phitilde(g: GaugeSpec) -> YoungMap:
     """base on {base <= alpha}, the unit gauge ball; alpha + M(gauge - 1)
-    outside it, where alone the gauge is computed."""
-    base, alpha, M = g.base, g.alpha, g.M
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        out = base.evaluate(pts).copy()
-        outside = out > alpha
-        if outside.any():
-            out[outside] = alpha + M * (g.gauge(pts[outside]) - 1.0)
-        return out
-
-    made = YoungMap(dim=base.dim, fn=fn, radially_monotone=True, convex=True,
-                    label=f"extension of {base.label} at alpha={alpha:g}")
+    outside it, where alone the gauge is computed (_scaled_extension at
+    s = 1)."""
+    made = YoungMap(dim=g.base.dim,
+                    fn=lambda pts: _scaled_extension(g, 1.0, pts, pts),
+                    radially_monotone=True, convex=True,
+                    label=f"extension of {g.base.label} at alpha={g.alpha:g}")
     # continuity across the seam: on the unit gauge sphere base == alpha
     seam = _seam_gap(g, 64)
     if seam > 1e-9:
@@ -212,7 +231,12 @@ def build_phitilde(g: GaugeSpec) -> YoungMap:
 
 @dataclass(frozen=True)
 class StarNorm:
-    """N(x0, x) = |x0| (1 + phitilde(x / |x0|)), with M |x|_a at x0 = 0."""
+    """N(x0, x) = |x0| + |x0| phitilde(x / |x0|), by _scaled_extension of
+    g; M |x|_a at x0 = 0.
+
+    young is the certified extension, build_phitilde(g); N computes the
+    same extension from g.
+    """
 
     dim: int                         # block dimension n; N lives on R^(n+1)
     young: YoungMap = field(repr=False)
@@ -225,16 +249,10 @@ class StarNorm:
             raise ValueError(f"points must end in axis of size {self.dim + 1}")
         ax0 = np.abs(pts[..., 0])
         x = pts[..., 1:]
-        if ax0.all():     # no x0 is 0: every walk step after the first
-            return ax0 * (1.0 + self.young.evaluate(x / ax0[..., None]))
-        out = np.empty(ax0.shape)
-        zero = ax0 == 0.0
-        live = ~zero
-        if live.any():
-            out[live] = ax0[live] * (
-                1.0 + self.young.evaluate(x[live] / ax0[live][..., None]))
-        out[zero] = self.g.M * self.g.gauge(x[zero])
-        return out
+        # x / 0 is inf or nan, and base(x / x0) may overflow to inf: each
+        # fails base <= alpha and takes the outside branch, which is finite
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return ax0 + _scaled_extension(self.g, ax0, x, x / ax0[..., None])
 
     def __call__(self, pts):
         return self.evaluate(pts)
@@ -252,9 +270,9 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec,
     Checks: (a) t -> (1 + phitilde(t x)) / t nonincreasing along 1000
     seeded rays on a 1000-point 1e-6..1e6 log grid, 1e-10 relative per
     step; (b) first-coordinate monotonicity on 100 000 seeded tuples,
-    1e-12 relative; (c) N(1, 0) = 1 exactly; (d) the x0 = 0 closed form
-    matches the x0 -> 0 limit to 1e-6 relative.  Any failure raises
-    NumericSignal.
+    1e-12 relative; (c) N(1, 0) = 1 exactly; (d) N is continuous as
+    x0 -> 0: N(0, x) = M |x|_a matches N(1e-8, x) to 1e-6 relative.  Any
+    failure raises NumericSignal.
     """
     rng = sampling.rng(rng_seed)
     dim = phitilde.dim
@@ -291,7 +309,7 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec,
     if unit != 1.0:
         raise NumericSignal(f"N(1, 0) = {unit!r}, expected exactly 1")
 
-    # (d) x0 = 0 branch against its limit
+    # (d) x0 = 0 against its limit
     probes = sampling.signed_log_uniform(rng, (64, dim), 1e-2, 1e2)
     closed = norm.evaluate(np.concatenate(
         [np.zeros((64, 1)), probes], axis=-1))
@@ -401,23 +419,24 @@ def _pad(seqs, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _walk(norm: StarNorm, blocks: np.ndarray) -> np.ndarray:
     """Iterated values (B, k) of B padded block sequences (B, k, n).
 
-    Step j evaluates N once on a (B, n + 1) buffer whose first column
-    holds each row's v_{j-1} (0 at the first step) and whose other columns
-    hold block j.  N acts point by point, so a row's values are the bits
-    of its own walk, and a zero block repeats the value before it exactly
-    (N(v, 0) = v).  A value past the double range raises NumericSignal.
+    Step j computes v_j = N(v_{j-1}, b_j) for every row at once (v_0 = 0),
+    the expression of StarNorm.evaluate without its input checks.  N acts
+    point by point, so a row's values are the bits of its own walk, and a
+    zero block repeats the value before it exactly (N(v, 0) = v).  A value
+    past the double range raises NumericSignal.
     """
     B, k, dim = blocks.shape
     if dim != norm.dim:
         raise ValueError("block dimension does not match the norm")
     values = np.empty((B, k))
-    pt = np.zeros((B, dim + 1))
-    # an overflow inside N can end finite (base(x / x0) = inf takes the
-    # gauge branch); a value that is not finite raises below
+    v = np.zeros(B)
+    # x / 0 at the first step and an overflow of base(x / v) take the
+    # finite outside branch; a value that is not finite raises below
     with np.errstate(all="ignore"):
         for j in range(k):
-            pt[:, 1:] = blocks[:, j]
-            values[:, j] = pt[:, 0] = norm.evaluate(pt)
+            x = blocks[:, j]
+            values[:, j] = v = v + _scaled_extension(norm.g, v, x,
+                                                     x / v[:, None])
     bad = ~np.isfinite(values)
     if bad.any():
         step = int(bad.any(axis=0).argmax())

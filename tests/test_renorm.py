@@ -408,6 +408,64 @@ def test_star_norm_square_anchors(t2_pipe):
                                                 rel=1e-12)
 
 
+def _norm_points(dim, n, key):
+    """Seeded points of R^(n+1) over twelve decades, the first quarter
+    with x0 = 0 and one of those at the origin."""
+    pts = sampling.signed_log_uniform(sampling.rng(key, dim), (n, dim + 1),
+                                      1e-6, 1e6)
+    pts[:n // 4, 0] = 0.0
+    pts[0] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_star_norm_matches_the_masked_form(pipe, request):
+    norm = request.getfixturevalue(pipe).norm
+    pts = _norm_points(norm.dim, 2000, 43)
+    got = norm.evaluate(pts)
+    ref = np.array([reference_value(norm, p[0], p[1:]) for p in pts])
+    assert got[0] == ref[0] == 0.0
+    assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_star_norm_is_pointwise_whatever_the_shape(pipe, request):
+    norm = request.getfixturevalue(pipe).norm
+    pts = _norm_points(norm.dim, 24, 44)
+    rng = sampling.rng(45)
+    pts = pts[rng.permutation(len(pts))]     # x0 = 0 rows among the others
+    each = np.array([norm.value(p[0], p[1:]) for p in pts])
+    assert np.array_equal(_bits(norm.evaluate(pts)), _bits(each))
+    grid = norm.evaluate(pts.reshape(2, 3, 4, norm.dim + 1))
+    assert grid.shape == (2, 3, 4)
+    assert np.array_equal(_bits(grid.reshape(-1)), _bits(each))
+    for p, want in zip(pts, each):            # one 1-D point
+        assert np.array_equal(_bits(norm.evaluate(p)), _bits(want))
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "r2_pipe"])
+def test_star_norm_gauges_only_outside(pipe, request, monkeypatch):
+    norm = request.getfixturevalue(pipe).norm
+    g = norm.g
+    seen = []
+    real = GaugeSpec.gauge
+
+    def recorded(self, pts):
+        seen.append(np.array(pts))
+        return real(self, pts)
+
+    pts = _norm_points(norm.dim, 3000, 46)
+    x = pts[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outside = ~(g.base.evaluate(x / np.abs(pts[:, :1])) <= g.alpha)
+    monkeypatch.setattr(GaugeSpec, "gauge", recorded)
+    norm.evaluate(pts)
+    gauged = np.concatenate(seen)
+    # every x0 = 0 point is outside, and some others are inside
+    assert outside[:750].all() and 750 < outside.sum() < len(pts)
+    assert np.array_equal(gauged, x[outside])
+
+
 def test_star_norm_report(t2_pipe):
     rep = t2_pipe.report()
     assert set(rep) == {"alpha", "M", "decreasing_ok", "decreasing_max_step",
@@ -616,8 +674,9 @@ def test_prefix_substitution_walks_each_sequence_once(t2_pipe, monkeypatch):
 
 
 def reference_value(norm, x0, block):
-    """N(x0, block) at one point, both branches behind masks: the scalar
-    step that the batched walk replaced."""
+    """N(x0, block) at one point in the masked form that the scaled
+    extension replaced: |x0| (1 + phitilde(x / |x0|)), and M gauge(x) at
+    x0 = 0 behind its own mask."""
     pts = np.concatenate([[float(x0)], np.asarray(block, float)])[None, :]
     x0 = pts[..., 0]
     x = pts[..., 1:]
@@ -626,19 +685,29 @@ def reference_value(norm, x0, block):
     zero = ax0 == 0.0
     if np.any(~zero):
         scaled = x[~zero] / ax0[~zero][..., None]
-        out[~zero] = ax0[~zero] * (1.0 + norm.young.evaluate(scaled))
+        with np.errstate(over="ignore"):  # base(1e290) overflows into the
+            out[~zero] = ax0[~zero] * (   # gauge branch
+                1.0 + norm.young.evaluate(scaled))
     if np.any(zero):
         out[zero] = norm.g.M * norm.g.gauge(x[zero])
     return float(out[0])
 
 
 def reference_walk(norm, blocks):
-    """The scalar loop: one reference_value per block."""
+    """The masked form's scalar loop: one reference_value per block."""
     values, prev = [], 0.0
-    with np.errstate(over="ignore"):   # base(1e290) overflows into the gauge
-        for row in blocks:
-            prev = reference_value(norm, prev, row)
-            values.append(prev)
+    for row in blocks:
+        prev = reference_value(norm, prev, row)
+        values.append(prev)
+    return values
+
+
+def scalar_walk(norm, blocks):
+    """The scalar loop: one StarNorm.value per block."""
+    values, prev = [], 0.0
+    for row in blocks:
+        prev = norm.value(prev, row)
+        values.append(prev)
     return values
 
 
@@ -664,30 +733,40 @@ def _oracle_sequences(dim):
     return seqs
 
 
+WALK_RTOL = 4e-15   # walks against the masked form; 1.9e-15 measured
+
+
 @pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
 def test_walk_is_bitwise_the_scalar_loop(pipe, request):
     norm = request.getfixturevalue(pipe).norm
     seqs = _oracle_sequences(norm.dim)
-    refs = [reference_walk(norm, s) for s in seqs]
-    for s, ref in zip(seqs, refs):            # B = 1
+    walks = [scalar_walk(norm, s) for s in seqs]
+    for s, walk in zip(seqs, walks):          # B = 1
         got = star_iterate(norm, BlockSeq(norm.dim, s))
-        assert np.array_equal(_bits(got), _bits(ref))
-        if ref:
-            assert lambda_norm(norm, BlockSeq(norm.dim, s)) == max(ref)
+        assert np.array_equal(_bits(got), _bits(walk))
+        if walk:
+            assert lambda_norm(norm, BlockSeq(norm.dim, s)) == max(walk)
+        # the masked form: per step from the same v_{j-1}, and whole walks
+        prev = [0.0] + walk[:-1]
+        ref = np.array([reference_value(norm, v, row)
+                        for v, row in zip(prev, s)])
+        assert np.all(np.abs(np.array(walk) - ref) <= 1e-15 * ref)
+        ref = np.array(reference_walk(norm, s))
+        assert np.all(np.abs(np.array(walk) - ref) <= WALK_RTOL * ref)
     # one batch: rows with x0 = 0 at a step sit between rows without, and
     # every shorter row walks on through its zero padding
     blocks, lengths = renorm._pad(seqs, norm.dim)
     values = renorm._walk(norm, blocks)
-    for row, n, ref in zip(values, lengths, refs):
-        assert np.array_equal(_bits(row[:n]), _bits(ref))
-        assert np.array_equal(_bits(row[n:]), _bits([ref[-1] if ref else 0.0]
+    for row, n, walk in zip(values, lengths, walks):
+        assert np.array_equal(_bits(row[:n]), _bits(walk))
+        assert np.array_equal(_bits(row[n:]), _bits([walk[-1] if walk
+                                                     else 0.0]
                                                     * (len(row) - n)))
 
 
 @pytest.mark.parametrize("pipe, blocks", [
     ("t2_pipe", [[1e308], [1e308]]),    # v_2 = N(1.41e308, 1e308) overflows
-    ("t4_pipe", [[1e-200], [1e200]]),   # x / x0 = 7e399 overflows, though
-])                                      # the true v_2 is finite
+])
 def test_walk_past_the_double_range_raises(pipe, blocks, request):
     norm = request.getfixturevalue(pipe).norm
     with warnings.catch_warnings():
@@ -699,6 +778,32 @@ def test_walk_past_the_double_range_raises(pipe, blocks, request):
         with pytest.raises(NumericSignal,
                            match=r"from block 1 on, in rows \[1, 3\] of 4"):
             renorm._walk(norm, batch)
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_walk_stays_finite_where_the_ratio_overflows(pipe, request,
+                                                     monkeypatch):
+    # v_2 = N(v_1, 1e200 e1) with v_1 near 1e-200: x / x0 overflows to inf,
+    # which takes the outside branch, so v_2 = M gauge(e1) 1e200 + O(v_1)
+    norm = request.getfixturevalue(pipe).norm
+    g = norm.g
+    blocks = np.zeros((2, norm.dim))
+    blocks[:, 0] = 1e-200, 1e200
+    want = g.M * g.unit_scale * 1e200
+    wide = sampling.signed_log_uniform
+    monkeypatch.setattr(sampling, "signed_log_uniform",
+                        lambda rng, shape, lo, hi: wide(rng, shape, 1e-200,
+                                                        1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lambda_norm(norm, BlockSeq(norm.dim, blocks)) == pytest.approx(
+            want, rel=1e-15)
+        batch = np.stack([blocks, blocks[::-1]])
+        assert np.all(renorm._walk(norm, batch)[:, 1] == pytest.approx(
+            want, rel=1e-15))
+        assert math.isfinite(norm.value(1e-200, blocks[1]))
+        # sums of pairs spanning 1e-200 .. 1e200 in every coordinate
+        assert triangle_violation(norm, 2000, 5) <= 1e-10
 
 
 @pytest.mark.parametrize("pipe", ["t4_pipe", "r2_pipe"])
@@ -876,19 +981,19 @@ PIPELINE_REPORTS = {   # frozen at the default seed 1234
     "t2-pipeline": {
         "M": 1.0000000000349558, "N_unit": 1.0, "alpha": 0.5,
         "decreasing_max_step": -9.915306436709281e-09, "decreasing_ok": True,
-        "limit_gap": 2.924562555283025e-07,
+        "limit_gap": 2.924562553253702e-07,
         "monotone_max_violation": -7.619331369515921e-09, "seed": 1234,
     },
     "t4-pipeline": {
         "M": 1.0000000000251428, "N_unit": 1.0, "alpha": 0.25,
         "decreasing_max_step": -4.957654276388231e-09, "decreasing_ok": True,
-        "limit_gap": 1.4622812786705237e-07,
+        "limit_gap": 1.4622812766412006e-07,
         "monotone_max_violation": -3.809705906174871e-09, "seed": 1234,
     },
     "r2-pipeline": {
         "M": 1.0000000000860216, "N_unit": 1.0, "alpha": 0.5,
         "decreasing_max_step": -9.915306436202947e-09, "decreasing_ok": True,
-        "limit_gap": 9.102751067241207e-08,
+        "limit_gap": 9.102751054608603e-08,
         "monotone_max_violation": -5.564150187551304e-09, "seed": 1234,
     },
 }

@@ -66,14 +66,26 @@ MUTANTS = {
         "youngmap", "x /= (ax[1:] - ax[:-1]).take(j)",
         "x *= (1.0 / (ax[1:] - ax[:-1])).take(j)",
         [f"{YM}::test_grid_evaluate_is_bitwise_the_two_pass_form"]),
+    # the scaled extension behind phitilde and N
+    "outside-test-drops-nan": (
+        "renorm", "idx = np.flatnonzero(~(inner <= g.alpha))",
+        "idx = np.flatnonzero(inner > g.alpha)",
+        [f"{RN}::test_walk_is_bitwise_the_scalar_loop"]),
+    "outside-term-regrouped": (
+        "renorm", "out[idx] = s_out * g.alpha + g.M * (gauge - s_out)",
+        "out[idx] = s_out * (g.alpha - g.M) + g.M * gauge",
+        [f"{RN}::test_phitilde_matches_gauge_branching"]),
+    "outside-take-off-by-one": (
+        "renorm", ".take(idx, axis=0)", ".take(idx - 1, axis=0)",
+        [f"{RN}::test_phitilde_matches_gauge_branching",
+         f"{RN}::test_star_norm_gauges_only_outside"]),
     # the batched walk and the certificates around it
     "walk-value-not-carried": (
-        "renorm", "values[:, j] = pt[:, 0] = norm.evaluate(pt)",
-        "values[:, j] = norm.evaluate(pt)",
+        "renorm", "values[:, j] = v = v + _scaled_extension(",
+        "values[:, j] = v + _scaled_extension(",
         [f"{RN}::test_walk_is_bitwise_the_scalar_loop"]),
-    "walk-step-sums-apart": (
-        "renorm", "ax0 * (1.0 + self.young.evaluate(x / ax0[..., None]))",
-        "ax0 + ax0 * self.young.evaluate(x / ax0[..., None])",
+    "walk-step-by-reciprocal": (
+        "renorm", "x / v[:, None])", "x * (1.0 / v[:, None]))",
         [f"{RN}::test_walk_is_bitwise_the_scalar_loop"]),
     "prefix-mask-le": (
         "renorm", "lam = pick(cols < n)", "lam = pick(cols <= n)",

@@ -758,10 +758,9 @@ def test_walk_is_bitwise_the_scalar_loop(pipe, request):
     blocks, lengths = renorm._pad(seqs, norm.dim)
     values = renorm._walk(norm, blocks)
     for row, n, walk in zip(values, lengths, walks):
+        last = walk[-1] if walk else 0.0
         assert np.array_equal(_bits(row[:n]), _bits(walk))
-        assert np.array_equal(_bits(row[n:]), _bits([walk[-1] if walk
-                                                     else 0.0]
-                                                    * (len(row) - n)))
+        assert np.array_equal(_bits(row[n:]), _bits([last] * (len(row) - n)))
 
 
 @pytest.mark.parametrize("pipe, blocks", [

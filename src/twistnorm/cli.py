@@ -281,8 +281,8 @@ def cmd_renorm(args) -> int:
             "command": "renorm build", "pipeline": args.pipeline,
             "alpha": pipe.g.alpha, "M": pipe.g.M,
             "triangle_max_violation": worst,
-            "decreasing_ok": bool(pipe.report().get("decreasing_ok", False)),
-            "N_unit": pipe.report().get("N_unit"),
+            "decreasing_ok": pipe.report()["decreasing_ok"],
+            "N_unit": pipe.report()["N_unit"],
             **_provenance(args),
         }
         print(f"renorm build {args.pipeline}: alpha={pipe.g.alpha:g} "

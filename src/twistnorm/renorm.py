@@ -13,7 +13,8 @@ pipeline
      R^(n+1) as |x0| plus the perspective |x0| phitilde(x / |x0|) of the
      extension; where x / |x0| lies outside the unit gauge ball that is
      |x0| alpha + M (|x|_a - |x0|), which divides nothing and at x0 = 0
-     is the limit M |x|_a;
+     is the limit M |x|_a.  The GaugeSpec g is the whole construction:
+     build_star_norm(g) certifies N and its phitilde, build_phitilde(g);
   4. iterates N over block sequences by threading each running value
      through the first coordinate, takes the max as the Lambda norm,
      and certifies the two finite-support invariants behind the
@@ -234,14 +235,16 @@ class StarNorm:
     """N(x0, x) = |x0| + |x0| phitilde(x / |x0|), by _scaled_extension of
     g; M |x|_a at x0 = 0.
 
-    young is the certified extension, build_phitilde(g); N computes the
-    same extension from g.
+    g is the whole construction: phitilde is build_phitilde(g), the map
+    that build_star_norm certifies.  report holds its certificates.
     """
 
-    dim: int                         # block dimension n; N lives on R^(n+1)
-    young: YoungMap = field(repr=False)
     g: GaugeSpec = field(repr=False)
     report: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:            # block dimension n; N lives on R^(n+1)
+        return self.g.base.dim
 
     def evaluate(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -254,28 +257,26 @@ class StarNorm:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return ax0 + _scaled_extension(self.g, ax0, x, x / ax0[..., None])
 
-    def __call__(self, pts):
-        return self.evaluate(pts)
-
     def value(self, x0: float, block) -> float:
         pt = np.concatenate([[float(x0)],
                              np.asarray(block, dtype=float).reshape(-1)])
         return float(self.evaluate(pt[None, :])[0])
 
 
-def build_star_norm(phitilde: YoungMap, g: GaugeSpec,
-                    rng_seed: int = 1234) -> StarNorm:
-    """Certify the construction, then return the norm.
+def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
+    """Certify the construction g, then return its norm.
 
-    Checks: (a) t -> (1 + phitilde(t x)) / t nonincreasing along 1000
-    seeded rays on a 1000-point 1e-6..1e6 log grid, 1e-10 relative per
-    step; (b) first-coordinate monotonicity on 100 000 seeded tuples,
-    1e-12 relative; (c) N(1, 0) = 1 exactly; (d) N is continuous as
-    x0 -> 0: N(0, x) = M |x|_a matches N(1e-8, x) to 1e-6 relative.  Any
-    failure raises NumericSignal.
+    Checks, on N and on phitilde = build_phitilde(g) (the extension N
+    evaluates, seam guard included): (a) t -> (1 + phitilde(t x)) / t
+    nonincreasing along 1000 seeded rays on a 1000-point 1e-6..1e6 log
+    grid, 1e-10 relative per step; (b) first-coordinate monotonicity on
+    100 000 seeded tuples, 1e-12 relative; (c) N(1, 0) = 1 exactly; (d) N
+    is continuous as x0 -> 0: N(0, x) = M |x|_a matches N(1e-8, x) to
+    1e-6 relative.  Any failure raises NumericSignal.
     """
+    phitilde = build_phitilde(g)
     rng = sampling.rng(rng_seed)
-    dim = phitilde.dim
+    dim = g.base.dim
 
     # (a) the decreasing bullet
     rays = sampling.signed_log_uniform(rng, (1000, dim), 1e-2, 1e2)
@@ -290,8 +291,9 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec,
         raise NumericSignal(
             f"(1 + ext(t x)) / t increased by {decreasing_max:.2e} relative "
             "along a sampled ray; the extension is not certified")
+    del pts, vals, steps, rel     # freed before (b) evaluates N
 
-    norm = StarNorm(dim=dim, young=phitilde, g=g)
+    norm = StarNorm(g=g)
 
     # (b) monotone in the first coordinate
     blocks = sampling.signed_log_uniform(rng, (100_000, dim), 1e-2, 1e2)
@@ -332,7 +334,7 @@ def build_star_norm(phitilde: YoungMap, g: GaugeSpec,
         "limit_gap": limit_gap,
         "seed": rng_seed,
     }
-    return StarNorm(dim=dim, young=phitilde, g=g, report=report)
+    return StarNorm(g=g, report=report)
 
 
 def triangle_violation(norm: StarNorm, trials: int, rng_seed: int) -> float:
@@ -663,7 +665,6 @@ def match_lambda_norm(norm: StarNorm, xi: BlockSeq,
 @dataclass(frozen=True)
 class RenormPipeline:
     name: str
-    base: YoungMap = field(repr=False)
     g: GaugeSpec = field(repr=False)
     phitilde: YoungMap = field(repr=False)
     norm: StarNorm = field(repr=False)
@@ -685,9 +686,7 @@ def build_pipeline(name: str, rng_seed: int = 1234) -> RenormPipeline:
     if name not in _PIPELINE_BASES:
         raise ValueError(f"unknown pipeline {name!r}; "
                          f"expected one of {sorted(_PIPELINE_BASES)}")
-    base = _PIPELINE_BASES[name]()
-    g = select_alpha(base)
-    phitilde = build_phitilde(g)
-    norm = build_star_norm(phitilde, g, rng_seed=rng_seed)
-    return RenormPipeline(name=name, base=base, g=g, phitilde=phitilde,
+    g = select_alpha(_PIPELINE_BASES[name]())
+    norm = build_star_norm(g, rng_seed=rng_seed)
+    return RenormPipeline(name=name, g=g, phitilde=build_phitilde(g),
                           norm=norm)

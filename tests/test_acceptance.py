@@ -141,7 +141,7 @@ def test_criterion_06_renorm_closed_forms():
     with Clock() as c:
         g = select_alpha(radial_power(1, 2.0))
         phitilde = build_phitilde(g)
-        norm = StarNorm(dim=1, young=phitilde, g=g)
+        norm = StarNorm(g=g)
         pt1 = float(phitilde.evaluate(np.array([[1.0]]))[0])
         n11 = norm.value(1.0, [1.0])
         n01 = norm.value(0.0, [1.0])

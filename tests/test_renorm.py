@@ -500,14 +500,32 @@ def test_triangle_violation_needs_trials(trials, t2_pipe):
 
 
 def test_star_norm_certificate_failure():
-    # a non-convex extension cannot pass the decreasing-bullet certificate
-    base = radial_power(1, 2.0)
-    g = GaugeSpec(base=base, alpha=0.5, M=1.0, unit_scale=SQRT2)
-    wobble = YoungMap(dim=1, fn=lambda p: p[..., 0] ** 2 *
-                      (1.0 + 0.2 * np.sin(5.0 * p[..., 0])),
-                      radially_monotone=True, convex=False)
-    with pytest.raises(NumericSignal):
-        build_star_norm(wobble, g)
+    # with M = 2 > 1 + alpha, (1 + phitilde(t x)) / t is
+    # (1 + alpha - M) / t + M gauge(x) outside the unit gauge ball, which
+    # rises along rays: check (a) refuses the extension of g itself
+    g = GaugeSpec(base=radial_power(1, 2.0), alpha=0.5, M=2.0,
+                  unit_scale=SQRT2)
+    with pytest.raises(NumericSignal, match=r"^\(1 \+ ext\(t x\)\) / t "
+                       r"increased by .* along a sampled ray; the extension "
+                       r"is not certified$"):
+        build_star_norm(g)
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
+def test_n_evaluates_the_certified_extension(pipe, request):
+    # the phitilde a pipeline hands to the suff check, build_phitilde(g),
+    # is the extension N computes: N(1, x) is 1 + phitilde(x) bitwise
+    # inside the unit gauge ball, on its sphere and outside it
+    built = request.getfixturevalue(pipe)
+    g = built.norm.g
+    sphere = renorm._unit_gauge_sphere(g, 64)
+    x = np.concatenate([sphere * s for s in (0.0, 0.25, 0.5, 1.0 - 1e-12,
+                                             1.0, 1.0 + 1e-12, 2.0, 1e3)])
+    inside = g.base.evaluate(x) <= g.alpha
+    assert inside.any() and not inside.all()
+    got = built.norm.evaluate(np.concatenate([np.ones((len(x), 1)), x], -1))
+    want = 1.0 + built.phitilde.evaluate(x)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 # -- exact binary-scale equivariance ------------------------------------------------
@@ -687,7 +705,7 @@ def reference_value(norm, x0, block):
         scaled = x[~zero] / ax0[~zero][..., None]
         with np.errstate(over="ignore"):  # base(1e290) overflows into the
             out[~zero] = ax0[~zero] * (   # gauge branch
-                1.0 + norm.young.evaluate(scaled))
+                1.0 + build_phitilde(norm.g).evaluate(scaled))
     if np.any(zero):
         out[zero] = norm.g.M * norm.g.gauge(x[zero])
     return float(out[0])

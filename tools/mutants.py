@@ -79,6 +79,20 @@ MUTANTS = {
         "renorm", ".take(idx, axis=0)", ".take(idx - 1, axis=0)",
         [f"{RN}::test_phitilde_matches_gauge_branching",
          f"{RN}::test_star_norm_gauges_only_outside"]),
+    # the certificate runs on the extension N evaluates, built from g
+    "certify-the-base": (
+        "renorm", "vals = (1.0 + phitilde.evaluate(pts)) / t[None, :]",
+        "vals = (1.0 + g.base.evaluate(pts)) / t[None, :]",
+        [f"{RN}::test_pipeline_reports_are_pinned"]),
+    "certify-another-extension": (
+        "renorm", "phitilde = build_phitilde(g)\n",
+        "phitilde = build_phitilde(GaugeSpec(g.base, g.alpha, 1.0, "
+        "g.unit_scale))\n",
+        [f"{RN}::test_star_norm_certificate_failure",
+         f"{RN}::test_pipeline_reports_are_pinned"]),
+    "pipeline-hands-the-base": (
+        "renorm", "phitilde=build_phitilde(g),", "phitilde=g.base,",
+        [f"{RN}::test_n_evaluates_the_certified_extension"]),
     # the batched walk and the certificates around it
     "walk-value-not-carried": (
         "renorm", "values[:, j] = v = v + _scaled_extension(",

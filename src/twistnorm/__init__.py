@@ -2,8 +2,8 @@
 
 Layers, bottom up:
 
-- ``sampling``  — keyed seeded random streams, fixed-size chunks, and the
-  sampling laws behind every randomized certificate;
+- ``sampling``  — one keyed seeded stream per purpose, read by rows, and
+  the sampling laws behind every randomized certificate;
 - ``seqspace``  — finitely supported sequences and Luxemburg norms of any
   map with ``dim``, ``evaluate`` and ``radially_monotone``; it imports
   only ``errors``;

@@ -86,20 +86,14 @@ def _space_preset(args):
                        with_envelope=False)
 
 
-def _random_blocks(rng: np.random.Generator, dim: int) -> np.ndarray:
-    k = int(rng.integers(1, 5))    # 1 to 4 blocks
-    return sampling.signed_log_uniform(rng, (k, dim), 1e-2, 10.0)
-
-
-TRIAL_BATCH = 4096   # trials walked together by certify suff and property-m
-
-
-def _trial_batches(trials: int):
-    """The trial indices in batches of at most TRIAL_BATCH, so memory
-    stays bounded whatever --trials is.  Each trial draws from its own
-    stream, so the batching moves no result."""
-    for start in range(0, trials, TRIAL_BATCH):
-        yield range(start, min(start + TRIAL_BATCH, trials))
+def _random_blocks(u: np.ndarray, dim: int) -> list:
+    """1 + floor(4 u0) blocks per row of u, from 4 dim magnitudes in
+    [1e-2, 10] and 4 dim signs.  Trial i of certify suff (then its target,
+    the last uniform or 1/2 for 0) or property-m (u, v, tail) is row i."""
+    blocks = sampling.signed_log_uniform(
+        u[:, 1:1 + 4 * dim], u[:, 1 + 4 * dim:1 + 8 * dim], 1e-2, 10.0)
+    counts = 1 + (4 * u[:, 0]).astype(int)
+    return [b[:k] for b, k in zip(blocks.reshape(-1, 4, dim), counts)]
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +168,8 @@ def _certify_equivalence(args) -> tuple[bool, dict]:
     space = space.with_box(args.box)
     rep = equivalence_certificate(space, args.trials, args.dim_max, args.seed)
     side = max(1, args.trials // 4)
-    ql = quasi_linearity_constant(space, side, args.dim_max, args.seed + 1)
-    qt = quasi_triangle_constant(space, side, args.dim_max, args.seed + 2)
+    ql = quasi_linearity_constant(space, side, args.dim_max, args.seed)
+    qt = quasi_triangle_constant(space, side, args.dim_max, args.seed)
     ok = bool(rep["stable"] and rep["ratio_min"] > 0
               and math.isfinite(rep["ratio_max"]))
     return ok, {
@@ -214,15 +208,15 @@ def _certify_triangle(args) -> tuple[bool, dict]:
 
 def _certify_suff(args) -> tuple[bool, dict]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
+    d = pipe.norm.dim
     worst = math.inf
     checked = 0
-    for batch in _trial_batches(args.trials):
-        seqs, targets = [], []
-        for k in batch:
-            rng = sampling.rng(args.seed, k)
-            seqs.append(_random_blocks(rng, pipe.norm.dim))
-            targets.append(float(rng.random()) or 0.5)
-        margins = suff_margins(pipe.norm, pipe.phitilde, seqs, targets)
+    for start in range(0, args.trials, sampling.CHUNK):
+        u = sampling.uniforms(args.seed, sampling.SUFF, start,
+                              min(sampling.CHUNK, args.trials - start),
+                              2 + 8 * d)
+        margins = suff_margins(pipe.norm, pipe.phitilde, _random_blocks(u, d),
+                               np.where(u[:, -1] > 0.0, u[:, -1], 0.5))
         worst = min(worst, float(margins.min(initial=math.inf)))
         checked += margins.size
     ok = bool(worst >= -1e-9)
@@ -234,14 +228,14 @@ def _certify_suff(args) -> tuple[bool, dict]:
 
 def _certify_property_m(args) -> tuple[bool, dict]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
+    d = pipe.norm.dim
     worst = 0.0
-    for batch in _trial_batches(args.trials):
-        us, vs, tails = [], [], []
-        for k in batch:
-            rng = sampling.rng(args.seed, 10_000_019 + k)
-            for seqs in (us, vs, tails):
-                seqs.append(_random_blocks(rng, pipe.norm.dim))
-        diffs, reason = substitution_differences(pipe.norm, us, vs, tails)
+    for start in range(0, args.trials, sampling.CHUNK):
+        u = sampling.uniforms(args.seed, sampling.PROPERTY_M, start,
+                              min(sampling.CHUNK, args.trials - start),
+                              3 * (1 + 8 * d))
+        diffs, reason = substitution_differences(
+            pipe.norm, *(_random_blocks(w, d) for w in np.split(u, 3, axis=1)))
         if reason:
             raise NumericSignal(
                 f"constructed triple failed its precondition: {reason}")

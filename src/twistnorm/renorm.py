@@ -217,9 +217,11 @@ def _scaled_extension(g: GaugeSpec, s: float | np.ndarray, x: np.ndarray,
 def build_phitilde(g: GaugeSpec) -> YoungMap:
     """base on {base <= alpha}, the unit gauge ball; alpha + M(gauge - 1)
     outside it, where alone the gauge is computed (_scaled_extension at
-    s = 1)."""
-    made = YoungMap(dim=g.base.dim,
-                    fn=lambda pts: _scaled_extension(g, 1.0, pts, pts),
+    s = 1).  A base that overflows is outside; as in N, that is silent."""
+    def ext(pts):
+        with np.errstate(over="ignore"):
+            return _scaled_extension(g, 1.0, pts, pts)
+    made = YoungMap(dim=g.base.dim, fn=ext,
                     radially_monotone=True, convex=True,
                     label=f"extension of {g.base.label} at alpha={g.alpha:g}")
     # continuity across the seam: on the unit gauge sphere base == alpha
@@ -279,7 +281,7 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
     dim = g.base.dim
 
     # (a) the decreasing bullet
-    rays = sampling.signed_log_uniform(rng, (1000, dim), 1e-2, 1e2)
+    rays = sampling.signed_log_uniform(*rng.random((2, 1000, dim)), 1e-2, 1e2)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     t = np.geomspace(1e-6, 1e6, 1000)
     pts = rays[:, None, :] * t[None, :, None]
@@ -296,7 +298,8 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
     norm = StarNorm(g=g)
 
     # (b) monotone in the first coordinate
-    blocks = sampling.signed_log_uniform(rng, (100_000, dim), 1e-2, 1e2)
+    blocks = sampling.signed_log_uniform(*rng.random((2, 100_000, dim)),
+                                         1e-2, 1e2)
     a = 10.0 ** (-3.0 + 6.0 * rng.random(100_000))
     b = a * (1.0 + rng.random(100_000))
     na = norm.evaluate(np.concatenate([a[:, None], blocks], axis=-1))
@@ -312,7 +315,7 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
         raise NumericSignal(f"N(1, 0) = {unit!r}, expected exactly 1")
 
     # (d) x0 = 0 against its limit
-    probes = sampling.signed_log_uniform(rng, (64, dim), 1e-2, 1e2)
+    probes = sampling.signed_log_uniform(*rng.random((2, 64, dim)), 1e-2, 1e2)
     closed = norm.evaluate(np.concatenate(
         [np.zeros((64, 1)), probes], axis=-1))
     eps = 1e-8
@@ -340,15 +343,17 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
 def triangle_violation(norm: StarNorm, trials: int, rng_seed: int) -> float:
     """Max relative triangle violation of N over seeded random pairs.
 
-    Chunk i of the trials draws from the stream keyed ``77 + i``.
-    """
+    Pair i is row i of the ``(rng_seed, TRIANGLE)`` stream: the magnitudes
+    of p and q, log-uniform in [1e-2, 1e2], then their signs."""
     if trials < 1:
         raise ValueError("trials must be positive")
     worst = 0.0
-    for rng, n in sampling.chunks(rng_seed, trials, 77):
-        shape = (n, norm.dim + 1)
-        p = sampling.signed_log_uniform(rng, shape, 1e-2, 1e2)
-        q = sampling.signed_log_uniform(rng, shape, 1e-2, 1e2)
+    w = norm.dim + 1
+    for start in range(0, trials, sampling.CHUNK):
+        u = sampling.uniforms(rng_seed, sampling.TRIANGLE, start,
+                              min(sampling.CHUNK, trials - start), 4 * w)
+        pq = sampling.signed_log_uniform(u[:, :2 * w], u[:, 2 * w:], 1e-2, 1e2)
+        p, q = pq[:, :w], pq[:, w:]
         lhs = norm.evaluate(p + q)
         rhs = norm.evaluate(p) + norm.evaluate(q)
         worst = max(worst, float(((lhs - rhs) / rhs).max()))

@@ -1,10 +1,10 @@
-"""Seeded sampling: keyed PCG64 streams, fixed-size chunks, and the laws.
+"""Seeded sampling: one keyed stream per purpose, read by rows, and the laws.
 
 Every random draw in twistnorm comes from ``rng(seed, *keys)``, a PCG64
-generator over ``SeedSequence([seed, *keys])``.  A long sample is cut
-into chunks of at most ``CHUNK`` draws, and chunk ``i`` draws from its own
-stream ``rng(seed, offset + i)``.  A result therefore depends on the seed,
-the offset and ``CHUNK``, but not on the order in which chunks run.
+generator over ``SeedSequence([seed, *keys])``.  Row i of a sample, W
+uniforms wide, is the words ``[i·W, (i+1)·W)`` of its ``(seed, purpose)``
+stream whichever slice of at most ``CHUNK`` rows draws it, so no sample
+depends on ``CHUNK``.  Purpose keys start at 1: key 0 is ``rng(seed)``.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ import math
 
 import numpy as np
 
-__all__ = ["CHUNK", "rng", "chunks", "signed_log_uniform", "random_rows"]
+__all__ = ["CHUNK", "rng", "uniforms", "row_width", "signed_log_uniform",
+           "random_rows"]
 
-CHUNK = 65536
+CHUNK = 65536      # rows per slice, a memory bound
+(TRIANGLE, QUASI_LINEAR, QUASI_TRIANGLE, EQUIVALENCE, QUASICONVEX, SUFF,
+ PROPERTY_M) = range(1, 8)
 
 
 def rng(seed: int, *keys: int) -> np.random.Generator:
@@ -24,34 +27,37 @@ def rng(seed: int, *keys: int) -> np.random.Generator:
         np.random.SeedSequence([int(seed), *(int(k) for k in keys)])))
 
 
-def chunks(seed: int, total: int, offset: int = 0):
-    """Yield ``(rng(seed, offset + i), n)`` for chunks of n <= CHUNK draws."""
-    for i, start in enumerate(range(0, total, CHUNK)):
-        yield rng(seed, offset + i), min(CHUNK, total - start)
+def uniforms(seed: int, key: int, start: int, n: int,
+             width: int) -> np.ndarray:
+    """Rows ``start .. start + n`` of the ``(seed, key)`` stream, each row
+    ``width`` uniforms in [0, 1): one word of the stream per uniform."""
+    g = rng(seed, key)
+    g.bit_generator.advance(start * width)
+    return g.random((n, width))
 
 
-def signed_log_uniform(rng: np.random.Generator, shape, lo: float,
-                       hi: float) -> np.ndarray:
-    """Magnitudes log-uniform in [lo, hi] with uniform signs.
-
-    The magnitudes are drawn first, then the signs.
-    """
-    mag = 10.0 ** (math.log10(lo)
-                   + (math.log10(hi) - math.log10(lo)) * rng.random(shape))
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    return sign * mag
+def row_width(dim: int) -> int:
+    """The uniforms ``random_rows`` reads per row of dimension ``dim``."""
+    return 1 + dim + 2 * min(8, dim)
 
 
-def random_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """Dense rows with support of size <= 8 inside {1..dim}.
+def signed_log_uniform(u_mag, u_sign, lo: float, hi: float) -> np.ndarray:
+    """Magnitudes log-uniform in [lo, hi], negative where u_sign < 1/2."""
+    a, b = math.log10(lo), math.log10(hi)
+    return np.copysign(10.0 ** (a + (b - a) * u_mag), u_sign - 0.5)
 
-    Magnitudes are log-uniform in [1e-4, 1e2] with uniform signs.
-    """
+
+def random_rows(u: np.ndarray, dim: int) -> np.ndarray:
+    """Dense rows with support of size <= 8 inside {1..dim}, one per row of u.
+
+    A row reads ``row_width(dim)`` uniforms, k = min(8, dim): the size
+    1 + floor(k·u0), dim whose argsort orders the support, k magnitudes in
+    [1e-4, 1e2] and k signs."""
     k = min(8, dim)
-    out = np.zeros((n, dim))
-    sizes = rng.integers(1, k + 1, size=n)
-    cols = np.argsort(rng.random((n, dim)), axis=1)[:, :k]
-    mask = np.arange(k)[None, :] < sizes[:, None]
-    vals = np.where(mask, signed_log_uniform(rng, (n, k), 1e-4, 1e2), 0.0)
-    np.put_along_axis(out, cols, vals, axis=1)
+    out = np.zeros((u.shape[0], dim))
+    cols = np.argsort(u[:, 1:1 + dim], axis=1)[:, :k]
+    mask = np.arange(k) < 1 + (k * u[:, :1]).astype(int)    # the size
+    vals = signed_log_uniform(u[:, 1 + dim:1 + dim + k],
+                              u[:, 1 + dim + k:1 + dim + 2 * k], 1e-4, 1e2)
+    np.put_along_axis(out, cols, np.where(mask, vals, 0.0), axis=1)
     return out

@@ -239,15 +239,16 @@ class QuasiLinearityResult:
     seed: int
 
 
-def _sampled_sup(trials: int, dim_max: int, rng_seed: int, stride: int,
-                 draw) -> tuple:
+def _sampled_sup(trials: int, dim_max: int, rng_seed: int, key: int,
+                 count: int, draw) -> tuple:
     """Per-dimension sups of a sampled ratio num / den, with a witness.
 
     The trial budget is split evenly across those of 16, 64 and dim_max
-    that do not exceed dim_max; the dimension at position k draws its
-    chunks from the streams keyed ``k * stride + i``.  ``draw(rng, n, d)``
-    returns ``num``, ``den`` and a dict of the sampled rows; pairs with
-    ``den == 0`` are skipped.
+    that do not exceed dim_max.  Trial i of the k-th dimension d is row
+    ``k * share + i`` of the (rng_seed, key) stream: ``count`` random rows
+    of ``row_width(d)`` uniforms, wider as d ascends, so no word is shared.
+    ``draw(*rows)`` returns ``num``, ``den`` and a dict of the sampled
+    rows; pairs with ``den == 0`` are skipped; the first best pair wins.
     Returns ``(sup, per_dim, witness)``, the witness holding the dimension,
     the rows of the best pair and its ratio.
     """
@@ -260,8 +261,12 @@ def _sampled_sup(trials: int, dim_max: int, rng_seed: int, stride: int,
     witness = {}
     for d_pos, d in enumerate(dims):
         top = 0.0
-        for rng, n in sampling.chunks(rng_seed, share, d_pos * stride):
-            num, den, rows = draw(rng, n, d)
+        width = count * sampling.row_width(d)
+        for start in range(0, share, sampling.CHUNK):
+            u = sampling.uniforms(rng_seed, key, d_pos * share + start,
+                                  min(sampling.CHUNK, share - start), width)
+            num, den, rows = draw(*(sampling.random_rows(v, d)
+                                    for v in np.split(u, count, axis=1)))
             ok = np.flatnonzero(den > 0.0)
             if ok.size:
                 r = num[ok] / den[ok]
@@ -284,12 +289,10 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
 
     The trial budget is split across ambient dimensions (16, 64, dim_max
     capped at dim_max) so stability across dimension is visible in the
-    per-dimension table.  Each chunk solves ||x||, ||y|| and ||x + y|| as
+    per-dimension table.  Each slice solves ||x||, ||y|| and ||x + y|| as
     one batch of compacted rows, then the deviation.
     """
-    def draw(rng, n, d):
-        X = sampling.random_rows(rng, n, d)
-        Y = sampling.random_rows(rng, n, d)
+    def draw(X, Y):
         Xc, Yc = compact_rows(X, Y)
         S = Xc + Yc
         norms = luxemburg_norm_batch(space.f,
@@ -301,8 +304,8 @@ def quasi_linearity_constant(space: TwistedSpace, trials: int, dim_max: int,
         num = luxemburg_norm_batch(space.f, dev[..., None])
         return num, nx + ny, {"x": X, "y": Y}
 
-    best, per_dim, witness = _sampled_sup(trials, dim_max, rng_seed,
-                                          1_000_003, draw)
+    best, per_dim, witness = _sampled_sup(
+        trials, dim_max, rng_seed, sampling.QUASI_LINEAR, 2, draw)
     return QuasiLinearityResult(c_hat=best, witness=witness, per_dim=per_dim,
                                 trials=trials, seed=rng_seed)
 
@@ -311,19 +314,18 @@ def quasi_triangle_constant(space: TwistedSpace, trials: int, dim_max: int,
                             rng_seed: int) -> dict:
     """Empirical sup of ||p+q|| / (||p|| + ||q||) for the quasi-norm.
 
-    Each chunk solves p + q, p and q as one twisted_norm_batch of
+    Each slice solves p + q, p and q as one twisted_norm_batch of
     compacted rows.
     """
-    def draw(rng, n, d):
-        X1, Y1, X2, Y2 = compact_rows(
-            *(sampling.random_rows(rng, n, d) for _ in range(4)))
+    def draw(*rows):
+        X1, Y1, X2, Y2 = compact_rows(*rows)
         norms = twisted_norm_batch(space, np.concatenate([X1 + X2, X1, X2]),
                                    np.concatenate([Y1 + Y2, Y1, Y2]))
         num, n1, n2 = np.split(norms, 3)
         return num, n1 + n2, {}
 
-    best, per_dim, _ = _sampled_sup(trials, dim_max, rng_seed, 2_000_003,
-                                    draw)
+    best, per_dim, _ = _sampled_sup(trials, dim_max, rng_seed,
+                                    sampling.QUASI_TRIANGLE, 4, draw)
     return {"Q_hat": best, "per_dim": per_dim, "trials": trials,
             "seed": rng_seed}
 
@@ -335,12 +337,12 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
     Samples seeded random pairs, computes r = quasi-norm / Luxemburg norm
     of the interleaved pair in the envelope map, and reports the extremes
     over ``2 * trials`` pairs and over a first part of them; each extreme
-    must move by less than 5% for the certificate to be stable.  The first
-    part ends at the first chunk boundary at or after ``trials`` pairs
-    (chunks of ``sampling.CHUNK``), so when ``2 * trials <= CHUNK`` it is
-    the whole sample and ``stability`` is 0.  If any argument scaled by
-    its Psi-norm escapes the envelope box, the box is doubled, the
-    envelope recomputed, and the sampling restarted.
+    must move by less than 5% for the certificate to be stable.  Pair i is
+    row i of the (rng_seed, EQUIVALENCE) stream.  The first part alone
+    depends on ``sampling.CHUNK``: the first multiple of CHUNK >= trials
+    pairs, or all, so when ``2 * trials <= CHUNK`` ``stability`` is 0.  If
+    any argument scaled by its Psi-norm escapes the envelope box, the box
+    is doubled, the envelope recomputed, and the sampling restarted.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -352,10 +354,12 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
         lo1 = hi1 = None          # extremes at the first part's end
         lo = hi = None            # running extremes
         contained = True
-        done = 0
-        for rng, n in sampling.chunks(rng_seed, 2 * trials):
-            X, Y = compact_rows(sampling.random_rows(rng, n, dim_max),
-                                sampling.random_rows(rng, n, dim_max))
+        for start in range(0, 2 * trials, sampling.CHUNK):
+            n = min(sampling.CHUNK, 2 * trials - start)
+            u = sampling.uniforms(rng_seed, sampling.EQUIVALENCE, start, n,
+                                  2 * sampling.row_width(dim_max))
+            X, Y = compact_rows(*(sampling.random_rows(v, dim_max)
+                                  for v in np.split(u, 2, axis=1)))
             tw = twisted_norm_batch(space, X, Y)
             pairs = np.stack([X, Y], axis=-1)
             pn = luxemburg_norm_batch(psi, pairs)
@@ -368,8 +372,7 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
                 r = tw[live] / pn[live]
                 lo = float(r.min()) if lo is None else min(lo, float(r.min()))
                 hi = float(r.max()) if hi is None else max(hi, float(r.max()))
-            done += n
-            if done >= trials and lo1 is None:
+            if start + n >= trials and lo1 is None:
                 lo1, hi1 = lo, hi
         if not contained:
             continue

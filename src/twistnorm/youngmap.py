@@ -264,49 +264,41 @@ def quasiconvexity_constant(m: YoungMap, trials: int, rng_seed: int,
                             halfwidth: float = 2.0) -> QuasiconvexityResult:
     """Empirical sup of m(lam*t1 + (1-lam)*t2) / (lam*m(t1) + (1-lam)*m(t2)).
 
-    Sampling mixes uniform box points, signed log-magnitude points, and
-    (in dimension 2) directed pairs sharing their first coordinate with
-    small second coordinates, where the log kink lives.  Identity pairs
-    t1 = t2 are always included, so the result is >= 1 - 1e-12 whenever
-    the map is positive somewhere.  Denominators below 1e-300 are
-    skipped.  A deterministic local polish around the best witness is
+    Row i of the sample reads 1 + 4 dim uniforms: lam (1/2 on every 16th
+    row), then a pair.  The first third of the rows are uniform box
+    points, the second signed log magnitudes, the rest (in dimension 2)
+    directed pairs sharing x with small y, where the log kink lives.  The
+    first 8 rows are identity pairs t1 = t2, so the result is >= 1 - 1e-12
+    whenever the map is positive at one.  Denominators below 1e-300 are
+    skipped.  A deterministic local polish around the first best row is
     part of the search.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     best = -math.inf
     best_w = None
-    for rng, n in sampling.chunks(rng_seed, trials):
-        thirds = n // 3
-        t1 = np.empty((n, m.dim))
-        t2 = np.empty((n, m.dim))
-        # uniform box
-        t1[:thirds] = halfwidth * (2.0 * rng.random((thirds, m.dim)) - 1.0)
-        t2[:thirds] = halfwidth * (2.0 * rng.random((thirds, m.dim)) - 1.0)
-        # signed log magnitudes
-        k = 2 * thirds
-        for t in (t1, t2):
-            t[thirds:k] = sampling.signed_log_uniform(
-                rng, (thirds, m.dim), 1e-6, halfwidth)
-        # directed pairs: shared x, small y of mixed sign pattern
-        rest = n - k
-        if m.dim == 2 and rest > 0:
-            x = sampling.signed_log_uniform(rng, (rest,), 1e-3, halfwidth)
-            y1 = sampling.signed_log_uniform(rng, (rest,), 1e-6, halfwidth)
-            flip = np.where(rng.random(rest) < 0.5, 1.0, -1.0)
-            y2 = flip * np.sign(y1) * 10.0 ** (
-                -6.0 + (math.log10(halfwidth) + 6.0) * rng.random(rest))
-            t1[k:] = np.stack([x, y1], axis=-1)
-            t2[k:] = np.stack([x, y2], axis=-1)
-        elif rest > 0:
-            for t in (t1, t2):
-                t[k:] = sampling.signed_log_uniform(
-                    rng, (rest, m.dim), 1e-6, halfwidth)
-        lam = rng.random(n)
-        lam[::16] = 0.5
-        # exact identity pairs guarantee L_hat >= 1
-        ident = min(8, n)
-        t2[:ident] = t1[:ident]
+    d, thirds = m.dim, trials // 3
+    for start in range(0, trials, sampling.CHUNK):
+        u = sampling.uniforms(rng_seed, sampling.QUASICONVEX, start,
+                              min(sampling.CHUNK, trials - start), 1 + 4 * d)
+        lam = u[:, 0].copy()
+        lam[-start % 16::16] = 0.5                # global rows 0, 16, 32, ...
+        # local ends of the box and log-magnitude parts of the sample
+        a, b = (min(max(k - start, 0), len(u)) for k in (thirds, 2 * thirds))
+        e = b if d == 2 else len(u)
+        t1, t2 = np.empty((2, len(u), d))
+        for t, c in ((t1, 1), (t2, 1 + d)):
+            t[:a] = halfwidth * (2.0 * u[:a, c:c + d] - 1.0)
+            t[a:e] = sampling.signed_log_uniform(
+                u[a:e, c:c + d], u[a:e, c + 2 * d:c + 3 * d], 1e-6, halfwidth)
+        if d == 2:                                # the rest: directed pairs
+            v = u[b:]
+            x = sampling.signed_log_uniform(v[:, 1], v[:, 2], 1e-3, halfwidth)
+            y1 = sampling.signed_log_uniform(v[:, 3], v[:, 4], 1e-6, halfwidth)
+            y2 = np.sign(y1) * sampling.signed_log_uniform(
+                v[:, 5], v[:, 6], 1e-6, halfwidth)
+            t1[b:], t2[b:] = np.stack([x, y1], -1), np.stack([x, y2], -1)
+        t2[:max(8 - start, 0)] = t1[:max(8 - start, 0)]
         r = _ratio(m, t1, t2, lam)
         i = int(np.argmax(r))
         if r[i] > best:

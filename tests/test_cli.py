@@ -278,28 +278,29 @@ def _count_walks(monkeypatch):
 
 def by_trial(kind, pipe, seed, trials):
     """certify suff or property-m one trial at a time through the public
-    checks, each trial drawn from its own stream as the command draws it."""
+    checks, trial i read as row i of the command's stream alone."""
     norm, d = pipe.norm, pipe.norm.dim
 
-    def draw(rng):
-        k = int(rng.integers(1, 5))
-        return BlockSeq(d, sampling.signed_log_uniform(rng, (k, d), 1e-2,
-                                                       10.0))
+    def draw(u):
+        k = 1 + int(4 * u[0])
+        mag, sign = u[1:1 + 4 * d], u[1 + 4 * d:1 + 8 * d]
+        return BlockSeq(d, sampling.signed_log_uniform(mag, sign, 1e-2, 10.0)
+                        .reshape(4, d)[:k])
 
     if kind == "suff":
         worst, checked = math.inf, 0
-        for k in range(trials):
-            rng = sampling.rng(seed, k)
-            xi = draw(rng)
-            xi = match_lambda_norm(norm, xi, float(rng.random()) or 0.5)
+        for i in range(trials):
+            u = sampling.uniforms(seed, sampling.SUFF, i, 1, 2 + 8 * d)[0]
+            xi = match_lambda_norm(norm, draw(u), u[-1] or 0.5)
             rep = suff_criterion_check(norm, pipe.phitilde, xi)
             checked += rep.checked
             worst = min(worst, rep.min_margin)
         return {"min_margin": worst, "steps_checked": checked}
     worst = 0.0
-    for k in range(trials):
-        rng = sampling.rng(seed, 10_000_019 + k)
-        u, v, tail = draw(rng), draw(rng), draw(rng)
+    w = 1 + 8 * d
+    for i in range(trials):
+        u = sampling.uniforms(seed, sampling.PROPERTY_M, i, 1, 3 * w)[0]
+        u, v, tail = draw(u[:w]), draw(u[w:2 * w]), draw(u[2 * w:])
         v = match_lambda_norm(norm, v, lambda_norm(norm, u))
         rep = prefix_substitution_check(norm, u, v, tail)
         assert rep.precondition_ok
@@ -312,14 +313,14 @@ def by_trial(kind, pipe, seed, trials):
 @pytest.mark.parametrize("kind", ["suff", "property-m"])
 def test_certify_walks_trials_in_batches(kind, pipeline, batch, sizes,
                                          tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "TRIAL_BATCH", batch)
+    monkeypatch.setattr(sampling, "CHUNK", batch)
     calls = _count_walks(monkeypatch)
     out = tmp_path / "c.json"
     assert run("certify", kind, "--pipeline", pipeline, "--trials", "60",
                "--seed", "7", "--out", str(out)) == 0
-    # two walks per batch.  suff: the Lambda norms, then the matched
-    # sequences; property-m: every u with its tail beside every v, then
-    # every matched v with its tail
+    # two walks per slice of CHUNK trials.  suff: the Lambda norms, then
+    # the matched sequences; property-m: every u with its tail beside every
+    # v, then every matched v with its tail
     per_batch = {"suff": [1, 1], "property-m": [2, 1]}[kind]
     assert calls == [m * n for n in sizes for m in per_batch]
     monkeypatch.undo()
@@ -329,9 +330,9 @@ def test_certify_walks_trials_in_batches(kind, pipeline, batch, sizes,
 
 def test_certify_property_m_names_the_first_failed_precondition(monkeypatch,
                                                                 capsys):
-    # triple 3 of the second batch gets a v norm off by 1, triple 5 a u
+    # triple 3 of the second slice gets a v norm off by 1, triple 5 a u
     # that misses its norm; the command names triple 3's clause
-    monkeypatch.setattr(cli, "TRIAL_BATCH", 8)
+    monkeypatch.setattr(sampling, "CHUNK", 8)
     real = renorm._substitution_verdict
     seen = []
 
@@ -403,6 +404,17 @@ def test_console_script_runs(seq_file):
     proc = run_module("norm", "--preset", "zp:2", "--seq", str(seq_file))
     assert proc.returncode == 0
     assert "5.0" in proc.stdout
+
+
+def test_renorm_check_on_huge_blocks_is_warning_free(tmp_path):
+    # the suff check evaluates phitilde on the raw block, whose base
+    # overflows at 1e200
+    blocks = tmp_path / "huge.json"
+    blocks.write_text(BlockSeq(1, [[1e200]]).to_json())
+    proc = run_module("renorm", "check", "--pipeline", "t2-pipeline",
+                      "--blocks", str(blocks))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_console_script_numeric_signal():

@@ -18,6 +18,12 @@ from twistnorm import renorm, sampling
 SQRT2 = math.sqrt(2.0)
 
 
+def slu(rng, shape, lo, hi):
+    """sampling.signed_log_uniform on magnitudes, then signs, from rng."""
+    return sampling.signed_log_uniform(rng.random(shape), rng.random(shape),
+                                       lo, hi)
+
+
 @pytest.fixture(scope="module")
 def t4_pipe():
     return build_pipeline("t4-pipeline")
@@ -46,8 +52,7 @@ def test_gauge_bisection_matches_closed_form(t2_pipe, t4_pipe, r2_pipe):
     for pipe in (t2_pipe, t4_pipe, r2_pipe):
         g = pipe.g
         assert g.unit_scale is not None
-        pts = sampling.signed_log_uniform(sampling.rng(13), (2000, g.base.dim),
-                                          1e-6, 1e6)
+        pts = slu(sampling.rng(13), (2000, g.base.dim), 1e-6, 1e6)
         slow = renorm._gauge_eval(g.base, g.alpha, pts)
         assert np.all(np.abs(g.gauge(pts) - slow) <= 1e-12 * slow)
 
@@ -76,7 +81,7 @@ def test_gauge_bisection_non_dyadic_alpha():
     # base / 0.3 rounds, unlike base / 2**-j; the gauge is |x| / sqrt(0.3)
     g = GaugeSpec(radial_power(2, 2.0), 0.3, math.nan)
     pts = np.concatenate(
-        [sampling.signed_log_uniform(sampling.rng(13), (2000, 2), 1e-6, 1e6)]
+        [slu(sampling.rng(13), (2000, 2), 1e-6, 1e6)]
         + [_extreme_points(2, v) for v in EXTREMES])
     want = np.hypot(pts[:, 0], pts[:, 1]) / math.sqrt(0.3)
     assert g.gauge(pts) == pytest.approx(want, rel=1e-12, abs=5e-324)
@@ -341,7 +346,7 @@ def test_phitilde_matches_gauge_branching(name, p, t2_pipe, t4_pipe, r2_pipe):
     pipe = {"t2": t2_pipe, "t4": t4_pipe, "r2": r2_pipe}[name]
     g = pipe.g
     rng = sampling.rng(11)
-    wide = sampling.signed_log_uniform(rng, (4000, g.base.dim), 1e-6, 1e6)
+    wide = slu(rng, (4000, g.base.dim), 1e-6, 1e6)
     # dim 1 has a two-point sphere: repeat it to 256 seam points
     sphere = np.resize(renorm._unit_gauge_sphere(g, 256), (256, g.base.dim))
     near = sphere * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (256, 1)))
@@ -371,8 +376,7 @@ def test_phitilde_gauges_only_outside(name, t2_pipe, r2_pipe, monkeypatch):
         return real(self, pts)
 
     monkeypatch.setattr(GaugeSpec, "gauge", recorded)
-    pts = sampling.signed_log_uniform(sampling.rng(12), (3000, g.base.dim),
-                                      1e-3, 1e3)
+    pts = slu(sampling.rng(12), (3000, g.base.dim), 1e-3, 1e3)
     pipe.phitilde.evaluate(pts)
     gauged = np.concatenate(seen)
     outside = g.base.evaluate(pts) > g.alpha
@@ -411,8 +415,7 @@ def test_star_norm_square_anchors(t2_pipe):
 def _norm_points(dim, n, key):
     """Seeded points of R^(n+1) over twelve decades, the first quarter
     with x0 = 0 and one of those at the origin."""
-    pts = sampling.signed_log_uniform(sampling.rng(key, dim), (n, dim + 1),
-                                      1e-6, 1e6)
+    pts = slu(sampling.rng(key, dim), (n, dim + 1), 1e-6, 1e6)
     pts[:n // 4, 0] = 0.0
     pts[0] = 0.0
     return pts
@@ -515,13 +518,16 @@ def test_star_norm_certificate_failure():
 def test_n_evaluates_the_certified_extension(pipe, request):
     # the phitilde a pipeline hands to the suff check, build_phitilde(g),
     # is the extension N computes: N(1, x) is 1 + phitilde(x) bitwise
-    # inside the unit gauge ball, on its sphere and outside it
+    # inside the unit gauge ball, on its sphere and outside it, out to
+    # 1e200, where the base overflows and neither warns
     built = request.getfixturevalue(pipe)
     g = built.norm.g
     sphere = renorm._unit_gauge_sphere(g, 64)
     x = np.concatenate([sphere * s for s in (0.0, 0.25, 0.5, 1.0 - 1e-12,
-                                             1.0, 1.0 + 1e-12, 2.0, 1e3)])
-    inside = g.base.evaluate(x) <= g.alpha
+                                             1.0, 1.0 + 1e-12, 2.0, 1e3,
+                                             1e200)])
+    with np.errstate(over="ignore"):
+        inside = g.base.evaluate(x) <= g.alpha
     assert inside.any() and not inside.all()
     got = built.norm.evaluate(np.concatenate([np.ones((len(x), 1)), x], -1))
     want = 1.0 + built.phitilde.evaluate(x)
@@ -546,7 +552,7 @@ def _exactly_scaled(got, ref, k):
 def test_star_norm_is_exactly_homogeneous(t2_pipe, t4_pipe, r2_pipe, seed, k):
     rng = np.random.default_rng(seed)
     for norm in (t2_pipe.norm, t4_pipe.norm, r2_pipe.norm):
-        pts = sampling.signed_log_uniform(rng, (48, norm.dim + 1), 1e-4, 1e4)
+        pts = slu(rng, (48, norm.dim + 1), 1e-4, 1e4)
         pts[:16, 0] = 0.0                       # the x0 = 0 branch
         for batch in (pts, pts[16:], pts[:16]):  # mixed, x0 != 0, x0 = 0
             assert _exactly_scaled(norm.evaluate(np.ldexp(batch, k)),
@@ -559,7 +565,7 @@ def test_gauge_is_exactly_homogeneous(t2_pipe, t4_pipe, r2_pipe, seed, k):
     rng = np.random.default_rng(seed)
     bisected = GaugeSpec(base=_ellipse(4.0), alpha=0.5, M=math.nan)
     for g in (t2_pipe.g, t4_pipe.g, r2_pipe.g, bisected):
-        pts = sampling.signed_log_uniform(rng, (32, g.base.dim), 1e-4, 1e4)
+        pts = slu(rng, (32, g.base.dim), 1e-4, 1e4)
         assert _exactly_scaled(g.gauge(np.ldexp(pts, k)), g.gauge(pts), k)
 
 
@@ -569,7 +575,7 @@ def test_lambda_norm_is_exactly_homogeneous(t2_pipe, t4_pipe, r2_pipe, seed,
                                             k):
     rng = np.random.default_rng(seed)
     for norm in (t2_pipe.norm, t4_pipe.norm, r2_pipe.norm):
-        xi = BlockSeq(norm.dim, sampling.signed_log_uniform(
+        xi = BlockSeq(norm.dim, slu(
             rng, (int(rng.integers(1, 9)), norm.dim), 1e-4, 1e4))
         scaled = xi.scaled(2.0 ** k)
         assert _exactly_scaled(star_iterate(norm, scaled),
@@ -738,8 +744,8 @@ def _oracle_sequences(dim):
     prefixes, trailing zeros, the empty sequence, and a first value near
     1e-300 followed by a block that sends x / x0 to 1e290."""
     rng = sampling.rng(41, dim)
-    seqs = [sampling.signed_log_uniform(rng, (int(rng.integers(0, 12)), dim),
-                                        1e-4, 1e4) for _ in range(60)]
+    seqs = [slu(rng, (int(rng.integers(0, 12)), dim), 1e-4, 1e4)
+            for _ in range(60)]
     zero = np.zeros((2, dim))
     seqs[3] = np.concatenate([zero, seqs[3], [[0.5] * dim]])
     seqs[7] = np.concatenate([[[0.5] * dim], seqs[7], zero])
@@ -809,8 +815,8 @@ def test_walk_stays_finite_where_the_ratio_overflows(pipe, request,
     want = g.M * g.unit_scale * 1e200
     wide = sampling.signed_log_uniform
     monkeypatch.setattr(sampling, "signed_log_uniform",
-                        lambda rng, shape, lo, hi: wide(rng, shape, 1e-200,
-                                                        1e200))
+                        lambda u_mag, u_sign, lo, hi: wide(u_mag, u_sign,
+                                                           1e-200, 1e200))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert lambda_norm(norm, BlockSeq(norm.dim, blocks)) == pytest.approx(
@@ -828,7 +834,7 @@ def test_match_lambda_norm_accuracy(pipe, request):
     norm = request.getfixturevalue(pipe).norm
     for k in range(20):
         rng = sampling.rng(17, k)
-        xi = BlockSeq(norm.dim, sampling.signed_log_uniform(
+        xi = BlockSeq(norm.dim, slu(
             rng, (int(rng.integers(1, 5)), norm.dim), 1e-2, 10.0))
         target = float(10.0 ** (-2.0 + 4.0 * rng.random()))
         got = lambda_norm(norm, match_lambda_norm(norm, xi, target))
@@ -873,10 +879,10 @@ def test_suff_criterion_dimension_check(t2_pipe):
 
 
 def _draws(dim, n, key):
-    """n seeded sequences of 1 to 4 blocks, as the CLI certificates draw."""
+    """n seeded sequences of 1 to 4 blocks each."""
     rng = sampling.rng(key, dim)
-    return [sampling.signed_log_uniform(rng, (int(rng.integers(1, 5)), dim),
-                                        1e-2, 10.0) for _ in range(n)]
+    return [slu(rng, (int(rng.integers(1, 5)), dim), 1e-2, 10.0)
+            for _ in range(n)]
 
 
 @pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])

@@ -23,6 +23,12 @@ def pair(entries):
                    np.array([y for _, _, y in entries], dtype=float))
 
 
+def dense_rows(rng, count, n, d):
+    """count arrays of n random rows of dimension d, drawn from rng."""
+    return [sampling.random_rows(rng.random((n, sampling.row_width(d))), d)
+            for _ in range(count)]
+
+
 # -- pair container -----------------------------------------------------------
 
 def test_pairseq_validation():
@@ -209,8 +215,7 @@ def counting_lux(monkeypatch):
 
 def test_twisted_norm_batch_bisects_twice(z2_noenv, monkeypatch):
     # F twists by the ||y|| the quasi-norm already holds
-    rng = sampling.rng(4)
-    X, Y = (sampling.random_rows(rng, 32, 16) for _ in range(2))
+    X, Y = dense_rows(sampling.rng(4), 2, 32, 16)
     calls = counting_lux(monkeypatch)
     twisted_norm_batch(z2_noenv, X, Y)
     assert len(calls) == 2
@@ -244,9 +249,7 @@ def per_call_twisted_norm(space, X, Y):
 
 
 def per_call_quasi_linearity(space, trials, dim_max, seed):
-    def draw(rng, n, d):
-        X = sampling.random_rows(rng, n, d)
-        Y = sampling.random_rows(rng, n, d)
+    def draw(X, Y):
         S = X + Y
         nx, ny, ns = (luxemburg_norm_batch(space.f, Z[..., None])
                       for Z in (X, Y, S))
@@ -256,18 +259,19 @@ def per_call_quasi_linearity(space, trials, dim_max, seed):
         num = luxemburg_norm_batch(space.f, dev[..., None])
         return num, nx + ny, {"x": X, "y": Y}
 
-    return twisted._sampled_sup(trials, dim_max, seed, 1_000_003, draw)
+    return twisted._sampled_sup(trials, dim_max, seed, sampling.QUASI_LINEAR,
+                                2, draw)
 
 
 def per_call_quasi_triangle(space, trials, dim_max, seed):
-    def draw(rng, n, d):
-        X1, Y1, X2, Y2 = (sampling.random_rows(rng, n, d) for _ in range(4))
+    def draw(X1, Y1, X2, Y2):
         num = per_call_twisted_norm(space, X1 + X2, Y1 + Y2)
         den = (per_call_twisted_norm(space, X1, Y1)
                + per_call_twisted_norm(space, X2, Y2))
         return num, den, {}
 
-    return twisted._sampled_sup(trials, dim_max, seed, 2_000_003, draw)
+    return twisted._sampled_sup(trials, dim_max, seed,
+                                sampling.QUASI_TRIANGLE, 4, draw)
 
 
 @pytest.fixture(scope="module", params=["z2", "kp-softclip:3,1"])
@@ -289,8 +293,7 @@ def test_stacked_draws_are_the_per_call_draws(sampled_space, seed):
 
 @pytest.mark.parametrize("width", [1, 16, 256])
 def test_twisted_norm_batch_is_the_dense_form(sampled_space, width):
-    rng = sampling.rng(9, width)
-    X, Y = (sampling.random_rows(rng, 64, width) for _ in range(2))
+    X, Y = dense_rows(sampling.rng(9, width), 2, 64, width)
     X[::4] = 0.0                  # y-only rows
     Y[1::4] = 0.0                 # x-only rows
     X[2], Y[2] = 0.0, 0.0         # a zero row
@@ -301,7 +304,7 @@ def test_twisted_norm_batch_is_the_dense_form(sampled_space, width):
 
 def test_twisted_norm_batch_names_non_finite_rows(z2_noenv):
     # compaction keeps every row, so the signal names the caller's rows
-    X, Y = (sampling.random_rows(sampling.rng(3), 6, 64) for _ in range(2))
+    X, Y = dense_rows(sampling.rng(3), 2, 6, 64)
     bad_x, bad_y = X.copy(), Y.copy()
     bad_x[4, 63] = np.nan         # raises in the ||x - F(y)|| solve
     bad_y[1, 63] = np.inf         # raises in the ||y|| solve
@@ -349,33 +352,46 @@ def test_equivalence_certificate_report(z2_small):
         equivalence_certificate(z2_small, trials=0, dim_max=16, rng_seed=1)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the first-half extremes are taken at the first chunk boundary at or "
-    "after `trials` pairs, which is the end of the sample when "
-    "2 * trials <= sampling.CHUNK, so `stability` reads 0"))
+def equivalence_pairs(seed, n, dim):
+    """Pairs 0 .. n - 1 of equivalence_certificate: rows of the
+    (seed, EQUIVALENCE) stream, each two random rows of row_width(dim)."""
+    u = sampling.uniforms(seed, sampling.EQUIVALENCE, 0, n,
+                          2 * sampling.row_width(dim))
+    return [sampling.random_rows(v, dim) for v in np.split(u, 2, axis=1)]
+
+
+class FirstPartIsNotTheFirstTrials(AssertionError):
+    """Raised by the strict xfail below on its first-part check alone, so
+    that no other failure passes as the expected one."""
+
+
+@pytest.mark.xfail(strict=True, raises=FirstPartIsNotTheFirstTrials,
+                   reason=(
+    "the first-part extremes are taken at the first multiple of "
+    "sampling.CHUNK at or after `trials` pairs, which is the end of the "
+    "sample when 2 * trials <= sampling.CHUNK, so `stability` reads 0"))
 def test_equivalence_first_half_is_the_first_trials_pairs(z2_small):
     trials, dim = 200, 16
     rep = equivalence_certificate(z2_small, trials=trials, dim_max=dim,
                                   rng_seed=3)
     space = z2_small.with_box(rep["box_halfwidth"])
-    (rng, n), = sampling.chunks(3, 2 * trials)     # 400 pairs, one chunk
-    X = sampling.random_rows(rng, n, dim)
-    Y = sampling.random_rows(rng, n, dim)
+    X, Y = equivalence_pairs(3, 2 * trials, dim)
     r = (twisted_norm_batch(space, X, Y)
          / luxemburg_norm_batch(space.psi_map, np.stack([X, Y], axis=-1)))
     assert rep["ratio"] == [r.min(), r.max()]
-    assert rep["ratio_first_half"] == [r[:trials].min(), r[:trials].max()]
+    first = [float(r[:trials].min()), float(r[:trials].max())]
+    if rep["ratio_first_half"] != first:
+        raise FirstPartIsNotTheFirstTrials(
+            f"first part {rep['ratio_first_half']}, first trials {first}")
 
 
 def test_equivalence_ratio_is_the_dense_per_call_ratio(z2_small):
-    # one chunk of 400 pairs: the extremes of the dense per-call ratios
+    # 400 pairs: the extremes of the dense per-call ratios
     trials, dim = 200, 64
     rep = equivalence_certificate(z2_small, trials=trials, dim_max=dim,
                                   rng_seed=3)
     space = z2_small.with_box(rep["box_halfwidth"])
-    (rng, n), = sampling.chunks(3, 2 * trials)
-    X = sampling.random_rows(rng, n, dim)
-    Y = sampling.random_rows(rng, n, dim)
+    X, Y = equivalence_pairs(3, 2 * trials, dim)
     r = (per_call_twisted_norm(space, X, Y)
          / luxemburg_norm_batch(space.psi_map, np.stack([X, Y], axis=-1)))
     assert rep["ratio"] == [r.min(), r.max()]

@@ -27,6 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEQ, TW = "tests/test_seqspace.py", "tests/test_twisted.py"
 YM, RN = "tests/test_youngmap.py", "tests/test_renorm.py"
+SM = "tests/test_sampling.py"
 
 # name: (module, snippet, replacement, tests that must fail)
 MUTANTS = {
@@ -113,6 +114,20 @@ MUTANTS = {
     "fold-checked-assigned": (
         "cli", "checked += margins.size", "checked = margins.size",
         ["tests/test_cli.py::test_certify_walks_trials_in_batches"]),
+    # one keyed stream per purpose, read by rows
+    "advance-by-rows": (
+        "sampling", "advance(start * width)", "advance(start)",
+        [f"{SM}::test_slices_are_rows_of_one_keyed_stream",
+         f"{SM}::test_chunk_sizes_cover_total",
+         f"{SM}::test_results_do_not_depend_on_chunk",
+         "tests/test_cli.py::test_certify_walks_trials_in_batches"]),
+    "lambda-half-per-chunk": (
+        "youngmap", "lam[-start % 16::16] = 0.5", "lam[::16] = 0.5",
+        [f"{SM}::test_results_do_not_depend_on_chunk"]),
+    "identity-rows-per-chunk": (
+        "youngmap", "t2[:max(8 - start, 0)] = t1[:max(8 - start, 0)]",
+        "t2[:8] = t1[:8]",
+        [f"{SM}::test_results_do_not_depend_on_chunk"]),
 }
 
 

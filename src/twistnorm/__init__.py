@@ -5,8 +5,9 @@ Layers, bottom up:
 - ``sampling``  — one keyed seeded stream per purpose, read by rows, and
   the sampling laws behind every randomized certificate;
 - ``seqspace``  — finitely supported sequences and Luxemburg norms of any
-  map with ``dim``, ``evaluate`` and ``radially_monotone``; it imports
-  only ``errors``;
+  map with ``dim``, ``evaluate`` and ``radially_monotone``, and
+  optionally ``degree`` (p for a map of degree p, solved in closed form);
+  it imports only ``errors``;
 - ``scalarfn``  — scalar Orlicz functions and their certified constants;
 - ``youngmap``  — even maps on R^n, the twisted two-variable map, grid
   convex envelopes, quasi-convexity certificates, mollification;

@@ -47,19 +47,24 @@ def _provenance(args) -> dict:
             "resolution": args.resolution, "box_halfwidth": args.box}
 
 
-def _jsonable(obj):
+def _jsonable(obj, key: str = "body"):
+    """obj in JSON types; a float that is not finite raises NumericSignal
+    naming the key it sits under, since JSON has no such number."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, str(k)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, key) for v in obj]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
+        if not math.isfinite(obj):
+            raise NumericSignal(f"report key {key!r} holds {float(obj)!r}, "
+                                "which JSON cannot carry")
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist(), key)
     return obj
 
 
@@ -67,7 +72,7 @@ def write_report(out: str | None, body: dict) -> None:
     doc = {"body": _jsonable(body),
            "meta": {"timestamp":
                     datetime.datetime.now(datetime.timezone.utc).isoformat()}}
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -221,7 +226,8 @@ def _certify_suff(args) -> tuple[bool, dict]:
         checked += margins.size
     ok = bool(worst >= -1e-9)
     return ok, {
-        "kind": "suff", "pipeline": args.pipeline, "min_margin": worst,
+        "kind": "suff", "pipeline": args.pipeline,
+        "min_margin": None if worst == math.inf else worst,
         "steps_checked": checked, **_provenance(args),
     }
 
@@ -293,7 +299,7 @@ def cmd_renorm(args) -> int:
         "suff_ok": rep.ok, "steps_checked": rep.checked,
         "min_margin": (None if rep.min_margin == math.inf
                        else rep.min_margin),
-        "products": rep.products, **_provenance(args),
+        "log_products": rep.log_products, **_provenance(args),
     }
     print(f"renorm check: lambda_norm={lam!r} suff_ok={rep.ok}")
     write_report(args.out, body)

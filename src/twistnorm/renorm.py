@@ -474,19 +474,19 @@ class SuffReport:
     checked: int
     min_margin: float
     values: list
-    products: list
+    log_products: list
 
 
 def _step_margins(values: np.ndarray, phis: np.ndarray,
                   lengths: np.ndarray) -> np.ndarray:
     """Margins v_k - v_{k-1} (1 + phi(b_k)) of padded walks (B, k) with
     their phi values (B, k), at the steps k inside each row whose v_{k-1}
-    lies in (0, 1]."""
+    lies in (0, 1]; formed only there, so the product cannot overflow."""
     prev = values[:, :-1]
-    margins = values[:, 1:] - prev * (1.0 + phis[:, 1:])
     checked = ((0.0 < prev) & (prev <= 1.0)
                & (np.arange(1, values.shape[1]) < lengths[:, None]))
-    return margins[checked]
+    return (values[:, 1:][checked]
+            - prev[checked] * (1.0 + phis[:, 1:][checked]))
 
 
 def suff_criterion_check(norm: StarNorm, phi: YoungMap,
@@ -495,7 +495,9 @@ def suff_criterion_check(norm: StarNorm, phi: YoungMap,
     within CHECK_TOL.
 
     Checked at every step whose previous iterated value lies in (0, 1];
-    the report also carries the running product of (1 + phi(block_k)).
+    the report also carries the running product of (1 + phi(block_k)) as
+    its log, the cumsum of log1p(phi(block_k)), which stays finite where
+    the product overflows.
     """
     if phi.dim != norm.dim:
         raise ValueError("phi dimension does not match the norm")
@@ -506,7 +508,7 @@ def suff_criterion_check(norm: StarNorm, phi: YoungMap,
     min_margin = float(margins.min(initial=math.inf))
     return SuffReport(ok=min_margin >= -CHECK_TOL, checked=margins.size,
                       min_margin=min_margin, values=values,
-                      products=list(np.cumprod(1.0 + phis)))
+                      log_products=np.cumsum(np.log1p(phis)).tolist())
 
 
 def suff_margins(norm: StarNorm, phi: YoungMap, seqs: list,

@@ -162,6 +162,11 @@ class OrliczFn:
         return self.value(rows[..., 0])
 
     @property
+    def degree(self) -> float | None:
+        """p for a power, whose f(c t) is c**p f(t) for c > 0; else None."""
+        return self.p if self.kind == "power" else None
+
+    @property
     def value_at_1(self) -> float:
         if self.kind == "power":
             return 1.0

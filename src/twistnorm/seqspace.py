@@ -3,7 +3,8 @@
 A ``VecSeq`` holds finitely many nonzero vectors of a fixed dimension at
 strictly increasing positive integer indices.  Given an even map m that
 is nondecreasing along rays (an object with ``dim``, ``evaluate`` and
-``radially_monotone``), the modular of a sequence at scale rho is
+``radially_monotone``, and optionally ``degree``), the modular of a
+sequence at scale rho is
 
     modular(s, rho) = sum_i m(v_i / rho)
 
@@ -12,9 +13,13 @@ The norm is computed by a vectorized geometric bracket (doubling and
 halving, capped at 2**64 in either direction) that holds each root
 within a factor 2, followed by safeguarded false position on
 (log rho, log modular) to a relative width of 1e-12 (Dekker, Brent
-1973).  A power modular is affine in those logs, so its root is found
-in one step; any other takes at most 80 steps, twice those of log
-bisection.  Batches of sequences are solved simultaneously on their
+1973), in at most 80 steps, twice those of log bisection.  A map whose
+``degree`` is p, so that m(c x) = c**p m(x) for c > 0, has
+modular(rho) = modular(s) (s / rho)**p: its root s modular(s)**(1/p) is
+read off one evaluation at the start s, and kept where one more
+evaluation, at the root times 1 -/+ 1e-12/4, brackets it as the search
+would; a row that fails this check is searched from that root.
+Batches of sequences are solved simultaneously on their
 nonzero cells only, scattered left in order by ``compact_rows``, each
 row at the exact power-of-two scale that puts its largest entry in
 [1/2, 1), so no row underflows or overflows while solving (Blue, ACM
@@ -265,6 +270,33 @@ def _bracket_bisect(modular_fn, start: np.ndarray) -> np.ndarray:
         take_mid[rows] = interp & (np.log(hi[rows] / lo[rows]) > width / 2.0)
 
 
+def _homogeneous_root(modular_fn, start: np.ndarray, p: float) -> np.ndarray:
+    """Solve modular_fn(rho, rows) = 1 per row for a modular of degree p.
+
+    Then modular(rho) = modular(start) (start / rho)**p, so the root is
+    start * modular(start)**(1/p); a row whose modular(start) is 1 keeps
+    start exactly, and one whose modular(start) is 0 or not finite, which
+    gives no positive scale, takes start in its place.  That scale is
+    returned only where one stacked evaluation finds
+    modular(lo) > 1 >= modular(hi) at lo, hi = root * (1 -/+ REL_TOL/4),
+    the contract of _bracket_bisect at half its width; every other row is
+    solved by _bracket_bisect, started at that scale.
+    """
+    rows = np.arange(start.size)
+    root = start * modular_fn(start, rows) ** (1.0 / p)
+    root = np.where(np.isfinite(root) & (root > 0.0), root, start)
+    inset = REL_TOL / 4.0
+    ends = modular_fn(
+        np.concatenate([root * (1.0 - inset), root * (1.0 + inset)]),
+        np.concatenate([rows, rows]))
+    bad = np.flatnonzero(~((ends[:rows.size] > 1.0)
+                           & (ends[rows.size:] <= 1.0)))
+    if bad.size:
+        root[bad] = _bracket_bisect(
+            lambda rho, r: modular_fn(rho, bad[r]), root[bad])
+    return root
+
+
 def compact_rows(*arrays: np.ndarray) -> tuple:
     """Each row's shared support moved left, cells kept in order.
 
@@ -295,6 +327,9 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
     sends 0 to 0), so ragged collections can be padded to a common length,
     and the cost scales with the widest row's nonzero count, not with k.
     A row's norm does not depend on the other rows of the batch.
+    A map whose ``degree`` is not None takes its closed-form root, in two
+    evaluations of the batch, wherever one of them brackets it; every
+    other row is searched by _bracket_bisect.
     A row with a non-finite entry, or whose norm exceeds the float64
     range, raises NumericSignal naming the rows.
     """
@@ -321,8 +356,11 @@ def luxemburg_norm_batch(m, vectors: np.ndarray) -> np.ndarray:
         return np.add.accumulate(vals, axis=-1)[:, -1]
 
     start = np.linalg.norm(work, axis=-1).max(axis=-1)
+    p = getattr(m, "degree", None)
     with np.errstate(over="ignore"):
-        out[live] = np.ldexp(_bracket_bisect(modular_fn, start), e)
+        root = (_bracket_bisect(modular_fn, start) if p is None
+                else _homogeneous_root(modular_fn, start, p))
+        out[live] = np.ldexp(root, e)
     big = np.flatnonzero(np.isinf(out))
     if big.size:
         raise NumericSignal(

@@ -3,14 +3,17 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistnorm
-from twistnorm import (BlockSeq, VecSeq, build_pipeline, cli, lambda_norm,
-                       match_lambda_norm, prefix_substitution_check, renorm,
-                       sampling, scalarfn, suff_criterion_check)
+from twistnorm import (BlockSeq, NumericSignal, VecSeq, build_pipeline, cli,
+                       lambda_norm, match_lambda_norm,
+                       prefix_substitution_check, renorm, sampling, scalarfn,
+                       suff_criterion_check)
 
 
 def run(*argv):
@@ -415,6 +418,35 @@ def test_renorm_check_on_huge_blocks_is_warning_free(tmp_path):
                       "--blocks", str(blocks))
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_renorm_check_report_is_strict_json(tmp_path, capsys):
+    # the running product 1.4e200 * 1.4e200 overflows; its log does not
+    blocks = tmp_path / "huge.json"
+    blocks.write_text(BlockSeq(1, [[1e200], [-1e200]]).to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("renorm", "check", "--pipeline", "t2-pipeline",
+                   "--blocks", str(blocks)) == 0
+    out = capsys.readouterr().out
+    body = json.loads(out[out.index("{"):],
+                      parse_constant=reject_constant)["body"]
+    assert body["steps_checked"] == 0 and body["min_margin"] is None
+    assert body["log_products"][1] == pytest.approx(
+        2.0 * math.log(math.sqrt(2.0) * 1e200), rel=1e-12)
+
+
+def test_non_finite_report_value_is_a_numeric_signal(tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(NumericSignal, match="'spread' holds inf"):
+        cli.write_report(str(out), {"c": [1.0], "spread": [2.0, math.inf]})
+    with pytest.raises(NumericSignal, match="'m' holds nan"):
+        cli.write_report(str(out), {"m": np.array([math.nan])})
+    assert not out.exists()
 
 
 def test_console_script_numeric_signal():

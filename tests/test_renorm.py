@@ -850,9 +850,9 @@ def test_suff_criterion_holds(t2_pipe):
     assert rep.ok
     assert rep.checked == 2
     assert rep.min_margin >= -1e-9
-    assert len(rep.values) == 3 and len(rep.products) == 3
-    assert rep.products[0] == pytest.approx(
-        1.0 + float(t2_pipe.phitilde.evaluate(np.array([[0.3]]))[0]))
+    assert len(rep.values) == 3 and len(rep.log_products) == 3
+    assert rep.log_products[0] == pytest.approx(
+        math.log1p(float(t2_pipe.phitilde.evaluate(np.array([[0.3]]))[0])))
 
 
 def test_suff_criterion_empty_is_vacuous(t2_pipe, r2_pipe):
@@ -869,7 +869,7 @@ def test_suff_criterion_empty_is_vacuous(t2_pipe, r2_pipe):
             assert bisected.gauge(np.zeros((0, dim))).shape == (0,)
         assert rep.ok and rep.checked == 0
         assert rep.min_margin == math.inf
-        assert rep.values == [] and rep.products == []
+        assert rep.values == [] and rep.log_products == []
 
 
 def test_suff_criterion_dimension_check(t2_pipe):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistnorm import (BracketError, NumericSignal, VecSeq, YoungMap,
-                       build_space, certify, convex_envelope, extend,
-                       from_preset, identity_theta, kalton_peck_map,
+from twistnorm import (BracketError, NumericSignal, OrliczFn, VecSeq,
+                       YoungMap, build_space, certify, convex_envelope,
+                       extend, from_preset, identity_theta, kalton_peck_map,
                        luxemburg_norm, luxemburg_norm_batch, modular, power,
                        power_log, radial_power)
 from twistnorm.seqspace import (MAX_POW, REL_TOL, _bracket_bisect,
@@ -323,6 +323,14 @@ def bisect_reference(modular_fn, start):
         hi[rows[~hit & ~(val > 1.0)]] = mid[~hit & ~(val > 1.0)]
 
 
+def assert_in_bracket(modular_fn, got):
+    """got lies in a bracket of relative width REL_TOL around the root."""
+    rows = np.arange(got.size)
+    below = modular_fn(got / (1.0 + REL_TOL), rows)
+    assert np.all((below > 1.0) | (modular_fn(got, rows) == 1.0))
+    assert np.all(modular_fn(got * (1.0 + REL_TOL), rows) <= 1.0)
+
+
 def step_like(t):
     """Strictly increasing, with a jump of 1/8 wherever 8 t**2 is an integer."""
     t = np.abs(t[..., 0])
@@ -359,11 +367,7 @@ def test_root_finder_matches_bisection(name):
     got = _bracket_bisect(modular_fn, start)
     want, _, _ = bisect_reference(modular_fn, start)
     assert np.all(np.abs(got - want) <= REL_TOL * want)
-    # the returned scale lies in a bracket of relative width REL_TOL
-    rows = np.arange(got.size)
-    below = modular_fn(got / (1.0 + REL_TOL), rows)
-    assert np.all((below > 1.0) | (modular_fn(got, rows) == 1.0))
-    assert np.all(modular_fn(got * (1.0 + REL_TOL), rows) <= 1.0)
+    assert_in_bracket(modular_fn, got)
 
 
 def test_saturating_modular_raises_in_both_finders():
@@ -429,14 +433,102 @@ def assert_matches_dense(m, batch):
     return packed
 
 
+def degreeless_power(p):
+    """|t|**p without a degree, so its norm takes the packed search."""
+    return YoungMap(dim=1, fn=lambda t: np.abs(t[..., 0]) ** p,
+                    radially_monotone=True)
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("width", [1, 16, 256])
 def test_packed_batch_matches_dense(p, width):
     rng = np.random.default_rng(int(width * 10 + p * 2))
     batch = ragged_batch(rng, 40, width, 1)
-    out = assert_matches_dense(power(p), batch)
+    out = assert_matches_dense(degreeless_power(p), batch)
     assert out[-2] == 0.0
     assert out[-1] == 2.5
+
+
+# -- the closed form of a map with a degree: differential oracle -------------
+
+CLOSED_FORM_PS = [1.05, 1.5, 2.0, 3.0, 20.0, 35.0]
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_PS)
+@pytest.mark.parametrize("width", [1, 16, 256])
+@pytest.mark.parametrize("k", [-900, 0, 900])
+def test_power_closed_form_matches_the_search(p, width, k):
+    batch = ragged_batch(np.random.default_rng(int(width + 7 * p)), 60,
+                         width, 1) * 2.0 ** k
+    got = luxemburg_norm_batch(power(p), batch)
+    want = luxemburg_norm_batch(degreeless_power(p), batch)
+    assert np.all(np.abs(got - want) <= REL_TOL * want)
+    with np.errstate(over="ignore"):     # the unused start squares 2**900
+        modular_fn, _, live = dense_problem(power(p), batch)
+    assert_in_bracket(modular_fn, got[live])
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_PS)
+def test_power_one_cell_rows_are_exact(p):
+    cells = np.array([-2.5, 1.0, 3e-300, -5e-324, 1e300, 7.3, -0.1])
+    got = luxemburg_norm_batch(power(p), cells[:, None, None])
+    assert np.array_equal(got, np.abs(cells))
+
+
+@pytest.mark.parametrize("p", [1.05, 2.0, 35.0])
+def test_power_batch_takes_two_evaluations(p, monkeypatch):
+    # one at the start, one stacked at both ends of the bracket
+    calls = []
+    evaluate = OrliczFn.evaluate
+
+    def counted(self, rows):
+        calls.append(rows.shape[0])
+        return evaluate(self, rows)
+
+    monkeypatch.setattr(OrliczFn, "evaluate", counted)
+    batch = ragged_batch(np.random.default_rng(67), 64, 16, 1)
+    luxemburg_norm_batch(power(p), batch)
+    assert len(calls) == 2 and calls[1] == 2 * calls[0] > 0
+
+
+class WrongDegree:
+    """|t|**3 that declares the degree 2."""
+
+    dim = 1
+    radially_monotone = True
+    degree = 2.0
+
+    def evaluate(self, rows):
+        return np.abs(rows[..., 0]) ** 3
+
+
+class FirstCoordinateSquared:
+    """x1**2 on R^2: of degree 2, and 0 on the rows (0, y)."""
+
+    dim = 2
+    radially_monotone = True
+    degree = 2.0
+
+    def evaluate(self, rows):
+        return rows[..., 0] ** 2
+
+
+def test_a_degree_map_that_vanishes_on_a_row_raises_as_the_search_does():
+    # modular(start) = 0 gives the root 0, which is no scale to check
+    batch = np.array([[[3.0, 4.0], [0.0, 0.0]], [[0.0, 2.0], [0.0, 0.0]]])
+    assert luxemburg_norm_batch(FirstCoordinateSquared(), batch[:1]) == (
+        pytest.approx(3.0, rel=REL_TOL))
+    with pytest.raises(BracketError, match="modular > 1 within 2\\*\\*-64"):
+        luxemburg_norm_batch(FirstCoordinateSquared(), batch)
+
+
+def test_a_wrong_degree_falls_back_to_the_search():
+    batch = ragged_batch(np.random.default_rng(71), 80, 16, 1)
+    got = luxemburg_norm_batch(WrongDegree(), batch)
+    want = luxemburg_norm_batch(degreeless_power(3.0), batch)
+    assert np.all(np.abs(got - want) <= REL_TOL * want)
+    modular_fn, _, live = dense_problem(degreeless_power(3.0), batch)
+    assert_in_bracket(modular_fn, got[live])
 
 
 def test_packed_psi_norm_matches_dense(f2):

@@ -27,7 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEQ, TW = "tests/test_seqspace.py", "tests/test_twisted.py"
 YM, RN = "tests/test_youngmap.py", "tests/test_renorm.py"
-SM = "tests/test_sampling.py"
+SM, CLI = "tests/test_sampling.py", "tests/test_cli.py"
 
 # name: (module, snippet, replacement, tests that must fail)
 MUTANTS = {
@@ -44,6 +44,24 @@ MUTANTS = {
         "dest = np.arange(flat.size) - 1 + np.repeat(",
         [f"{SEQ}::test_packed_batch_matches_dense",
          f"{SEQ}::test_compact_rows_keeps_the_shared_support_in_order"]),
+    # the closed form of a map with a degree, kept only where it brackets
+    "closed-form-unverified": (
+        "seqspace", "    if bad.size:\n", "    if False:\n",
+        [f"{SEQ}::test_a_wrong_degree_falls_back_to_the_search"]),
+    "closed-form-insets-swapped": (
+        "seqspace", "[root * (1.0 - inset), root * (1.0 + inset)]",
+        "[root * (1.0 + inset), root * (1.0 - inset)]",
+        [f"{SEQ}::test_power_batch_takes_two_evaluations"]),
+    "closed-form-root-to-the-p": (
+        "seqspace", "modular_fn(start, rows) ** (1.0 / p)",
+        "modular_fn(start, rows) ** p",
+        [f"{SEQ}::test_power_batch_takes_two_evaluations"]),
+    "closed-form-zero-root-kept": (
+        "seqspace",
+        "    root = np.where(np.isfinite(root) & (root > 0.0), root, start)\n",
+        "",
+        [f"{SEQ}::test_a_degree_map_that_vanishes_on_a_row_raises_as_the_"
+         "search_does"]),
     "quasilinear-split-swapped": (
         "twisted", "nx, ny, ns = np.split(norms, 3)",
         "ns, ny, nx = np.split(norms, 3)",
@@ -67,6 +85,16 @@ MUTANTS = {
         "youngmap", "x /= (ax[1:] - ax[:-1]).take(j)",
         "x *= (1.0 / (ax[1:] - ax[:-1])).take(j)",
         [f"{YM}::test_grid_evaluate_is_bitwise_the_two_pass_form"]),
+    # reports hold finite numbers only
+    "step-margins-everywhere": (
+        "renorm", "return (values[:, 1:][checked]\n"
+        "            - prev[checked] * (1.0 + phis[:, 1:][checked]))",
+        "return (values[:, 1:] - prev * (1.0 + phis[:, 1:]))[checked]",
+        [f"{CLI}::test_renorm_check_report_is_strict_json"]),
+    "report-keeps-infinity": (
+        "cli", "        if not math.isfinite(obj):\n",
+        "        if False:\n",
+        [f"{CLI}::test_non_finite_report_value_is_a_numeric_signal"]),
     # the scaled extension behind phitilde and N
     "outside-test-drops-nan": (
         "renorm", "idx = np.flatnonzero(~(inner <= g.alpha))",

@@ -4,8 +4,9 @@ Starting from a convex even base map that vanishes only at 0, the
 pipeline
 
   1. selects a level alpha (halving search) whose sublevel-set Minkowski
-     gauge |.|_a has level constant M = sup <grad(base)(x), x> over the
-     unit gauge sphere at most 1, and alpha at most min base on ||x||_2 = 1;
+     gauge |.|_a has level constant M at most 1, M the sup over the unit
+     gauge sphere of the radial derivative d/dt base(t x) at t = 1, and
+     alpha at most min base on ||x||_2 = 1;
   2. extends the base across the unit gauge sphere by
      phitilde(x) = base(x) inside, alpha + M(gauge(x) - 1) outside,
      which keeps t -> (1 + phitilde(t x)) / t nonincreasing on rays;
@@ -129,19 +130,24 @@ def _seam_gap(g: GaugeSpec, n_sphere: int) -> float:
                         - g.alpha).max())
 
 
-def level_constant(g: GaugeSpec) -> float:
-    """M = sup <grad(base)(x), x> over the unit gauge sphere.
+RADIAL_STEP = 1e-6   # relative step h of level_constant's radial difference
 
-    Central differences; refuses to difference across the origin (points
-    inside the 1e-4 ball signal instead).
+
+def level_constant(g: GaugeSpec) -> float:
+    """M = sup over the unit gauge sphere of the radial derivative
+    d/dt base(t x) at t = 1, read as the central difference
+    (base((1 + h) x) - base((1 - h) x)) / 2h with h = RADIAL_STEP.
+
+    The extension needs only an upper bound on the left radial derivative
+    at the seam.  At a kink along the ray a convex base's central
+    difference reads the mean of the one-sided derivatives, which is at
+    least the left one; both points stay on the ray, and the relative step
+    is scale-free.
     """
     pts = _unit_gauge_sphere(g, N_SPHERE)
-    if np.any(np.linalg.norm(pts, axis=-1) < 1e-4):
-        raise NumericSignal(
-            "unit gauge sphere dips into the 1e-4 ball; gradients would "
-            "difference across the origin")
-    grad = g.base.gradient(pts)
-    return float(np.max(np.sum(grad * pts, axis=-1)))
+    h = RADIAL_STEP
+    up, down = g.base.evaluate(np.stack([(1.0 + h) * pts, (1.0 - h) * pts]))
+    return float(np.max((up - down) / (2.0 * h)))
 
 
 # --------------------------------------------------------------------------
@@ -154,8 +160,9 @@ def select_alpha(base: YoungMap) -> GaugeSpec:
 
     Once M <= 1 that is the ray ceiling, inf over ||y||_2 = 1/2 of
     base(tau(y) y), tau(y) = min(argmin_t (1 + base(t y)) / t, 2): for a
-    convex base, h(x) = <grad(base)(x), x> - base(x) never falls along a
-    ray and h <= M - alpha < 1 on the unit gauge sphere, so (1 + base(t y)) / t
+    convex base, h(x) = D(x) - base(x), with D(x) the left radial
+    derivative d/dt base(t x) at t = 1, never falls along a ray and
+    h <= M - alpha < 1 on the unit gauge sphere, so (1 + base(t y)) / t
     still falls where the ray leaves {base <= alpha}; only the cap binds.
     With the 1e-9 slack on M this holds for alpha > 1e-9; below, check
     (a) of build_star_norm certifies.
@@ -163,7 +170,8 @@ def select_alpha(base: YoungMap) -> GaugeSpec:
     At each alpha tried, gauge(e1) is solved once and the closed form
     |x| * gauge(e1) is kept when the base equals alpha to 1e-9 on its unit
     gauge sphere (every even map in dimension 1, every radial map);
-    otherwise the gauge is solved point by point.
+    otherwise the gauge is solved point by point.  The search and N read
+    only base.evaluate, .dim, .convex and .label, so a GridMap serves.
     """
     if not base.convex:
         raise ValueError("alpha selection needs a convex base map")

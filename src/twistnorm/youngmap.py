@@ -111,9 +111,6 @@ def _as_points(pts, dim: int) -> np.ndarray:
     return a
 
 
-GRAD_STEP = 1e-6    # central-difference step of YoungMap.gradient
-
-
 @dataclass(frozen=True)
 class YoungMap:
     """An even nonnegative map on R^n with declared structure flags."""
@@ -129,16 +126,6 @@ class YoungMap:
 
     def __call__(self, pts):
         return self.evaluate(pts)
-
-    def gradient(self, pts) -> np.ndarray:
-        """Gradient by central differences with step GRAD_STEP."""
-        pts = _as_points(pts, self.dim)
-        out = np.empty(pts.shape, dtype=float)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = GRAD_STEP
-            out[..., i] = (self.fn(pts + e) - self.fn(pts - e)) / (2.0 * e[i])
-        return out
 
 
 def euclidean_norm(pts: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twistnorm
 from twistnorm import (BlockSeq, NumericSignal, VecSeq, build_pipeline, cli,
@@ -438,6 +442,38 @@ def test_renorm_check_report_is_strict_json(tmp_path, capsys):
     assert body["steps_checked"] == 0 and body["min_margin"] is None
     assert body["log_products"][1] == pytest.approx(
         2.0 * math.log(math.sqrt(2.0) * 1e200), rel=1e-12)
+
+
+PIPELINE_DIMS = {"t2-pipeline": 1, "t4-pipeline": 1, "r2-pipeline": 2}
+# zeros and signed magnitudes 1e-300 .. 1e300
+ENTRIES = st.one_of(
+    st.just(0.0),
+    st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-300.0, 300.0),
+              st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=st.sampled_from([("renorm", "check"), ("lambda-norm",)]),
+       pipeline=st.sampled_from(sorted(PIPELINE_DIMS)), data=st.data())
+def test_block_reports_are_strict_json_at_any_scale(tmp_path_factory, argv,
+                                                    pipeline, data):
+    dim = PIPELINE_DIMS[pipeline]
+    blocks = data.draw(st.lists(st.lists(ENTRIES, min_size=dim,
+                                         max_size=dim), max_size=5))
+    path = tmp_path_factory.getbasetemp() / "any-scale-blocks.json"
+    path.write_text(json.dumps({"n": dim, "blocks": blocks}))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(*argv, "--pipeline", pipeline, "--blocks", str(path))
+    assert code in (0, 1, 3)
+    # caught holds what a cold process would print to stderr as warnings
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err.getvalue()
+    text = out.getvalue()
+    if code != 3:
+        json.loads(text[text.index("{"):], parse_constant=reject_constant)
 
 
 def test_non_finite_report_value_is_a_numeric_signal(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import elementwise
 
-from twistnorm import (BlockSeq, GaugeSpec, NumericSignal, YoungMap,
+from twistnorm import (BlockSeq, GaugeSpec, GridMap, NumericSignal, YoungMap,
                        build_phitilde, build_pipeline, build_star_norm,
                        lambda_norm, level_constant, match_lambda_norm,
                        prefix_substitution_check, radial_power, select_alpha,
@@ -124,6 +124,17 @@ def test_level_constant_square():
     assert level_constant(eighth) == pytest.approx(0.25, abs=1e-8)
 
 
+def test_level_constant_bounds_the_left_derivative_at_a_kink():
+    # max(t^2, 3 t^2 - 1) kinks at the alpha = 1/2 seam t = 1/sqrt(2): the
+    # radial derivative is 1 from the left and 3 from the right
+    kinked = YoungMap(dim=1, fn=lambda p: np.maximum(p[..., 0] ** 2,
+                                                     3.0 * p[..., 0] ** 2 - 1.0),
+                      radially_monotone=True, convex=True)
+    M = level_constant(GaugeSpec(base=kinked, alpha=0.5, M=math.nan))
+    assert M >= 1.0
+    assert M == pytest.approx(2.0, rel=1e-5)    # the mean of the two sides
+
+
 # -- alpha selection ------------------------------------------------------------
 
 def test_select_alpha_square(t2_pipe):
@@ -201,26 +212,26 @@ def _convex(dim, fn):
 # reference_ceiling's ray minima in place of the unit-sphere minimum
 ALPHA_BASES = {
     "tenth-square-d1": (lambda: _convex(1, lambda p: 0.1 * p[..., 0] ** 2),
-                        0.0625, 0.12500000000737013),
+                        0.0625, 0.12499999998971667),
     "tenth-square-d2": (lambda: _convex(2, lambda p: 0.1 * np.sum(p * p, -1)),
-                        0.0625, 0.12500000001067177),
-    "square-d1": (lambda: radial_power(1, 2.0), 0.5, 1.0000000000349558),
-    "cube-d1": (lambda: radial_power(1, 3.0), 0.25, 0.75000000002136),
-    "quartic-d1": (lambda: radial_power(1, 4.0), 0.25, 1.0000000000251428),
+                        0.0625, 0.12500000001053335),
+    "square-d1": (lambda: radial_power(1, 2.0), 0.5, 1.000000000001),
+    "cube-d1": (lambda: radial_power(1, 3.0), 0.25, 0.7499999999660556),
+    "quartic-d1": (lambda: radial_power(1, 4.0), 0.25, 1.000000000001),
     "cosh-d1": (lambda: _convex(1, lambda p: np.cosh(p[..., 0]) - 1.0),
-                0.25, 0.5198603854156927),
-    "square-d2": (lambda: radial_power(2, 2.0), 0.5, 1.0000000000860216),
-    "sixth-d2": (lambda: radial_power(2, 6.0), 0.125, 0.7500000000692207),
+                0.25, 0.5198603854061901),
+    "square-d2": (lambda: radial_power(2, 2.0), 0.5, 1.0000000000842668),
+    "sixth-d2": (lambda: radial_power(2, 6.0), 0.125, 0.7500000000632001),
     "ellipse-d2": (lambda: _convex(2, lambda p: p[..., 0] ** 2
                                    + 4.0 * p[..., 1] ** 2),
-                   0.5, 1.0000000000645783),
+                   0.5, 1.0000000000842668),
     "max-square-d2": (lambda: _convex(2, lambda p: np.max(np.abs(p), -1) ** 2),
-                      0.25, 0.5000005000033169),
+                      0.5, 1.0000000000287557),
     "l1-square-d2": (lambda: _convex(2, lambda p: np.sum(np.abs(p), -1) ** 2),
-                     0.5, 1.000000000035456),
+                     0.5, 1.0000000000842668),
     "square-quartic-d2": (lambda: _convex(2, lambda p: p[..., 0] ** 2
                                           + p[..., 1] ** 4),
-                          0.25, 1.0000000000251428),
+                          0.25, 1.000000000001),
 }
 
 
@@ -250,12 +261,35 @@ def test_select_alpha_only_the_cap_rejects(name):
     assert select_alpha(base).alpha == 0.0625
 
 
-def test_select_alpha_steep_base_raises():
-    # 1e30 t^2 puts the unit gauge sphere at 1e-15, inside the 1e-4 ball
-    steep = YoungMap(dim=1, fn=lambda p: 1e30 * p[..., 0] ** 2,
-                     radially_monotone=True, convex=True)
-    with pytest.raises(NumericSignal, match="1e-4 ball"):
-        select_alpha(steep)
+def _grid_square():
+    ax = np.linspace(-2.0, 2.0, 41)
+    return GridMap(axes=(ax,), table=ax ** 2, radially_monotone=True,
+                   convex=True, label="grid t^2")
+
+
+# base, and the alpha and M that select_alpha picks for it
+BUILT_BASES = {
+    # 1e30 t^2 puts the unit gauge sphere at 1e-15; the relative radial
+    # step (1 +- h) x stays on the ray there
+    "steep-d1": (lambda: _convex(1, lambda p: 1e30 * p[..., 0] ** 2),
+                 0.5, 1.0),
+    # a GridMap as it stands: t^2 on 41 nodes is piecewise linear and
+    # convex, and its alpha = 1/4 seam is the node 1/2, between slopes 0.9
+    # and 1.1, so M is the mean 1 times 1/2
+    "grid-square-d1": (_grid_square, 0.25, 0.5),
+    # max(|x|, |y|)^2 is c t^2 along each ray, so M = 2 alpha; only steps
+    # off the ray meet its kinks
+    "max-square-d2": (ALPHA_BASES["max-square-d2"][0], 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_BASES))
+def test_select_alpha_builds_a_certified_norm(name):
+    make, alpha, M = BUILT_BASES[name]
+    g = select_alpha(make())
+    assert g.alpha == alpha
+    assert abs(g.M - M) <= 1e-9
+    assert triangle_violation(build_star_norm(g), 10_000, 0) <= 1e-10
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1002,22 +1036,22 @@ def test_substitution_verdict_names_the_first_failing_triple():
 
 PIPELINE_REPORTS = {   # frozen at the default seed 1234
     "t2-pipeline": {
-        "M": 1.0000000000349558, "N_unit": 1.0, "alpha": 0.5,
-        "decreasing_max_step": -9.915306436709281e-09, "decreasing_ok": True,
-        "limit_gap": 2.924562553253702e-07,
-        "monotone_max_violation": -7.619331369515921e-09, "seed": 1234,
+        "M": 1.000000000001, "N_unit": 1.0, "alpha": 0.5,
+        "decreasing_max_step": -9.915306437045962e-09, "decreasing_ok": True,
+        "limit_gap": 2.924562555382331e-07,
+        "monotone_max_violation": -7.619331369774625e-09, "seed": 1234,
     },
     "t4-pipeline": {
-        "M": 1.0000000000251428, "N_unit": 1.0, "alpha": 0.25,
-        "decreasing_max_step": -4.957654276388231e-09, "decreasing_ok": True,
-        "limit_gap": 1.4622812766412006e-07,
-        "monotone_max_violation": -3.809705906174871e-09, "seed": 1234,
+        "M": 1.000000000001, "N_unit": 1.0, "alpha": 0.25,
+        "decreasing_max_step": -4.9576541194987044e-09, "decreasing_ok": True,
+        "limit_gap": 1.4622812766765042e-07,
+        "monotone_max_violation": -3.8097059062668415e-09, "seed": 1234,
     },
     "r2-pipeline": {
-        "M": 1.0000000000860216, "N_unit": 1.0, "alpha": 0.5,
-        "decreasing_max_step": -9.915306436202947e-09, "decreasing_ok": True,
-        "limit_gap": 9.102751054608603e-08,
-        "monotone_max_violation": -5.564150187551304e-09, "seed": 1234,
+        "M": 1.0000000000842668, "N_unit": 1.0, "alpha": 0.5,
+        "decreasing_max_step": -9.915306279211158e-09, "decreasing_ok": True,
+        "limit_gap": 9.102751054624576e-08,
+        "monotone_max_violation": -5.564150187561067e-09, "seed": 1234,
     },
 }
 

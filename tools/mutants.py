@@ -108,6 +108,16 @@ MUTANTS = {
         "renorm", ".take(idx, axis=0)", ".take(idx - 1, axis=0)",
         [f"{RN}::test_phitilde_matches_gauge_branching",
          f"{RN}::test_star_norm_gauges_only_outside"]),
+    # the level constant: a central radial difference bounds the left one
+    "level-constant-forward-difference": (
+        "renorm",
+        "np.stack([(1.0 + h) * pts, (1.0 - h) * pts]))\n"
+        "    return float(np.max((up - down) / (2.0 * h)))",
+        "np.stack([(1.0 + h) * pts, pts]))\n"
+        "    return float(np.max((up - down) / h))",
+        [f"{RN}::test_select_alpha_matches_the_ray_ceiling",
+         f"{RN}::test_select_alpha_builds_a_certified_norm",
+         f"{RN}::test_pipeline_reports_are_pinned"]),
     # the certificate runs on the extension N evaluates, built from g
     "certify-the-base": (
         "renorm", "vals = (1.0 + phitilde.evaluate(pts)) / t[None, :]",

@@ -11,9 +11,11 @@ sequence at scale rho is
 and the Luxemburg norm is the smallest rho with modular(s, rho) <= 1.
 The norm is computed by a vectorized geometric bracket (doubling and
 halving, capped at 2**64 in either direction) that holds each root
-within a factor 2, followed by safeguarded false position on
-(log rho, log modular) to a relative width of 1e-12 (Dekker, Brent
-1973), in at most 80 steps, twice those of log bisection.  A map whose
+within a factor 2, followed by Illinois false position on
+(log rho, log modular) to a relative width of 1e-12 (Dowell and Jarratt,
+BIT 11, 1971), which bisects whenever a row's steps so far plus the
+bisection steps left would exceed twice those of log bisection, so a
+row takes at most 80 steps.  A map whose
 ``degree`` is p, so that m(c x) = c**p m(x) for c > 0, has
 modular(rho) = modular(s) (s / rho)**p: its root s modular(s)**(1/p) is
 read off one evaluation at the start s, and kept where one more
@@ -188,9 +190,22 @@ def modular(m, s: VecSeq, rho: float = 1.0) -> float:
 REL_TOL = 1e-12    # relative bracket width at which the search stops
 MAX_POW = 64       # the bracket search ranges over start * 2**[-64, 64]
 # the bracket spans a factor 2, log bisection closes it in 40 steps, and a
-# false position that does not halve the width is followed by a midpoint
+# false position is taken only while bisection would still close in twice that
 MAX_STEPS = 2 * math.ceil(math.log2(math.log(2.0) / REL_TOL))
 _INSET = math.log1p(REL_TOL / 2.0)   # least log-distance of a step from an end
+_EPS = math.log1p(REL_TOL)           # the log-width at which a row closes
+
+
+def _log(val: np.ndarray) -> np.ndarray:
+    """log of a modular; 0 gives -inf without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(val)
+
+
+def _bisections(width: np.ndarray) -> np.ndarray:
+    """Log bisection steps that close a bracket of log-width width."""
+    with np.errstate(divide="ignore"):
+        return np.ceil(np.log2(width / _EPS))
 
 
 def _bracket_bisect(modular_fn, start: np.ndarray) -> np.ndarray:
@@ -199,14 +214,17 @@ def _bracket_bisect(modular_fn, start: np.ndarray) -> np.ndarray:
     modular_fn(rho, rows) returns the modular of the selected rows at the
     matching scales and must be nonincreasing in rho.  A doubling or
     halving search from start brackets each root within a factor 2, with
-    modular(lo) > 1 >= modular(hi).  Each step then takes the false
-    position of (log rho, log modular) between the ends, at least REL_TOL/2
-    inside them, or the geometric midpoint when an end's modular is 0 or
-    non-finite or the previous false position did not halve the log-width;
-    so no row takes more than twice the steps of bisection.  Rows leave the
-    active set as soon as they bracket or converge, so late iterations
-    touch only the stragglers.  The result is the geometric midpoint
-    lo * sqrt(hi / lo), which does not underflow.
+    modular(lo) > 1 >= modular(hi).  Each step then takes the Illinois
+    false position of (log rho, log modular) between the ends, at least
+    REL_TOL/2 inside them: an end kept on two steps running has its log
+    modular halved (Dowell and Jarratt, BIT 11, 1971).  A row takes the
+    geometric midpoint instead when an end's log modular is not finite,
+    or when its steps so far plus the bisection steps that close its
+    bracket from here would exceed twice the bisection steps that close
+    it from where it was bracketed; so no row takes more than twice the
+    steps of bisection.  Rows leave the active set as soon as they bracket
+    or converge, so late iterations touch only the stragglers.  The result
+    is the geometric midpoint lo * sqrt(hi / lo), which does not underflow.
     """
     lo = np.array(start, dtype=float)
     f_lo = modular_fn(lo, np.arange(lo.size))
@@ -237,8 +255,12 @@ def _bracket_bisect(modular_fn, start: np.ndarray) -> np.ndarray:
         rows = rows[f_lo[rows] <= 1.0]
     hit = f_hi == 1.0            # an end that solves the equation outright
     lo[hit] = hi[hit]
-    # invariant: modular(lo) > 1 >= modular(hi)
-    take_mid = np.zeros(lo.size, dtype=bool)
+    # invariant: modular(lo) > 1 >= modular(hi); ends[0] is lo, ends[1] hi
+    ends = np.stack([lo, hi])
+    lo, hi = ends
+    weight = _log(np.stack([f_lo, f_hi]))    # per end, halved when kept
+    moved = np.full(lo.size, -1)             # the end the last step replaced
+    budget = 2.0 * _bisections(np.log(hi / lo))
     rows = np.arange(lo.size)
     steps = 0
     while True:
@@ -254,20 +276,22 @@ def _bracket_bisect(modular_fn, start: np.ndarray) -> np.ndarray:
         a, ratio = lo[rows], hi[rows] / lo[rows]
         width = np.log(ratio)
         mid = a * np.sqrt(ratio)
-        fa, fb = f_lo[rows], f_hi[rows]
-        interp = ~take_mid[rows] & (fb > 0.0) & (fa < np.inf)
-        ga, gb = np.log(fa[interp]), np.log(fb[interp])
-        w = width[interp]
+        ga, gb = weight[:, rows]
+        interp = ((steps + _bisections(width) <= budget[rows])
+                  & np.isfinite(ga) & np.isfinite(gb))
+        ga, gb, w = ga[interp], gb[interp], width[interp]
         t = np.clip(ga / (ga - gb) * w, _INSET, w - _INSET)
         mid[interp] = a[interp] * np.exp(t)
         val = modular_fn(mid, rows)
+        end = np.where(val > 1.0, 0, 1)
+        ends[end, rows] = mid
+        weight[end, rows] = _log(val)
         hit = val == 1.0
-        above = ~hit & (val > 1.0)
-        below = ~hit & ~above
-        lo[rows[hit]] = hi[rows[hit]] = mid[hit]
-        lo[rows[above]], f_lo[rows[above]] = mid[above], val[above]
-        hi[rows[below]], f_hi[rows[below]] = mid[below], val[below]
-        take_mid[rows] = interp & (np.log(hi[rows] / lo[rows]) > width / 2.0)
+        ends[:, rows[hit]] = mid[hit]
+        # Illinois: the end kept on this step and the last one is halved
+        twice = moved[rows] == end
+        weight[1 - end[twice], rows[twice]] *= 0.5
+        moved[rows] = end
 
 
 def _homogeneous_root(modular_fn, start: np.ndarray, p: float) -> np.ndarray:

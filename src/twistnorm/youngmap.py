@@ -301,6 +301,10 @@ def quasiconvexity_constant(m: YoungMap, trials: int, rng_seed: int,
 # --------------------------------------------------------------------------
 # grid-backed maps
 
+# points per block of GridMap.evaluate: its ten or so (block,) temporaries
+# stay within a 2 MiB L2 cache
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class GridMap:
@@ -314,7 +318,10 @@ class GridMap:
     ``evaluate`` takes the stretch max(1, max_i |x_i| / h_i), pulls each
     coordinate back by its own division, finds its cell by index
     arithmetic and reads each of the 2**dim corners with one ``take``;
-    no (N, dim) or (N, 2**dim) array is built.  Scaling a query outside
+    no (N, dim) or (N, 2**dim) array is built.  It runs on blocks of
+    8192 points at a time, each summed into its slice of one output, so
+    its temporaries stay in cache; every step is pointwise, so a value
+    does not depend on the block it falls in.  Scaling a query outside
     the box by 2**k scales its stretch exactly and leaves its pull-back
     unchanged, so the value scales by exactly 2**k (short of subnormals
     and overflow).
@@ -353,18 +360,23 @@ class GridMap:
     def evaluate(self, pts) -> np.ndarray:
         pts = _as_points(pts, self.dim)
         flat = pts.reshape(-1, self.dim)
-        stretch = np.ones(flat.shape[0])
-        for i, ax in enumerate(self.axes):
-            np.maximum(stretch, np.abs(flat[:, i]) / ax[-1], out=stretch)
-        return self._interp(pts, stretch)
+        out = np.zeros(flat.shape[0])
+        for start in range(0, flat.shape[0], _BLOCK):
+            part = slice(start, start + _BLOCK)
+            block = flat[part]
+            stretch = np.ones(block.shape[0])
+            for i, ax in enumerate(self.axes):
+                np.maximum(stretch, np.abs(block[:, i]) / ax[-1], out=stretch)
+            self._interp(block, stretch, out[part])
+        return out.reshape(pts.shape[:-1])
 
     def __call__(self, pts):
         return self.evaluate(pts)
 
-    def _interp(self, pts: np.ndarray, stretch=1.0) -> np.ndarray:
-        """stretch * (the interpolant at pts / stretch); stretch is 1.0 or
-        one value per point."""
-        flat = pts.reshape(-1, self.dim)
+    def _interp(self, flat: np.ndarray, stretch=1.0, out=None) -> np.ndarray:
+        """stretch * (the interpolant at flat / stretch), flat of shape
+        (N, dim); stretch is 1.0 or one value per point.  The sum is taken
+        in out, which must hold zeros, when it is given."""
         base = np.zeros(flat.shape[0], dtype=np.intp)   # flat cell index
         weights = []            # (1 - frac, frac) per axis
         for i, ax in enumerate(self.axes):
@@ -383,7 +395,8 @@ class GridMap:
             x /= (ax[1:] - ax[:-1]).take(j)
             weights.append((1.0 - x, x))
         table = self.table.ravel()
-        out = np.zeros(flat.shape[0])
+        if out is None:
+            out = np.zeros(flat.shape[0])
         vals = w = None         # scratch reused by every corner
         prev = 0
         for corner in range(2 ** self.dim):
@@ -400,7 +413,7 @@ class GridMap:
             vals *= weight
             out += vals
         out *= stretch
-        return out.reshape(pts.shape[:-1])
+        return out
 
     def as_young(self) -> YoungMap:
         return YoungMap(

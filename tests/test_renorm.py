@@ -224,7 +224,7 @@ ALPHA_BASES = {
     "sixth-d2": (lambda: radial_power(2, 6.0), 0.125, 0.7500000000632001),
     "ellipse-d2": (lambda: _convex(2, lambda p: p[..., 0] ** 2
                                    + 4.0 * p[..., 1] ** 2),
-                   0.5, 1.0000000000842668),
+                   0.5, 1.0000000000565112),
     "max-square-d2": (lambda: _convex(2, lambda p: np.max(np.abs(p), -1) ** 2),
                       0.5, 1.0000000000287557),
     "l1-square-d2": (lambda: _convex(2, lambda p: np.sum(np.abs(p), -1) ** 2),

@@ -351,6 +351,7 @@ ORACLE_MAPS = {
     "power_log(2)": lambda: power_log(2.0),
     "extend(power_log(1.5), 2)": lambda: extend(power_log(1.5), 2.0),
     "psi-z2": lambda: from_preset("z2", resolution=17).psi_map,
+    "psi-z2-41": lambda: from_preset("z2", resolution=41).psi_map,
     "psi-kp-softclip:2,1": lambda: from_preset("kp-softclip:2,1",
                                                resolution=17).psi_map,
     "radial_power(2, 2)": lambda: radial_power(2, 2.0),
@@ -411,6 +412,50 @@ def test_step_like_modular_costs_at_most_twice_the_bisection():
     _bracket_bisect(counted, start)
     _, scales, steps = bisect_reference(modular_fn, start)
     assert np.all(count <= scales + 2 * steps)
+
+
+def test_a_stalled_false_position_keeps_the_bisection_budget():
+    # the modular jumps from e**700 to just below 1 at the root, so each
+    # false position lands next to hi and moves it by the least inset, and
+    # the halved weight of lo frees it only after about 60 halvings; the
+    # bisection budget must then bisect, and close at exactly twice the
+    # bisection steps
+    root = np.array([1.3, 1.7, 1.9])
+
+    def modular_fn(rho, rows):
+        return np.where(rho < root[rows], math.exp(700.0),
+                        np.nextafter(1.0, 0.0))
+
+    count = np.zeros(root.size, dtype=int)
+
+    def counted(rho, rows):
+        count[rows] += 1
+        return modular_fn(rho, rows)
+
+    start = np.ones(root.size)
+    got = _bracket_bisect(counted, start)
+    _, scales, steps = bisect_reference(modular_fn, start)
+    assert np.all(count == scales + 2 * steps)
+    assert np.all(np.abs(got - root) <= REL_TOL * root)
+
+
+@pytest.mark.parametrize("name, most", [("psi-z2-41", 9.0),
+                                        ("power_log(2)", 8.0)])
+def test_illinois_rows_take_few_modular_evaluations(name, most):
+    # false position with a midpoint after every step that did not halve
+    # the width took 12.3 row evaluations per row on these Psi rows and
+    # 12.2 on these power_log rows
+    m = oracle_map(name)
+    rows = [0]
+
+    def counted(pts):
+        rows[0] += pts.shape[0]
+        return m.evaluate(pts)
+
+    batch = ragged_batch(np.random.default_rng(67), 1000, 64, m.dim)
+    luxemburg_norm_batch(YoungMap(dim=m.dim, fn=counted,
+                                  radially_monotone=True), batch)
+    assert rows[0] / np.any(batch != 0.0, axis=(1, 2)).sum() <= most
 
 
 def ragged_batch(rng, n, width, dim):

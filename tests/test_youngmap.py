@@ -13,7 +13,7 @@ from twistnorm import (GridMap, NumericSignal, YoungMap, build_space, certify,
                        kalton_peck_map, kp_theoretical_bound,
                        luxemburg_norm_batch, mollify, power, power_log,
                        quasiconvexity_constant, radial_power, soft_clip_theta)
-from twistnorm.youngmap import _grid_axes, _ratio
+from twistnorm.youngmap import _BLOCK, _grid_axes, _ratio
 
 # frozen expected values
 KP_BOUND_Z2 = 7.3307290635716065          # max(1 + 2 + 8 * 4/e^2, 4)
@@ -384,6 +384,32 @@ def test_grid_evaluate_is_bitwise_the_two_pass_form(dim):
                           reference_grid_evaluate(gm, batch).view(np.int64))
     assert gm(np.empty((0, dim))).shape == (0,)
     assert gm._interp(inside).tobytes() == gm.evaluate(inside).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_evaluate_is_bitwise_its_slices(dim):
+    # evaluate runs in blocks: more than two blocks of points give the
+    # bits of seven slices that straddle the block edges
+    rng = np.random.default_rng(41 + dim)
+    axes = _grid_axes(dim, np.linspace(1.3, 2.1, dim), 9)
+    table = rng.normal(size=(9,) * dim)
+    table[(4,) * dim] = 0.0         # so the value at +-0.0 is 0
+    gm = GridMap(axes=axes, table=table)
+    n = 2 * _BLOCK + 1237
+    pts = 3.0 * gm.halfwidth * (2.0 * rng.random((n, dim)) - 1.0)
+    pts[::97] = 0.0
+    pts[1::97] = -0.0
+    pts[2::89, rng.integers(0, dim)] = np.nan
+    pts[3::89] *= 2.0 ** 40
+    slices = np.concatenate([gm.evaluate(part)
+                             for part in np.array_split(pts, 7)])
+    assert np.isnan(slices).any() and (slices == 0.0).any()
+    assert np.array_equal(gm.evaluate(pts).view(np.int64),
+                          slices.view(np.int64))
+    batch = pts[:(n // 3) * 3].reshape(3, n // 3, dim)
+    assert np.array_equal(gm(batch).view(np.int64),
+                          slices[:batch.shape[0] * batch.shape[1]]
+                          .reshape(3, -1).view(np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -62,6 +62,22 @@ MUTANTS = {
         "",
         [f"{SEQ}::test_a_degree_map_that_vanishes_on_a_row_raises_as_the_"
          "search_does"]),
+    # Illinois false position under a bisection budget
+    "illinois-no-halving": (
+        "seqspace", "weight[1 - end[twice], rows[twice]] *= 0.5",
+        "weight[1 - end[twice], rows[twice]] *= 1.0",
+        [f"{SEQ}::test_illinois_rows_take_few_modular_evaluations"]),
+    "illinois-halve-the-moved-end": (
+        "seqspace", "weight[1 - end[twice], rows[twice]] *= 0.5",
+        "weight[end[twice], rows[twice]] *= 0.5",
+        [f"{SEQ}::test_illinois_rows_take_few_modular_evaluations"]),
+    "illinois-forget-the-moved-end": (
+        "seqspace", "        moved[rows] = end\n", "",
+        [f"{SEQ}::test_illinois_rows_take_few_modular_evaluations"]),
+    "budget-one-more-false-position": (
+        "seqspace", "steps + _bisections(width) <= budget[rows]",
+        "steps + _bisections(width) <= budget[rows] + 1",
+        [f"{SEQ}::test_a_stalled_false_position_keeps_the_bisection_budget"]),
     "quasilinear-split-swapped": (
         "twisted", "nx, ny, ns = np.split(norms, 3)",
         "ns, ny, nx = np.split(norms, 3)",
@@ -85,6 +101,10 @@ MUTANTS = {
         "youngmap", "x /= (ax[1:] - ax[:-1]).take(j)",
         "x *= (1.0 / (ax[1:] - ax[:-1])).take(j)",
         [f"{YM}::test_grid_evaluate_is_bitwise_the_two_pass_form"]),
+    "grid-block-slice-off-by-one": (
+        "youngmap", "part = slice(start, start + _BLOCK)",
+        "part = slice(start, start + _BLOCK - 1)",
+        [f"{YM}::test_grid_evaluate_is_bitwise_its_slices"]),
     # reports hold finite numbers only
     "step-margins-everywhere": (
         "renorm", "return (values[:, 1:][checked]\n"

@@ -7,6 +7,9 @@ and (with --out) writes a JSON report of the form
      "meta": {"timestamp": "..."}}
 
 so reruns with identical configuration produce byte-identical bodies.
+Each command and sub-command takes only the flags it reads (_COMMANDS),
+and its body echoes those of --seed, --trials, --resolution and --box
+(certify equivalence reports the box it ran on, which may be larger).
 Exit codes: 0 success, 1 a certificate ran and failed its tolerance,
 2 malformed input or configuration, 3 a numeric signal (unbounded
 constant, failed bracket, failed construction certificate).
@@ -43,8 +46,8 @@ SPACE_PRESETS = "z2, zp:<p>, kp-softclip:<p>,<b>"
 
 
 def _provenance(args) -> dict:
-    return {"seed": args.seed, "trials": args.trials,
-            "resolution": args.resolution, "box_halfwidth": args.box}
+    return {k: v for k, v in vars(args).items()
+            if k in ("seed", "trials", "resolution", "box_halfwidth")}
 
 
 def _jsonable(obj, key: str = "body"):
@@ -86,11 +89,6 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _space_preset(args):
-    return from_preset(args.preset, resolution=args.resolution,
-                       with_envelope=False)
-
-
 def _random_blocks(u: np.ndarray, dim: int) -> list:
     """1 + floor(4 u0) blocks per row of u, from 4 dim magnitudes in
     [1e-2, 10] and 4 dim signs.  Trial i of certify suff (then its target,
@@ -108,7 +106,7 @@ def _random_blocks(u: np.ndarray, dim: int) -> list:
 def cmd_norm(args) -> int:
     text = _read(args.seq)
     seq = VecSeq.from_json(text)
-    space = _space_preset(args)
+    space = from_preset(args.preset, with_envelope=False)
     if seq.dim == 1:
         value = luxemburg_norm(space.f, seq)
         kind = "luxemburg"
@@ -126,7 +124,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_twisted_norm(args) -> int:
-    space = _space_preset(args)
+    space = from_preset(args.preset, with_envelope=False)
     pair = PairSeq.from_json(_read(args.pair))
     value = twisted_norm(space, pair)
     print(f"twisted norm = {value!r}")
@@ -138,8 +136,8 @@ def cmd_twisted_norm(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    space = _space_preset(args)
-    grid = convex_envelope(space.phi_kp, args.box, args.resolution)
+    space = from_preset(args.preset, with_envelope=False)
+    grid = convex_envelope(space.phi_kp, args.box_halfwidth, args.resolution)
     out = args.csv or "envelope.csv"
     grid.to_csv(out)
     print(f"envelope grid ({grid.resolution}x{grid.resolution}) -> {out}")
@@ -157,7 +155,7 @@ def _certify_quasiconvex(args) -> tuple[bool, dict]:
     f = certify(power(p), claimed)
     phi = kalton_peck_map(f, theta)
     res = quasiconvexity_constant(phi, args.trials, args.seed,
-                                  halfwidth=args.box)
+                                  halfwidth=args.box_halfwidth)
     bound = kp_theoretical_bound(f.constants, theta)
     ok = bool(1.0 < res.l_hat <= bound + 1e-9)
     return ok, {
@@ -168,9 +166,10 @@ def _certify_quasiconvex(args) -> tuple[bool, dict]:
 
 
 def _certify_equivalence(args) -> tuple[bool, dict]:
-    space = _space_preset(args)
+    space = from_preset(args.preset, resolution=args.resolution,
+                        with_envelope=False)
     f = certify(space.f, space.f.p)
-    space = space.with_box(args.box)
+    space = space.with_box(args.box_halfwidth)
     rep = equivalence_certificate(space, args.trials, args.dim_max, args.seed)
     side = max(1, args.trials // 4)
     ql = quasi_linearity_constant(space, side, args.dim_max, args.seed)
@@ -178,17 +177,17 @@ def _certify_equivalence(args) -> tuple[bool, dict]:
     ok = bool(rep["stable"] and rep["ratio_min"] > 0
               and math.isfinite(rep["ratio_max"]))
     return ok, {
-        "kind": "equivalence", "preset": args.preset,
+        **_provenance(args), "kind": "equivalence", "preset": args.preset,
         "c_hat": ql.c_hat, "Q_hat": qt["Q_hat"],
         "ratio": rep["ratio"], "stable": rep["stable"],
         "stability": rep["stability"], "dim_max": args.dim_max,
         "box_halfwidth": rep["box_halfwidth"],
-        "constants": f.constants.to_report(), **_provenance(args),
+        "constants": f.constants.to_report(),
     }
 
 
 def _certify_quasilinear(args) -> tuple[bool, dict]:
-    space = _space_preset(args)
+    space = from_preset(args.preset, with_envelope=False)
     res = quasi_linearity_constant(space, args.trials, args.dim_max, args.seed)
     vals = list(res.per_dim.values())
     spread = max(vals) / min(vals) if min(vals) > 0 else math.inf
@@ -272,10 +271,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_renorm(args) -> int:
-    if args.action == "check" and not args.blocks:
-        raise ValueError("renorm check needs --blocks")
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
-    if args.action == "build":
+    if args.kind == "build":
         worst = triangle_violation(pipe.norm, args.trials, args.seed)
         body = {
             "command": "renorm build", "pipeline": args.pipeline,
@@ -324,12 +321,50 @@ def cmd_lambda_norm(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=20240501)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--resolution", type=int, default=41)
-    p.add_argument("--box", type=float, default=2.0)
-    p.add_argument("--out", default=None, help="write the JSON report here")
+# name: keyword arguments of its option --name
+_FLAGS = {
+    "preset": dict(default="z2", help=SPACE_PRESETS),
+    "pipeline": dict(default="t2-pipeline", help=", ".join(PIPELINES)),
+    "seq": dict(required=True, help="sequence JSON file"),
+    "pair": dict(required=True, help="pair JSON file (dim 2)"),
+    "blocks": dict(required=True, help="block JSON file"),
+    "csv": dict(default=None, help="CSV output path"),
+    "type-p": dict(type=float, default=None,
+                   help="override the claimed growth exponent"),
+    "dim-max": dict(type=int, default=64),
+    "trials": dict(type=int, default=10_000),
+    "seed": dict(type=int, default=20240501),
+    "resolution": dict(type=int, default=41),
+    "box": dict(type=float, default=2.0, dest="box_halfwidth", metavar="BOX"),
+    "out": dict(default=None, help="write the JSON report here"),
+}
+
+# command: (help, handler, the flags it reads besides --out), or for a
+# command with sub-commands (help, handler, {args.kind: flags})
+_COMMANDS = {
+    "norm": ("Luxemburg or twisted norm of a file", cmd_norm, "preset seq"),
+    "twisted-norm": ("twisted quasi-norm of a pair file", cmd_twisted_norm,
+                     "preset pair"),
+    "envelope": ("grid convex envelope as CSV", cmd_envelope,
+                 "preset csv resolution box"),
+    "certify": ("run a seeded certificate", cmd_certify, {
+        "quasiconvex": "preset type-p trials seed box",
+        "equivalence": "preset dim-max trials seed resolution box",
+        "quasilinear": "preset dim-max trials seed",
+        "triangle": "pipeline trials seed",
+        "suff": "pipeline trials seed",
+        "property-m": "pipeline trials seed"}),
+    "renorm": ("build a renorm pipeline or check blocks", cmd_renorm,
+               {"build": "pipeline trials seed",
+                "check": "pipeline blocks seed"}),
+    "lambda-norm": ("iterated-norm supremum of blocks", cmd_lambda_norm,
+                    "pipeline blocks seed"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: str) -> None:
+    for name in flags.split() + ["out"]:
+        p.add_argument("--" + name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,51 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="norms, envelopes and seeded certificates for twisted "
                     "Orlicz sequence spaces")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("norm", help="Luxemburg or twisted norm of a file")
-    p.add_argument("--preset", default="z2", help=SPACE_PRESETS)
-    p.add_argument("--seq", required=True, help="sequence JSON file")
-    _add_common(p)
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("twisted-norm", help="twisted quasi-norm of a pair file")
-    p.add_argument("--preset", default="z2", help=SPACE_PRESETS)
-    p.add_argument("--pair", required=True, help="pair JSON file (dim 2)")
-    _add_common(p)
-    p.set_defaults(func=cmd_twisted_norm)
-
-    p = sub.add_parser("envelope", help="grid convex envelope as CSV")
-    p.add_argument("--preset", default="z2", help=SPACE_PRESETS)
-    p.add_argument("--csv", default=None, help="CSV output path")
-    _add_common(p)
-    p.set_defaults(func=cmd_envelope)
-
-    p = sub.add_parser("certify", help="run a seeded certificate")
-    p.add_argument("kind", choices=sorted(_CERTIFIERS))
-    p.add_argument("--preset", default="z2", help=SPACE_PRESETS)
-    p.add_argument("--pipeline", default="t2-pipeline",
-                   help=", ".join(PIPELINES))
-    p.add_argument("--dim-max", type=int, default=64)
-    p.add_argument("--type-p", type=float, default=None,
-                   help="override the claimed growth exponent")
-    _add_common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("renorm", help="build a renorm pipeline or check blocks")
-    p.add_argument("action", choices=["build", "check"])
-    p.add_argument("--pipeline", default="t2-pipeline",
-                   help=", ".join(PIPELINES))
-    p.add_argument("--blocks", default=None, help="block JSON (check only)")
-    _add_common(p)
-    p.set_defaults(func=cmd_renorm)
-
-    p = sub.add_parser("lambda-norm", help="iterated-norm supremum of blocks")
-    p.add_argument("--pipeline", default="t2-pipeline",
-                   help=", ".join(PIPELINES))
-    p.add_argument("--blocks", required=True, help="block JSON file")
-    _add_common(p)
-    p.set_defaults(func=cmd_lambda_norm)
-
+    for name, (text, func, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if isinstance(flags, str):
+            _add_flags(p, flags)
+            continue
+        kinds = p.add_subparsers(dest="kind", required=True)
+        for kind, kind_flags in flags.items():
+            _add_flags(kinds.add_parser(kind), kind_flags)
     return ap
 
 
@@ -393,11 +392,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.trials < 1:
+        if "trials" in args and args.trials < 1:
             raise ValueError("trials must be >= 1")
-        if args.resolution < 9 or args.resolution % 2 == 0:
+        if "resolution" in args and (args.resolution < 9
+                                     or args.resolution % 2 == 0):
             raise ValueError("resolution must be odd and >= 9")
-        if not args.box > 0:
+        if "box_halfwidth" in args and not args.box_halfwidth > 0:
             raise ValueError("box halfwidth must be positive")
         if "dim_max" in args and args.dim_max < 1:
             raise ValueError("dim-max must be >= 1")

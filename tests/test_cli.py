@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 import twistnorm
 from twistnorm import (BlockSeq, NumericSignal, VecSeq, build_pipeline, cli,
-                       lambda_norm, match_lambda_norm,
-                       prefix_substitution_check, renorm, sampling, scalarfn,
-                       suff_criterion_check)
+                       equivalence_certificate, from_preset, lambda_norm,
+                       match_lambda_norm, prefix_substitution_check, renorm,
+                       sampling, scalarfn, suff_criterion_check)
 
 
 def run(*argv):
@@ -375,7 +376,7 @@ def test_schema_errors_exit_two(tmp_path, seq_file, capsys):
     assert run("envelope", "--preset", "kp-softclip:2,inf",
                "--resolution", "9") == 2
     assert run("certify", "no-such-kind") == 2
-    assert run("norm", "--seq", str(seq_file), "--trials", "0") == 2
+    assert run("certify", "suff", "--trials", "0") == 2
     capsys.readouterr()
     assert run("certify", "quasilinear", "--dim-max", "0",
                "--trials", "10") == 2
@@ -383,6 +384,82 @@ def test_schema_errors_exit_two(tmp_path, seq_file, capsys):
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"dim": 3, "entries": [[1, [1.0, 1.0, 1.0]]]}))
     assert run("norm", "--seq", str(wide)) == 2
+
+
+# each (sub)command and the flags it reads, besides --out
+FLAGS_READ = {
+    "norm": "preset seq",
+    "twisted-norm": "preset pair",
+    "envelope": "preset csv resolution box",
+    "certify quasiconvex": "preset type-p trials seed box",
+    "certify equivalence": "preset dim-max trials seed resolution box",
+    "certify quasilinear": "preset dim-max trials seed",
+    "certify triangle": "pipeline trials seed",
+    "certify suff": "pipeline trials seed",
+    "certify property-m": "pipeline trials seed",
+    "renorm build": "pipeline trials seed",
+    "renorm check": "pipeline blocks seed",
+    "lambda-norm": "pipeline blocks seed",
+}
+
+
+def flag_surface(parser, words=()):
+    """{command words: option strings} of every (sub)command below parser
+    that has no sub-commands of its own."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        flags = {s for a in parser._actions for s in a.option_strings}
+        return {" ".join(words): flags - {"-h", "--help"}}
+    return {key: flags for name, p in subs[0].choices.items()
+            for key, flags in flag_surface(p, words + (name,)).items()}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    surface = flag_surface(cli.build_parser())
+    assert surface == {key: {f"--{f}" for f in flags.split() + ["out"]}
+                       for key, flags in FLAGS_READ.items()}
+    assert sum(map(len, surface.values())) == 53
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--seq", "{seq}", "--trials", "5"),
+    ("lambda-norm", "--blocks", "{blocks}", "--box", "9"),
+    ("renorm", "build", "--blocks", "{blocks}"),
+    ("certify", "triangle", "--preset", "z2"),
+], ids=["norm-trials", "lambda-norm-box", "renorm-build-blocks",
+        "triangle-preset"])
+def test_an_unread_flag_exits_two(argv, seq_file, blocks_file, capsys):
+    paths = {"seq": seq_file, "blocks": blocks_file}
+    assert run(*(a.format(**paths) for a in argv)) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, echoed", [
+    (("lambda-norm", "--blocks", "{blocks}", "--seed", "7"), {"seed": 7}),
+    (("renorm", "check", "--blocks", "{blocks}"), {"seed": 20240501}),
+    (("envelope", "--resolution", "9", "--box", "1.5",
+      "--csv", "{tmp}/grid.csv"), {"resolution": 9, "box_halfwidth": 1.5}),
+    (("certify", "quasilinear", "--trials", "30", "--dim-max", "16"),
+     {"seed": 20240501, "trials": 30}),
+], ids=["lambda-norm", "renorm-check", "envelope", "quasilinear"])
+def test_reports_echo_the_flags_read(argv, echoed, blocks_file, tmp_path):
+    out = tmp_path / "report.json"
+    paths = {"blocks": blocks_file, "tmp": tmp_path}
+    assert run(*(a.format(**paths) for a in argv), "--out", str(out)) == 0
+    body = body_of(out)
+    keys = ("seed", "trials", "resolution", "box_halfwidth")
+    assert {key: body[key] for key in keys if key in body} == echoed
+
+
+def test_equivalence_reports_the_box_it_ran_on(tmp_path):
+    # the 0.25 box is too small for these pairs; the certificate doubles it
+    out = tmp_path / "e.json"
+    assert run("certify", "equivalence", "--preset", "z2", "--box", "0.25",
+               "--resolution", "9", "--dim-max", "16", "--trials", "300",
+               "--seed", "3", "--out", str(out)) == 0
+    rep = equivalence_certificate(from_preset("z2", 0.25, 9), 300, 16, 3)
+    assert body_of(out)["box_halfwidth"] == rep["box_halfwidth"] == 2.0
 
 
 def test_help_exits_zero():

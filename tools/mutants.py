@@ -169,6 +169,15 @@ MUTANTS = {
         "blocks = _rescale(blocks, _walk(norm, blocks).max(axis=1, "
         "initial=0.0),\n                      targets * (1.0 + 4e-16))",
         [f"{RN}::test_suff_margins_are_the_per_sequence_checks"]),
+    # each command takes, and its report echoes, only the flags it reads
+    "provenance-after-result": (
+        "cli", "f.constants.to_report(),\n    }",
+        "f.constants.to_report(), **_provenance(args),\n    }",
+        [f"{CLI}::test_equivalence_reports_the_box_it_ran_on"]),
+    "unread-flag-restored": (
+        "cli", 'cmd_norm, "preset seq"),', 'cmd_norm, "preset seq trials"),',
+        [f"{CLI}::test_each_command_takes_only_the_flags_it_reads",
+         f"{CLI}::test_an_unread_flag_exits_two"]),
     "fold-checked-assigned": (
         "cli", "checked += margins.size", "checked = margins.size",
         ["tests/test_cli.py::test_certify_walks_trials_in_batches"]),

@@ -14,8 +14,8 @@ scalarfn.certify) enter only the proof-side quasi-convexity bound.
 Phi is even and quasi-convex but not convex; this module certifies the
 quasi-convexity constant empirically, computes the lower convex
 envelope on a centred box as the lower convex hull of the lifted grid
-nodes, and smooths maps in dimensions 1 and 2 by averaging over scaled
-balls.
+nodes, and smooths even maps in dimensions 1 and 2 by averaging over
+scaled balls.
 
 Grid-backed maps evaluate by multilinear interpolation inside their box
 and by positively homogeneous degree-1 ray extension outside it;
@@ -25,6 +25,7 @@ enlarge and recompute (see the twisted module).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -113,7 +114,12 @@ def _as_points(pts, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class YoungMap:
-    """An even nonnegative map on R^n with declared structure flags."""
+    """An even nonnegative map on R^n with declared structure flags.
+
+    Evenness is a contract, not a flag: ``mollify`` averages at one node
+    of each mirror pair x, -x and copies the other, and raises when m
+    reads differently at the two nodes.
+    """
 
     dim: int
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -576,22 +582,30 @@ class MollifyResult:
     annulus: tuple[float, float]
 
 
+# two nodes of a mirror pair whose map values differ by more than this,
+# relative to the larger, make mollify raise: the map is not even
+_EVEN_RTOL = 1e-9
+
+
+@functools.cache
 def _ball_offsets(dim: int):
     """Unit-ball quadrature nodes and weights with uniform (volume) measure,
-    in dimensions 1 and 2."""
+    in dimensions 1 and 2; built once per dimension, as read-only arrays."""
     if dim == 1:
         g, w = leggauss(33)
-        return g[:, None], w / w.sum()
-    if dim != 2:
+        pts, wts = g[:, None], w / w.sum()
+    elif dim == 2:
+        g, w = leggauss(16)
+        u = (g + 1.0) / 2.0          # uniform in volume fraction
+        wu = w / w.sum()
+        r = np.sqrt(u)
+        ang = 2.0 * math.pi * (np.arange(24) + 0.5) / 24
+        pts = np.stack([np.outer(r, np.cos(ang)).ravel(),
+                        np.outer(r, np.sin(ang)).ravel()], axis=-1)
+        wts = np.repeat(wu / 24, 24)
+    else:
         raise ValueError("mollify supports dimensions 1 and 2 only")
-    g, w = leggauss(16)
-    u = (g + 1.0) / 2.0          # uniform in volume fraction
-    wu = w / w.sum()
-    r = np.sqrt(u)
-    ang = 2.0 * math.pi * (np.arange(24) + 0.5) / 24
-    pts = np.stack([np.outer(r, np.cos(ang)).ravel(),
-                    np.outer(r, np.sin(ang)).ravel()], axis=-1)
-    wts = np.repeat(wu / 24, 24)
+    pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
 
 
@@ -603,6 +617,13 @@ def mollify(m: YoungMap, radius_fraction: float, halfwidth,
     nodes whose balls stay inside the box and which sit at least two grid
     steps from 0.  When the sandwich fails at the requested fraction, a
     halving search reports the largest c' < c for which it holds.
+
+    m must be even.  On the centred C-order grid node N-1-i is -(node i),
+    up to linspace rounding, so the average is taken at nodes 0 .. N//2
+    (the centre included) and node N-1-i copies node i: half the map
+    evaluations, and every table with c > 0 equals its reversal bitwise.
+    ValueError is raised, before any average, when m at a node and at
+    its mirror differ by more than 1e-9 relative.
     """
     if not 0.0 <= radius_fraction < 1.0:
         raise ValueError("radius fraction must lie in [0, 1)")
@@ -610,6 +631,16 @@ def mollify(m: YoungMap, radius_fraction: float, halfwidth,
     axes = _grid_axes(m.dim, halfwidth, resolution)
     _, nodes = _grid_nodes(axes)
     base_vals = m.evaluate(nodes)
+    mirror = base_vals[::-1]
+    gap = np.abs(base_vals - mirror) > _EVEN_RTOL * np.maximum(
+        np.abs(base_vals), np.abs(mirror))
+    if gap.any():
+        i = int(np.argmax(gap))
+        raise ValueError(
+            f"mollify needs an even map: {m.label or 'map'} reads "
+            f"{base_vals[i]!r} at {nodes[i].tolist()} and {mirror[i]!r} "
+            f"at its mirror, beyond {_EVEN_RTOL:g} relative")
+    half = len(nodes) // 2 + 1          # nodes 0 .. N//2, the centre last
     step = max(float(ax[1] - ax[0]) for ax in axes)
     hw_min = min(float(ax[-1]) for ax in axes)
     norms = np.linalg.norm(nodes, axis=-1)
@@ -618,10 +649,10 @@ def mollify(m: YoungMap, radius_fraction: float, halfwidth,
     def averaged(c: float) -> np.ndarray:
         if c == 0.0:
             return base_vals.copy()
-        radii = c * norms
-        pts = nodes[:, None, :] + radii[:, None, None] * offsets[None, :, :]
-        vals = m.evaluate(pts.reshape(-1, m.dim)).reshape(len(nodes), -1)
-        return vals @ weights
+        radii = c * norms[:half]
+        pts = nodes[:half, None, :] + radii[:, None, None] * offsets
+        vals = m.evaluate(pts.reshape(-1, m.dim)).reshape(half, -1) @ weights
+        return np.concatenate([vals, vals[-2::-1]])
 
     def sandwich(c: float, avg: np.ndarray):
         inner = 2.0 * step

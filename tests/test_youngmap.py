@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from twistnorm import (GridMap, NumericSignal, YoungMap, build_space, certify,
-                       convex_envelope, extend, identity_theta,
+                       convex_envelope, extend, from_preset, identity_theta,
                        kalton_peck_map, kp_theoretical_bound,
                        luxemburg_norm_batch, mollify, power, power_log,
                        quasiconvexity_constant, radial_power, soft_clip_theta)
-from twistnorm.youngmap import _BLOCK, _grid_axes, _ratio
+from twistnorm.youngmap import _BLOCK, _ball_offsets, _grid_axes, _ratio
 
 # frozen expected values
 KP_BOUND_Z2 = 7.3307290635716065          # max(1 + 2 + 8 * 4/e^2, 4)
@@ -490,6 +491,95 @@ def test_mollify_rejects_dim_3_before_evaluating():
     with pytest.raises(ValueError, match="dimensions 1 and 2"):
         mollify(dataclasses.replace(base, fn=counted), 0.25, 2.0, 9)
     assert calls == []
+
+
+@pytest.mark.parametrize("dim, count", [(1, 33), (2, 384)])
+def test_ball_rule_is_built_once_and_read_only(dim, count):
+    pts, wts = _ball_offsets(dim)
+    assert _ball_offsets(dim)[0] is pts and _ball_offsets(dim)[1] is wts
+    assert pts.shape == (count, dim) and wts.shape == (count,)
+    assert wts.sum() == pytest.approx(1.0, rel=1e-14)
+    for a in (pts, wts):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_mollify_rejects_a_map_that_is_not_even():
+    calls = []
+
+    def tilted(pts):
+        calls.append(pts.shape)
+        t = pts[..., 0]
+        return t ** 2 * (1.0 + np.tanh(t) / 2.0)
+
+    with pytest.raises(ValueError, match="even map"):
+        mollify(YoungMap(dim=1, fn=tilted, label="tilted"), 0.25, 2.0, 21)
+    assert calls == [(21, 1)]           # the node values, no ball average
+    # a map even to within the relative tolerance passes
+    nearly = lambda_map(lambda t: t ** 2 * (1.0 + 1e-12 * np.tanh(t)))
+    assert mollify(nearly, 0.25, 2.0, 21).sandwich_ok
+
+
+@functools.cache
+def preset_envelope(name, resolution):
+    return from_preset(name, 2.0, resolution).psi.envelope_map().as_young()
+
+
+def reference_mollify(m, c, halfwidth, resolution):
+    """Table, certified fraction and sandwich ratios of mollify, with the
+    ball average taken at every node: no node is read off its mirror."""
+    offsets, weights = _ball_offsets(m.dim)
+    axes = _grid_axes(m.dim, halfwidth, resolution)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, m.dim)
+    base = m.evaluate(nodes)
+    norms = np.linalg.norm(nodes, axis=-1)
+    step = max(ax[1] - ax[0] for ax in axes)
+    hw = min(ax[-1] for ax in axes)
+
+    def average(c):
+        pts = nodes[:, None, :] + (c * norms)[:, None, None] * offsets
+        return m.evaluate(pts) @ weights
+
+    def ratios(c, avg):
+        ann = (norms >= 2.0 * step) & (norms * (1.0 + c) <= hw) & (base > 0)
+        return avg[ann] / base[ann]
+
+    def holds(c, avg):
+        r = ratios(c, avg)
+        return r.min() >= 0.5 and r.max() <= 2.0
+
+    avg = average(c)
+    halved = (c / 2 ** k for k in range(1, 31))
+    certified = c if holds(c, avg) else next(
+        h for h in halved if holds(h, average(h)))
+    r = ratios(c, avg)
+    return avg, certified, r.min(), r.max()
+
+
+@pytest.mark.parametrize("case, fraction, halfwidth, resolution, halves", [
+    ("z2", 0.25, 2.0, 17, False),
+    ("z2", 0.25, 2.0, 41, True),
+    ("kp-softclip:2,1", 0.25, 2.0, 17, False),
+    ("kp-softclip:2,1", 0.3, 2.0, 41, False),
+    ("square-d1", 0.25, 3.0, 49, False),
+    ("square-d2", 0.25, (2.0, 3.0), 21, False),
+])
+def test_mollify_is_the_average_at_every_node(case, fraction, halfwidth,
+                                              resolution, halves):
+    m = {"square-d1": radial_power(1, 2.0),
+         "square-d2": radial_power(2, 2.0)}.get(case)
+    m = m or preset_envelope(case, resolution)
+    res = mollify(m, fraction, halfwidth, resolution)
+    table, certified, r_min, r_max = reference_mollify(
+        m, fraction, halfwidth, resolution)
+    got = res.map.table.ravel()
+    assert np.all(np.abs(got - table) <= 1e-14 * np.abs(table))
+    assert res.ratio_min == pytest.approx(r_min, rel=1e-14, abs=0.0)
+    assert res.ratio_max == pytest.approx(r_max, rel=1e-14, abs=0.0)
+    assert res.certified_fraction == certified
+    assert (res.certified_fraction < fraction) is halves
+    # node N-1-i copies node i, so the table is bitwise even
+    assert np.array_equal(got.view(np.int64), got[::-1].view(np.int64))
 
 
 def test_map_points_need_the_trailing_axis():

@@ -105,6 +105,18 @@ MUTANTS = {
         "youngmap", "part = slice(start, start + _BLOCK)",
         "part = slice(start, start + _BLOCK - 1)",
         [f"{YM}::test_grid_evaluate_is_bitwise_its_slices"]),
+    # mollify averages one node of each mirror pair and copies the other
+    "mirror-unreversed": (
+        "youngmap", "return np.concatenate([vals, vals[-2::-1]])",
+        "return np.concatenate([vals, vals[:-1]])",
+        [f"{YM}::test_mollify_is_the_average_at_every_node"]),
+    "evenness-guard-off": (
+        "youngmap", "    if gap.any():\n", "    if False:\n",
+        [f"{YM}::test_mollify_rejects_a_map_that_is_not_even"]),
+    "ball-rule-writable": (
+        "youngmap", "    pts.flags.writeable = wts.flags.writeable = False\n",
+        "",
+        [f"{YM}::test_ball_rule_is_built_once_and_read_only"]),
     # reports hold finite numbers only
     "step-margins-everywhere": (
         "renorm", "return (values[:, 1:][checked]\n"

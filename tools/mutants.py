@@ -155,6 +155,16 @@ MUTANTS = {
         "renorm", "vals = (1.0 + phitilde.evaluate(pts)) / t[None, :]",
         "vals = (1.0 + g.base.evaluate(pts)) / t[None, :]",
         [f"{RN}::test_pipeline_reports_are_pinned"]),
+    # checks (a) and (b) run in blocks; every point is evaluated once
+    "last-ray-block-dropped": (
+        "renorm", "for start in range(0, len(rays), per_block):",
+        "for start in range(0, len(rays) - per_block, per_block):",
+        [f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
+    "tuples-offset-from-blocks": (
+        "renorm", "    mono_max = -np.inf\n",
+        "    mono_max = -np.inf\n    a, b = np.roll(a, 1), np.roll(b, 1)\n",
+        [f"{RN}::test_blocked_checks_are_the_whole_array_checks",
+         f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
     "certify-another-extension": (
         "renorm", "phitilde = build_phitilde(g)\n",
         "phitilde = build_phitilde(GaugeSpec(g.base, g.alpha, 1.0, "

@@ -22,12 +22,18 @@ pipeline
      construction: the per-step product inequality and the invariance
      of continuations under prefix substitution.
 
-One batched walk (_walk) iterates N for every caller: zero-padded blocks
-(B, k, n) give values (B, k), one evaluation of N per block index on a
-(B, n + 1) buffer whose first column carries the running values.  The
-per-sequence functions walk through star_iterate, its B = 1 case;
-suff_margins and substitution_differences run the suff and prefix
-checks, with their rescales, on B sequences in two walks.
+One walk (_walk) iterates N for every caller.  Zero-padded blocks
+(B, k, n) give values (B, k), one evaluation of N per block index on
+all B rows; suff_margins and substitution_differences run the suff and
+prefix checks, with their rescales, on B sequences in two such walks.
+The per-sequence functions walk one sequence through star_iterate, and
+B = 1 takes a scalar loop (_walk_one): base(x / v) on the (1, n) slice,
+the gauges of all k blocks in one call, and the affine rest of N on
+Python floats.  Only base and the gauge round in library calls (pow,
+hypot), and both run through the same array calls as in the batch; the
+rest are single IEEE double operations in the batch's order, so the
+values are bitwise the batched walk's.  A 64-block walk on t2 takes
+175 us against the batch's 460 us (one core of a 2-vCPU Xeon VM).
 
 The gauge is |x| * gauge(e1) where that is exact (see select_alpha);
 otherwise it is the Luxemburg norm of the one-term sequence (x) under
@@ -282,7 +288,8 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
     grid, 1e-10 relative per step; (b) first-coordinate monotonicity on
     100 000 seeded tuples, 1e-12 relative; (c) N(1, 0) = 1 exactly; (d) N
     is continuous as x0 -> 0: N(0, x) = M |x|_a matches N(1e-8, x) to
-    1e-6 relative.  Any failure raises NumericSignal.
+    1e-6 relative.  Any failure raises NumericSignal, and so does a
+    check that reads nan.
 
     (a) and (b) run in cache-sized blocks of youngmap._BLOCK points: (a)
     on 8 whole rays at a time, (b) on 8192 of its tuples, drawn whole.
@@ -308,7 +315,7 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
         rel = steps / np.maximum(vals[:, :-1], 1e-300)
         decreasing_max = np.maximum(decreasing_max, rel.max())
     decreasing_max = float(decreasing_max)
-    if decreasing_max > 1e-10:
+    if not decreasing_max <= 1e-10:
         raise NumericSignal(
             f"(1 + ext(t x)) / t increased by {decreasing_max:.2e} relative "
             "along a sampled ray; the extension is not certified")
@@ -328,7 +335,7 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
         mono_max = np.maximum(mono_max,
                               ((na - nb) / np.maximum(nb, 1e-300)).max())
     mono_max = float(mono_max)
-    if mono_max > 1e-12:
+    if not mono_max <= 1e-12:
         raise NumericSignal(
             f"first-coordinate monotonicity violated by {mono_max:.2e}")
 
@@ -346,7 +353,7 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
         [np.full((64, 1), eps), probes], axis=-1))
     limit_gap = float(np.max(np.abs(limit - closed)
                              / np.maximum(closed, 1e-300)))
-    if limit_gap > 1e-6:
+    if not limit_gap <= 1e-6:
         raise NumericSignal(
             f"x0 = 0 closed form differs from the limit by {limit_gap:.2e}")
 
@@ -446,27 +453,51 @@ def _pad(seqs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
+def _walk_one(g: GaugeSpec, rows: np.ndarray) -> list:
+    """Iterated values of one sequence of blocks (k, n): the batched step
+    on Python floats.
+
+    base(x / v) runs on the (1, n) slice, so x / 0 is an array division
+    (inf or nan, no ZeroDivisionError), and the gauge of every block comes
+    from one g.gauge call, whose rows are independent.  The rest of N is
+    the affine part of _scaled_extension in its grouping, one IEEE double
+    operation at a time, and nan fails inner <= alpha as it does there.
+    """
+    base, alpha, M = g.base.evaluate, float(g.alpha), float(g.M)
+    values, v = [], 0.0
+    for j, gauge in enumerate(g.gauge(rows).tolist()):
+        inner = base(rows[j:j + 1] / v).item()
+        v = v + (inner * v if inner <= alpha else v * alpha + M * (gauge - v))
+        values.append(v)
+    return values
+
+
 def _walk(norm: StarNorm, blocks: np.ndarray) -> np.ndarray:
     """Iterated values (B, k) of B padded block sequences (B, k, n).
 
     Step j computes v_j = N(v_{j-1}, b_j) for every row at once (v_0 = 0),
     the expression of StarNorm.evaluate without its input checks.  N acts
     point by point, so a row's values are the bits of its own walk, and a
-    zero block repeats the value before it exactly (N(v, 0) = v).  A value
-    past the double range raises NumericSignal.
+    zero block repeats the value before it exactly (N(v, 0) = v).  One
+    sequence (B = 1) walks in _walk_one instead: bitwise the same values
+    in about 40% of the time.  A value past the double range raises
+    NumericSignal.
     """
     B, k, dim = blocks.shape
     if dim != norm.dim:
         raise ValueError("block dimension does not match the norm")
     values = np.empty((B, k))
-    v = np.zeros(B)
     # x / 0 at the first step and an overflow of base(x / v) take the
     # finite outside branch; a value that is not finite raises below
     with np.errstate(all="ignore"):
-        for j in range(k):
-            x = blocks[:, j]
-            values[:, j] = v = v + _scaled_extension(norm.g, v, x,
-                                                     x / v[:, None])
+        if B == 1:
+            values[0] = _walk_one(norm.g, blocks[0])
+        else:
+            v = np.zeros(B)
+            for j in range(k):
+                x = blocks[:, j]
+                values[:, j] = v = v + _scaled_extension(norm.g, v, x,
+                                                         x / v[:, None])
     bad = ~np.isfinite(values)
     if bad.any():
         step = int(bad.any(axis=0).argmax())

@@ -550,6 +550,14 @@ def test_star_norm_certificate_failure():
         build_star_norm(g)
 
 
+def test_star_norm_certificate_reading_nan_raises():
+    # M = nan makes checks (a), (b) and (d) read nan, which is no pass:
+    # (a) is the first to refuse it
+    g = GaugeSpec(radial_power(1, 2.0), 0.5, math.nan, SQRT2)
+    with pytest.raises(NumericSignal, match=r"increased by nan relative"):
+        build_star_norm(g)
+
+
 @pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
 def test_n_evaluates_the_certified_extension(pipe, request):
     # the phitilde a pipeline hands to the suff check, build_phitilde(g),
@@ -893,6 +901,15 @@ def _oracle_sequences(dim):
 WALK_RTOL = 4e-15   # walks against the masked form; 1.9e-15 measured
 
 
+@pytest.fixture(scope="module")
+def r2_bisected(r2_pipe):
+    """r2's norm with its gauge bisected point by point (unit_scale None),
+    built directly: check (a) of build_star_norm is slow on it."""
+    g = r2_pipe.g
+    return SimpleNamespace(norm=renorm.StarNorm(g=GaugeSpec(g.base, g.alpha,
+                                                            g.M)))
+
+
 @pytest.mark.parametrize("pipe", ["t2_pipe", "t4_pipe", "r2_pipe"])
 def test_walk_is_bitwise_the_scalar_loop(pipe, request):
     norm = request.getfixturevalue(pipe).norm
@@ -918,6 +935,51 @@ def test_walk_is_bitwise_the_scalar_loop(pipe, request):
         last = walk[-1] if walk else 0.0
         assert np.array_equal(_bits(row[:n]), _bits(walk))
         assert np.array_equal(_bits(row[n:]), _bits([last] * (len(row) - n)))
+
+
+def test_bisected_walk_is_bitwise_the_scalar_loop(r2_bisected):
+    # the oracle's sequences under a gauge that is solved, not |x| * c: a
+    # walk of one sequence and the batched walk are StarNorm.value's loop
+    norm = r2_bisected.norm
+    seqs = _oracle_sequences(norm.dim)
+    walks = [scalar_walk(norm, s) for s in seqs]
+    for s, walk in zip(seqs, walks):
+        got = star_iterate(norm, BlockSeq(norm.dim, s))
+        assert np.array_equal(_bits(got), _bits(walk))
+    blocks, lengths = renorm._pad(seqs, norm.dim)
+    for row, n, walk in zip(renorm._walk(norm, blocks), lengths, walks):
+        assert np.array_equal(_bits(row[:n]), _bits(walk))
+
+
+@pytest.mark.parametrize("pipe", ["t2_pipe", "r2_pipe", "r2_bisected"])
+def test_one_walk_gauges_every_block_at_once(pipe, request, monkeypatch):
+    # one sequence of k blocks: k base evaluations on (1, n) slices and one
+    # gauge call on all k blocks, whichever steps fall outside
+    norm = request.getfixturevalue(pipe).norm
+    g = norm.g
+    blocks = slu(sampling.rng(43), (12, norm.dim), 1e-3, 1e3)
+    want = star_iterate(norm, BlockSeq(norm.dim, blocks))
+    shapes, gauged = [], []
+    real = GaugeSpec.gauge
+
+    def base(pts):
+        shapes.append(pts.shape)
+        return g.base.evaluate(pts)
+
+    def recorded(self, pts):
+        gauged.append(np.array(pts))
+        start = len(shapes)
+        out = real(self, pts)
+        del shapes[start:]        # the evaluations of a gauge's bisection
+        return out
+
+    spied = renorm.StarNorm(g=GaugeSpec(YoungMap(dim=norm.dim, fn=base),
+                                        g.alpha, g.M, g.unit_scale))
+    monkeypatch.setattr(GaugeSpec, "gauge", recorded)
+    got = star_iterate(spied, BlockSeq(norm.dim, blocks))
+    assert np.array_equal(_bits(got), _bits(want))
+    assert shapes == [(1, norm.dim)] * len(blocks)
+    assert len(gauged) == 1 and np.array_equal(gauged[0], blocks)
 
 
 @pytest.mark.parametrize("pipe, blocks", [

@@ -182,6 +182,24 @@ MUTANTS = {
     "walk-step-by-reciprocal": (
         "renorm", "x / v[:, None])", "x * (1.0 / v[:, None]))",
         [f"{RN}::test_walk_is_bitwise_the_scalar_loop"]),
+    # one sequence walks on Python floats; a float64 reciprocal, as 1 / 0.0
+    # on a Python float raises at the first step and shows no rounding
+    "one-walk-step-by-reciprocal": (
+        "renorm", "base(rows[j:j + 1] / v)",
+        "base(rows[j:j + 1] * (1.0 / np.float64(v)))",
+        [f"{RN}::test_walk_is_bitwise_the_scalar_loop",
+         f"{RN}::test_bisected_walk_is_bitwise_the_scalar_loop"]),
+    "one-walk-outside-regrouped": (
+        "renorm", "v * alpha + M * (gauge - v)", "v * (alpha - M) + M * gauge",
+        [f"{RN}::test_walk_is_bitwise_the_scalar_loop"]),
+    "one-walk-nan-inside": (
+        "renorm", "if inner <= alpha else", "if not inner > alpha else",
+        [f"{RN}::test_walk_is_bitwise_the_scalar_loop",
+         f"{RN}::test_bisected_walk_is_bitwise_the_scalar_loop"]),
+    "star-norm-passes-nan": (
+        "renorm", "if not decreasing_max <= 1e-10:",
+        "if decreasing_max > 1e-10:",
+        [f"{RN}::test_star_norm_certificate_reading_nan_raises"]),
     "prefix-mask-le": (
         "renorm", "lam = pick(cols < n)", "lam = pick(cols <= n)",
         [f"{RN}::test_substitution_differences_are_the_per_triple_checks"]),

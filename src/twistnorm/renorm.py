@@ -39,8 +39,11 @@ The gauge is |x| * gauge(e1) where that is exact (see select_alpha);
 otherwise it is the Luxemburg norm of the one-term sequence (x) under
 base / alpha, from seqspace.luxemburg_norm_batch.
 
-Certification failures raise NumericSignal at build time; the check
-functions return reports instead of raising.
+build_star_norm reads its samples at word offsets of the keyless seeded
+stream, check (b)'s 100 000 tuples one cache-sized slice at a time, so
+its traced peak is 1.1-1.4 MiB.  Certification failures raise
+NumericSignal at build time; the check functions return reports instead
+of raising.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import numpy as np
 
 from . import sampling
 from .errors import NumericSignal
-from .seqspace import luxemburg_norm_batch
+from .seqspace import luxemburg_norm_batch, strict_int
 from .youngmap import _BLOCK, YoungMap, euclidean_norm, radial_power
 
 __all__ = [
@@ -292,18 +295,28 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
     check that reads nan.
 
     (a) and (b) run in cache-sized blocks of youngmap._BLOCK points: (a)
-    on 8 whole rays at a time, (b) on 8192 of its tuples, drawn whole.
-    Every point gets the arithmetic of one whole-array pass and a max is
-    exact, so the report does not depend on the block; the traced peak
-    is 4.1 MiB on t2 and t4 and 8.0 MiB on r2, down from 38-46 MiB.
+    on 8 whole rays at a time, (b) on 8192 of its tuples.  Every point
+    gets the arithmetic of one whole-array pass and a max is exact, so
+    the report does not depend on the block.  The draws are the words of
+    the keyless ``(rng_seed, 0)`` stream, n = dim and T = 100 000 tuples,
+    in this order: 1000 n ray magnitudes and 1000 n signs, then (b)'s
+    T n block magnitudes, T n signs, T first coordinates a and T ratios
+    b / a - 1, then (d)'s 64 n magnitudes and 64 n signs.  (b) opens one
+    cursor per region at its first word and reads each slice of its
+    tuples from the four in turn, so no whole region is built: the
+    traced peak is 1.09 MiB on t2 and t4 and 1.43 MiB on r2.
     """
     phitilde = build_phitilde(g)
-    rng = sampling.rng(rng_seed)
     dim = g.base.dim
+    n_rays, n_tuples = 1000, 100_000
+
+    def cursor(offset: int) -> np.random.Generator:
+        return sampling.stream(rng_seed, sampling.STAR_NORM, offset)
 
     # (a) the decreasing bullet, on blocks of whole rays: each step
     # compares adjacent t, so t is never split
-    rays = sampling.signed_log_uniform(*rng.random((2, 1000, dim)), 1e-2, 1e2)
+    rays = sampling.signed_log_uniform(*cursor(0).random((2, n_rays, dim)),
+                                       1e-2, 1e2)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     t = np.geomspace(1e-6, 1e6, 1000)
     per_block = _BLOCK // t.size
@@ -322,16 +335,21 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
 
     norm = StarNorm(g=g)
 
-    # (b) monotone in the first coordinate, drawn whole, evaluated in slices
-    blocks = sampling.signed_log_uniform(*rng.random((2, 100_000, dim)),
-                                         1e-2, 1e2)
-    a = 10.0 ** (-3.0 + 6.0 * rng.random(100_000))
-    b = a * (1.0 + rng.random(100_000))
+    # (b) monotone in the first coordinate, one slice of tuples at a time
+    at_mags = 2 * n_rays * dim
+    at_a = at_mags + 2 * n_tuples * dim
+    mags, signs = cursor(at_mags), cursor(at_mags + n_tuples * dim)
+    ua, ub = cursor(at_a), cursor(at_a + n_tuples)
     mono_max = -np.inf
-    for start in range(0, len(a), _BLOCK):
-        part = slice(start, start + _BLOCK)
-        na = norm.evaluate(np.concatenate([a[part, None], blocks[part]], -1))
-        nb = norm.evaluate(np.concatenate([b[part, None], blocks[part]], -1))
+    for start in range(0, n_tuples, _BLOCK):
+        size = min(_BLOCK, n_tuples - start)
+        blocks = sampling.signed_log_uniform(mags.random((size, dim)),
+                                             signs.random((size, dim)),
+                                             1e-2, 1e2)
+        a = 10.0 ** (-3.0 + 6.0 * ua.random(size))
+        b = a * (1.0 + ub.random(size))
+        na = norm.evaluate(np.concatenate([a[:, None], blocks], -1))
+        nb = norm.evaluate(np.concatenate([b[:, None], blocks], -1))
         mono_max = np.maximum(mono_max,
                               ((na - nb) / np.maximum(nb, 1e-300)).max())
     mono_max = float(mono_max)
@@ -345,7 +363,8 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
         raise NumericSignal(f"N(1, 0) = {unit!r}, expected exactly 1")
 
     # (d) x0 = 0 against its limit
-    probes = sampling.signed_log_uniform(*rng.random((2, 64, dim)), 1e-2, 1e2)
+    probes = sampling.signed_log_uniform(
+        *cursor(at_a + 2 * n_tuples).random((2, 64, dim)), 1e-2, 1e2)
     closed = norm.evaluate(np.concatenate(
         [np.zeros((64, 1)), probes], axis=-1))
     eps = 1e-8
@@ -402,6 +421,7 @@ class BlockSeq:
     blocks: np.ndarray = field(repr=False)    # (k, dim)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", strict_int(self.dim, "block dim"))
         b = np.asarray(self.blocks, dtype=float)
         if b.ndim == 1:
             b = b.reshape(-1, self.dim) if b.size else np.zeros((0, self.dim))
@@ -418,8 +438,8 @@ class BlockSeq:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "n" not in doc or "blocks" not in doc:
             raise ValueError('block JSON must be {"n": d, "blocks": [[...]]}')
-        return cls(dim=int(doc["n"]), blocks=np.array(doc["blocks"],
-                                                      dtype=float))
+        return cls(dim=strict_int(doc["n"], '"n"'),
+                   blocks=np.array(doc["blocks"], dtype=float))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.dim,

@@ -1,10 +1,13 @@
 """Seeded sampling: one keyed stream per purpose, read by rows, and the laws.
 
-Every random draw in twistnorm comes from ``rng(seed, *keys)``, a PCG64
-generator over ``SeedSequence([seed, *keys])``.  Row i of a sample, W
-uniforms wide, is the words ``[i·W, (i+1)·W)`` of its ``(seed, purpose)``
-stream whichever slice of at most ``CHUNK`` rows draws it, so no sample
-depends on ``CHUNK``.  Purpose keys start at 1: key 0 is ``rng(seed)``.
+Every random draw in twistnorm reads a ``stream(seed, key, offset)``: the
+PCG64 generator over ``SeedSequence([seed, key])``, advanced to word
+``offset``, one word per uniform.  Row i of a sample, W uniforms wide, is
+the words ``[i·W, (i+1)·W)`` of its ``(seed, purpose)`` stream whichever
+slice of at most ``CHUNK`` rows draws it, so no sample depends on
+``CHUNK``.  Purpose keys start at 1.  Key 0 is the keyless stream
+``rng(seed)``, which build_star_norm reads: each of its regions through a
+cursor opened at the region's first word.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ import math
 
 import numpy as np
 
-__all__ = ["CHUNK", "rng", "uniforms", "row_width", "signed_log_uniform",
-           "random_rows"]
+__all__ = ["CHUNK", "rng", "stream", "uniforms", "row_width",
+           "signed_log_uniform", "random_rows"]
 
 CHUNK = 65536      # rows per slice, a memory bound
+STAR_NORM = 0      # the keyless stream rng(seed)
 (TRIANGLE, QUASI_LINEAR, QUASI_TRIANGLE, EQUIVALENCE, QUASICONVEX, SUFF,
  PROPERTY_M) = range(1, 8)
 
@@ -27,13 +31,19 @@ def rng(seed: int, *keys: int) -> np.random.Generator:
         np.random.SeedSequence([int(seed), *(int(k) for k in keys)])))
 
 
+def stream(seed: int, key: int, offset: int) -> np.random.Generator:
+    """The ``(seed, key)`` stream advanced to word ``offset``: a cursor
+    whose draws read on from there, one word per uniform."""
+    g = rng(seed, key)
+    g.bit_generator.advance(offset)
+    return g
+
+
 def uniforms(seed: int, key: int, start: int, n: int,
              width: int) -> np.ndarray:
     """Rows ``start .. start + n`` of the ``(seed, key)`` stream, each row
-    ``width`` uniforms in [0, 1): one word of the stream per uniform."""
-    g = rng(seed, key)
-    g.bit_generator.advance(start * width)
-    return g.random((n, width))
+    ``width`` uniforms in [0, 1)."""
+    return stream(seed, key, start * width).random((n, width))
 
 
 def row_width(dim: int) -> int:

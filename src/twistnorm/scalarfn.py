@@ -370,16 +370,24 @@ def estimate_indices(f: OrliczFn) -> tuple[float, float]:
     largest q whose supremum stays below 2; the upper one is the smallest
     q whose infimum stays above 1/2 (1 and 10 when no q qualifies).  The
     lam with f(lam) = 0 (an underflow at large exponents) are skipped, as
-    _table_sup skips den <= 0.
+    _table_sup skips den <= 0.  The ratio table is walked in blocks of
+    lam rows of about _BLOCK_CELLS cells, keeping each column's max and
+    min; a max is exact and nan stays nan, so the block does not matter.
     """
-    lam = t = _unit_axis()
-    f_lam = f.value(lam)
+    t = _unit_axis()
+    f_lam = f.value(t)
     keep = f_lam > 0.0
-    R = f.value(lam[keep, None] * t) / f_lam[keep, None]
+    lam, f_lam = t[keep], f_lam[keep]
+    hi, lo = np.full(t.size, -np.inf), np.full(t.size, np.inf)
+    step = _BLOCK_CELLS // t.size
+    for i in range(0, lam.size, step):
+        R = f.value(lam[i:i + step, None] * t) / f_lam[i:i + step, None]
+        np.maximum(hi, R.max(axis=0), out=hi)
+        np.minimum(lo, R.min(axis=0), out=lo)
     qs = np.arange(1.0, 10.0 + 0.05 / 2.0, 0.05)
     w = t ** -qs[:, None]                   # one row of t**-q per exponent
-    lower = qs[(R.max(axis=0) * w).max(axis=1) <= 2.0]
-    upper = qs[(R.min(axis=0) * w).min(axis=1) >= 0.5]
+    lower = qs[(hi * w).max(axis=1) <= 2.0]
+    upper = qs[(lo * w).min(axis=1) >= 0.5]
     alpha = lower[-1] if lower.size else 1.0
     beta = upper[0] if upper.size else 10.0
     if beta < alpha - 1e-12:

@@ -50,6 +50,15 @@ __all__ = [
 ]
 
 
+def strict_int(value, what: str) -> int:
+    """value as an int when it is one, numpy integers included; a bool, a
+    float (even 2.0) or anything else raises ValueError naming it, as
+    int() would silently truncate it."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VecSeq:
     """Finitely many nonzero vectors at increasing positive indices."""
@@ -59,14 +68,16 @@ class VecSeq:
     vectors: np.ndarray = field(repr=False)   # (k, dim), read-only
 
     def __post_init__(self):
-        if self.dim < 1:
+        dim = strict_int(self.dim, "dim")
+        if dim < 1:
             raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", dim)
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape != (len(self.indices), self.dim):
             raise ValueError("vectors must have shape (len(indices), dim)")
         if not np.all(np.isfinite(v)):
             raise ValueError("vector entries must be finite")
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(strict_int(i, "index") for i in self.indices)
         if any(i < 1 for i in idx):
             raise ValueError("indices must be positive integers")
         if any(b <= a for a, b in zip(idx, idx[1:])):
@@ -83,7 +94,8 @@ class VecSeq:
     @classmethod
     def from_entries(cls, dim: int, entries) -> "VecSeq":
         """Build from (index, vector) pairs in any order."""
-        pairs = sorted((int(i), np.asarray(v, dtype=float).reshape(-1))
+        pairs = sorted((strict_int(i, "entry index"),
+                        np.asarray(v, dtype=float).reshape(-1))
                        for i, v in entries)
         idx = tuple(i for i, _ in pairs)
         if len(set(idx)) != len(idx):
@@ -104,12 +116,13 @@ class VecSeq:
         doc = json.loads(text)
         if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
             raise ValueError('sequence JSON must be {"dim": d, "entries": [...]}')
-        dim = int(doc["dim"])
+        dim = strict_int(doc["dim"], "dim")
         entries = []
         for item in doc["entries"]:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ValueError("each entry must be [index, vector]")
             i, v = item
+            strict_int(i, f"index of entry {item!r}")
             v = [v] if isinstance(v, (int, float)) else list(v)
             if len(v) != dim:
                 raise ValueError(f"entry at index {i} has wrong dimension")

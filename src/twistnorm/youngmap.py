@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import sampling
 from .errors import NumericSignal
@@ -590,7 +589,11 @@ _EVEN_RTOL = 1e-9
 @functools.cache
 def _ball_offsets(dim: int):
     """Unit-ball quadrature nodes and weights with uniform (volume) measure,
-    in dimensions 1 and 2; built once per dimension, as read-only arrays."""
+    in dimensions 1 and 2; built once per dimension, as read-only arrays.
+    numpy.polynomial is imported here, so that importing twistnorm does
+    not load it."""
+    from numpy.polynomial.legendre import leggauss
+
     if dim == 1:
         g, w = leggauss(33)
         pts, wts = g[:, None], w / w.sum()

@@ -386,6 +386,28 @@ def test_schema_errors_exit_two(tmp_path, seq_file, capsys):
     assert run("norm", "--seq", str(wide)) == 2
 
 
+@pytest.mark.parametrize("command, flag, doc", [
+    ("norm", "--seq", {"dim": 1, "entries": [[1.5, [2.0]]]}),
+    ("norm", "--seq", {"dim": 1, "entries": [[True, [2.0]]]}),
+    ("norm", "--seq", {"dim": 1.9, "entries": [[1, [2.0]]]}),
+    ("twisted-norm", "--pair", {"dim": 2, "entries": [[2.5, [1.0, 0.0]]]}),
+    ("lambda-norm", "--blocks", {"n": 1.5, "blocks": [[1.0]]}),
+], ids=["fractional-index", "boolean-index", "fractional-dim",
+        "fractional-pair-index", "fractional-block-dim"])
+def test_non_integer_indices_and_dimensions_exit_two(command, flag, doc,
+                                                     tmp_path, capsys):
+    # int() would truncate them: [1.5, [2.0]] read as norm 2.0 at index 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, flag, str(path)]
+    if command == "lambda-norm":
+        argv += ["--pipeline", "t2-pipeline"]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert "must be an integer, got" in captured.err
+    assert captured.out == ""
+
+
 # each (sub)command and the flags it reads, besides --out
 FLAGS_READ = {
     "norm": "preset seq",

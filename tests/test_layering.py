@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import twistnorm
@@ -65,3 +68,17 @@ def scipy_import_sites():
 
 def test_scipy_is_imported_only_by_the_envelope_hull():
     assert scipy_import_sites() == ["youngmap.convex_envelope"]
+
+
+def test_import_loads_no_numpy_polynomial():
+    # leggauss is imported inside youngmap._ball_offsets, its one user
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    code = ("import sys, twistnorm\n"
+            "print([m for m in sys.modules if m == 'numpy.polynomial'\n"
+            "       or m.startswith('numpy.polynomial.')])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

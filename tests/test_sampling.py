@@ -45,6 +45,21 @@ def test_slices_are_rows_of_one_keyed_stream():
     assert np.array_equal(keyed(3, 0).random(4), sampling.rng(3).random(4))
 
 
+def test_a_stream_reads_on_from_its_word_offset():
+    # a cursor opened at word k draws what one generator from word 0 draws
+    # after k words, whatever shapes its draws take
+    whole = keyed(42, 77).random(5000)
+    cursor = sampling.stream(42, 77, 1234)
+    assert np.array_equal(cursor.random((3, 7)).ravel(), whole[1234:1255])
+    assert np.array_equal(cursor.random(100), whole[1255:1355])
+    assert np.array_equal(sampling.uniforms(42, 77, 5, 9, 11),
+                          whole[55:154].reshape(9, 11))
+    # build_star_norm's keyless stream is key STAR_NORM of the same seed
+    assert sampling.STAR_NORM not in PURPOSES
+    assert np.array_equal(sampling.stream(3, sampling.STAR_NORM, 10).random(4),
+                          sampling.rng(3).random(14)[10:])
+
+
 @pytest.mark.parametrize("lo, hi, a, b", [(1e-4, 1e2, -4.0, 6.0),
                                           (1e-2, 1e2, -2.0, 4.0),
                                           (1e-2, 10.0, -2.0, 3.0)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,6 +149,75 @@ def test_indices_power_log():
     lo, hi = estimate_indices(power_log(2.0))
     assert lo == pytest.approx(2.0, abs=0.1)
     assert hi == pytest.approx(2.0, abs=0.1)
+
+
+def whole_table_indices(f, nan_row=None):
+    """estimate_indices on its whole ratio table, R.max and R.min per
+    column, with nan at column 100 of row nan_row of the table."""
+    lam = t = scalarfn._unit_axis()
+    f_lam = f.value(lam)
+    keep = f_lam > 0.0
+    R = f.value(lam[keep, None] * t) / f_lam[keep, None]
+    if nan_row is not None:
+        R[nan_row, 100] = math.nan
+    qs = np.arange(1.0, 10.0 + 0.05 / 2.0, 0.05)
+    w = t ** -qs[:, None]
+    lower = qs[(R.max(axis=0) * w).max(axis=1) <= 2.0]
+    upper = qs[(R.min(axis=0) * w).min(axis=1) >= 0.5]
+    return (float(lower[-1] if lower.size else 1.0),
+            float(upper[0] if upper.size else 10.0)), lam[keep, None] * t
+
+
+INDEX_MAPS = {"power(2)": lambda: power(2.0),
+              "power(30)": lambda: power(30.0),    # drops the smallest lam
+              "power_log(2)": lambda: power_log(2.0),
+              "extend(power_log(1.5), 2)": lambda: extend(power_log(1.5), 2.0)}
+
+
+# 64 rows is the package's block; 7 rows leaves a partial last block
+@pytest.mark.parametrize("block_rows", [64, 7, 1])
+@pytest.mark.parametrize("nan_at", [None, "first", "last"])
+@pytest.mark.parametrize("name", sorted(INDEX_MAPS))
+def test_index_walk_is_the_whole_table(name, nan_at, block_rows, monkeypatch):
+    f = INDEX_MAPS[name]()
+    with np.errstate(under="ignore"):
+        n_rows = int(np.count_nonzero(f.value(scalarfn._unit_axis()) > 0.0))
+    nan_row = {None: None, "first": 0, "last": n_rows - 1}[nan_at]
+    want, table_in = whole_table_indices(f, nan_row)
+    calls, real = [], scalarfn.OrliczFn.value
+
+    def value(self, x):
+        # records each block of f's table (an extension calls its base's
+        # value too) and puts nan at nan_row
+        out = real(self, x)
+        if self is f and np.ndim(x) == 2:
+            row = sum(len(c) for c in calls)
+            calls.append(np.array(x))
+            if nan_row is not None and row <= nan_row < row + len(out):
+                out[nan_row - row, 100] = math.nan
+        return out
+
+    monkeypatch.setattr(scalarfn, "_BLOCK_CELLS", block_rows * 512)
+    monkeypatch.setattr(scalarfn.OrliczFn, "value", value)
+    assert estimate_indices(f) == want
+    if nan_row is not None:                 # nan fails both index tests
+        assert want == (1.0, 10.0)
+    # every row of the table once, in order, in blocks of block_rows
+    assert [len(c) for c in calls] == [min(block_rows, n_rows - i)
+                                       for i in range(0, n_rows, block_rows)]
+    assert np.array_equal(np.concatenate(calls), table_in)
+
+
+def test_certify_working_set():
+    # the index table is walked in blocks of 64 of its 512 rows: a traced
+    # peak of 1.75 MiB, bounded at about twice
+    tracemalloc.start()
+    try:
+        certify(power(2.0), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20
 
 
 def test_certify_attaches_constants(f2):

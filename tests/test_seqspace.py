@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -56,6 +58,35 @@ def test_vecseq_json_round_trip():
         VecSeq.from_json('{"entries": []}')                 # missing dim
     with pytest.raises(ValueError):
         VecSeq.from_json('{"dim": 2, "entries": [[1, [1.0]]]}')
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None])
+def test_vecseq_rejects_indices_that_are_not_integers(bad):
+    # int() would truncate 1.5 to 1 and read True as 1
+    with pytest.raises(ValueError, match=r"index must be an integer, got "):
+        VecSeq(1, (bad,), [[1.0]])
+    with pytest.raises(ValueError, match=r"entry index must be an integer"):
+        VecSeq.from_entries(1, [(bad, [1.0])])
+    text = json.dumps({"dim": 1, "entries": [[bad, [2.0]]]})
+    with pytest.raises(ValueError, match=re.escape(
+            f"index of entry {[bad, [2.0]]!r} must be an integer")):
+        VecSeq.from_json(text)
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, False, True])
+def test_vecseq_rejects_a_dimension_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match=r"^dim must be an integer, got "):
+        VecSeq(bad, (1,), [[1.0]])
+    with pytest.raises(ValueError, match=r"^dim must be an integer, got "):
+        VecSeq.from_json(json.dumps({"dim": bad, "entries": [[1, [2.0]]]}))
+
+
+def test_vecseq_keeps_integer_types():
+    s = VecSeq(np.int64(2), (np.int32(3), np.uint8(7)), [[1.0, 2.0]] * 2)
+    assert s.dim == 2 and s.indices == (3, 7)
+    assert all(type(i) is int for i in (s.dim, *s.indices))
+    back = VecSeq.from_json(s.to_json())
+    assert back.indices == (3, 7)
 
 
 def test_vecseq_arithmetic_merges_supports():

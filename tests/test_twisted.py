@@ -57,6 +57,13 @@ def test_pairseq_json_round_trip():
         PairSeq.from_json(VecSeq.from_values([1.0]).to_json())   # dim 1
 
 
+def test_pairseq_rejects_fractional_indices():
+    with pytest.raises(ValueError, match=r"index must be an integer, got 1.5"):
+        PairSeq((1.5,), [1.0], [2.0])
+    with pytest.raises(ValueError, match=r"index of entry \[2.5, "):
+        PairSeq.from_json('{"dim": 2, "entries": [[2.5, [1.0, 0.0]]]}')
+
+
 def test_pairseq_merge_and_scaling():
     a = pair([(1, 1.0, 0.0)])
     b = pair([(1, -1.0, 2.0), (5, 3.0, 0.0)])

@@ -28,6 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEQ, TW = "tests/test_seqspace.py", "tests/test_twisted.py"
 YM, RN = "tests/test_youngmap.py", "tests/test_renorm.py"
 SM, CLI = "tests/test_sampling.py", "tests/test_cli.py"
+SF = "tests/test_scalarfn.py"
 
 # name: (module, snippet, replacement, tests that must fail)
 MUTANTS = {
@@ -161,10 +162,34 @@ MUTANTS = {
         "for start in range(0, len(rays) - per_block, per_block):",
         [f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
     "tuples-offset-from-blocks": (
-        "renorm", "    mono_max = -np.inf\n",
-        "    mono_max = -np.inf\n    a, b = np.roll(a, 1), np.roll(b, 1)\n",
+        "renorm", "a = 10.0 ** (-3.0 + 6.0 * ua.random(size))",
+        "a = np.roll(10.0 ** (-3.0 + 6.0 * ua.random(size)), 1)",
         [f"{RN}::test_blocked_checks_are_the_whole_array_checks",
          f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
+    # (b) reads each region of the keyless stream at its own word offset
+    # N is even in x, so wrong signs move no report: only the spy sees them
+    "signs-at-magnitudes-offset": (
+        "renorm", "cursor(at_mags), cursor(at_mags + n_tuples * dim)",
+        "cursor(at_mags), cursor(at_mags)",
+        [f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
+    "b-from-a-region": (
+        "renorm", "cursor(at_a), cursor(at_a + n_tuples)",
+        "cursor(at_a), cursor(at_a)",
+        [f"{RN}::test_blocked_checks_are_the_whole_array_checks",
+         f"{RN}::test_blocked_checks_are_the_whole_array_checks_at_seed_9",
+         f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order",
+         f"{RN}::test_pipeline_reports_are_pinned"]),
+    "probes-without-b-words": (
+        "renorm", "cursor(at_a + 2 * n_tuples)", "cursor(at_a + n_tuples)",
+        [f"{RN}::test_blocked_checks_are_the_whole_array_checks",
+         f"{RN}::test_blocked_checks_are_the_whole_array_checks_at_seed_9",
+         f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order",
+         f"{RN}::test_pipeline_reports_are_pinned"]),
+    # the index table is walked in blocks of lam rows
+    "last-partial-index-block-dropped": (
+        "scalarfn", "for i in range(0, lam.size, step):",
+        "for i in range(0, lam.size - lam.size % step, step):",
+        [f"{SF}::test_index_walk_is_the_whole_table"]),
     "certify-another-extension": (
         "renorm", "phitilde = build_phitilde(g)\n",
         "phitilde = build_phitilde(GaugeSpec(g.base, g.alpha, 1.0, "
@@ -223,7 +248,8 @@ MUTANTS = {
         ["tests/test_cli.py::test_certify_walks_trials_in_batches"]),
     # one keyed stream per purpose, read by rows
     "advance-by-rows": (
-        "sampling", "advance(start * width)", "advance(start)",
+        "sampling", "stream(seed, key, start * width)",
+        "stream(seed, key, start)",
         [f"{SM}::test_slices_are_rows_of_one_keyed_stream",
          f"{SM}::test_chunk_sizes_cover_total",
          f"{SM}::test_results_do_not_depend_on_chunk",

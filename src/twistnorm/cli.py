@@ -215,10 +215,8 @@ def _certify_suff(args) -> tuple[bool, dict]:
     d = pipe.norm.dim
     worst = math.inf
     checked = 0
-    for start in range(0, args.trials, sampling.CHUNK):
-        u = sampling.uniforms(args.seed, sampling.SUFF, start,
-                              min(sampling.CHUNK, args.trials - start),
-                              2 + 8 * d)
+    for _, u in sampling.slices(args.seed, sampling.SUFF, 0, args.trials,
+                                2 + 8 * d):
         margins = suff_margins(pipe.norm, pipe.phitilde, _random_blocks(u, d),
                                np.where(u[:, -1] > 0.0, u[:, -1], 0.5))
         worst = min(worst, float(margins.min(initial=math.inf)))
@@ -235,10 +233,8 @@ def _certify_property_m(args) -> tuple[bool, dict]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
     d = pipe.norm.dim
     worst = 0.0
-    for start in range(0, args.trials, sampling.CHUNK):
-        u = sampling.uniforms(args.seed, sampling.PROPERTY_M, start,
-                              min(sampling.CHUNK, args.trials - start),
-                              3 * (1 + 8 * d))
+    for _, u in sampling.slices(args.seed, sampling.PROPERTY_M, 0,
+                                args.trials, 3 * (1 + 8 * d)):
         diffs, reason = substitution_differences(
             pipe.norm, *(_random_blocks(w, d) for w in np.split(u, 3, axis=1)))
         if reason:

@@ -39,9 +39,9 @@ The gauge is |x| * gauge(e1) where that is exact (see select_alpha);
 otherwise it is the Luxemburg norm of the one-term sequence (x) under
 base / alpha, from seqspace.luxemburg_norm_batch.
 
-build_star_norm reads its samples at word offsets of the keyless seeded
+build_star_norm reads each check's sample by rows of its own keyed
 stream, check (b)'s 100 000 tuples one cache-sized slice at a time, so
-its traced peak is 1.1-1.4 MiB.  Certification failures raise
+its traced peak is 1.1-1.5 MiB.  Certification failures raise
 NumericSignal at build time; the check functions return reports instead
 of raising.
 """
@@ -297,26 +297,22 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
     (a) and (b) run in cache-sized blocks of youngmap._BLOCK points: (a)
     on 8 whole rays at a time, (b) on 8192 of its tuples.  Every point
     gets the arithmetic of one whole-array pass and a max is exact, so
-    the report does not depend on the block.  The draws are the words of
-    the keyless ``(rng_seed, 0)`` stream, n = dim and T = 100 000 tuples,
-    in this order: 1000 n ray magnitudes and 1000 n signs, then (b)'s
-    T n block magnitudes, T n signs, T first coordinates a and T ratios
-    b / a - 1, then (d)'s 64 n magnitudes and 64 n signs.  (b) opens one
-    cursor per region at its first word and reads each slice of its
-    tuples from the four in turn, so no whole region is built: the
-    traced peak is 1.09 MiB on t2 and t4 and 1.43 MiB on r2.
+    the report does not depend on the block.  Each sample is read by rows
+    of its own keyed stream, n = dim: ray i is row i of STAR_RAYS, n
+    magnitudes then n signs; tuple i is row i of STAR_TUPLES, n block
+    magnitudes, n signs, then the uniforms behind the first coordinates
+    a and b; probe i of (d) is row i of STAR_PROBES, as a ray.  (b) reads
+    its 100 000 tuples one slice at a time, so no whole sample is built:
+    the traced peak is 1.09 MiB on t2 and t4 and 1.46 MiB on r2.
     """
     phitilde = build_phitilde(g)
     dim = g.base.dim
     n_rays, n_tuples = 1000, 100_000
 
-    def cursor(offset: int) -> np.random.Generator:
-        return sampling.stream(rng_seed, sampling.STAR_NORM, offset)
-
     # (a) the decreasing bullet, on blocks of whole rays: each step
     # compares adjacent t, so t is never split
-    rays = sampling.signed_log_uniform(*cursor(0).random((2, n_rays, dim)),
-                                       1e-2, 1e2)
+    u = sampling.uniforms(rng_seed, sampling.STAR_RAYS, 0, n_rays, 2 * dim)
+    rays = sampling.signed_log_uniform(u[:, :dim], u[:, dim:], 1e-2, 1e2)
     rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     t = np.geomspace(1e-6, 1e6, 1000)
     per_block = _BLOCK // t.size
@@ -336,18 +332,14 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
     norm = StarNorm(g=g)
 
     # (b) monotone in the first coordinate, one slice of tuples at a time
-    at_mags = 2 * n_rays * dim
-    at_a = at_mags + 2 * n_tuples * dim
-    mags, signs = cursor(at_mags), cursor(at_mags + n_tuples * dim)
-    ua, ub = cursor(at_a), cursor(at_a + n_tuples)
     mono_max = -np.inf
-    for start in range(0, n_tuples, _BLOCK):
-        size = min(_BLOCK, n_tuples - start)
-        blocks = sampling.signed_log_uniform(mags.random((size, dim)),
-                                             signs.random((size, dim)),
+    for _, u in sampling.slices(rng_seed, sampling.STAR_TUPLES, 0, n_tuples,
+                                2 * dim + 2, _BLOCK):
+        blocks = sampling.signed_log_uniform(u[:, :dim], u[:, dim:2 * dim],
                                              1e-2, 1e2)
-        a = 10.0 ** (-3.0 + 6.0 * ua.random(size))
-        b = a * (1.0 + ub.random(size))
+        a = 10.0 ** (-3.0 + 6.0 * u[:, -2])
+        b = a * (1.0 + u[:, -1])
+        del u                       # freed before N allocates
         na = norm.evaluate(np.concatenate([a[:, None], blocks], -1))
         nb = norm.evaluate(np.concatenate([b[:, None], blocks], -1))
         mono_max = np.maximum(mono_max,
@@ -363,8 +355,8 @@ def build_star_norm(g: GaugeSpec, rng_seed: int = 1234) -> StarNorm:
         raise NumericSignal(f"N(1, 0) = {unit!r}, expected exactly 1")
 
     # (d) x0 = 0 against its limit
-    probes = sampling.signed_log_uniform(
-        *cursor(at_a + 2 * n_tuples).random((2, 64, dim)), 1e-2, 1e2)
+    u = sampling.uniforms(rng_seed, sampling.STAR_PROBES, 0, 64, 2 * dim)
+    probes = sampling.signed_log_uniform(u[:, :dim], u[:, dim:], 1e-2, 1e2)
     closed = norm.evaluate(np.concatenate(
         [np.zeros((64, 1)), probes], axis=-1))
     eps = 1e-8
@@ -398,9 +390,7 @@ def triangle_violation(norm: StarNorm, trials: int, rng_seed: int) -> float:
         raise ValueError("trials must be positive")
     worst = 0.0
     w = norm.dim + 1
-    for start in range(0, trials, sampling.CHUNK):
-        u = sampling.uniforms(rng_seed, sampling.TRIANGLE, start,
-                              min(sampling.CHUNK, trials - start), 4 * w)
+    for _, u in sampling.slices(rng_seed, sampling.TRIANGLE, 0, trials, 4 * w):
         pq = sampling.signed_log_uniform(u[:, :2 * w], u[:, 2 * w:], 1e-2, 1e2)
         p, q = pq[:, :w], pq[:, w:]
         lhs = norm.evaluate(p + q)

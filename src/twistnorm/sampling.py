@@ -1,13 +1,12 @@
 """Seeded sampling: one keyed stream per purpose, read by rows, and the laws.
 
-Every random draw in twistnorm reads a ``stream(seed, key, offset)``: the
-PCG64 generator over ``SeedSequence([seed, key])``, advanced to word
-``offset``, one word per uniform.  Row i of a sample, W uniforms wide, is
-the words ``[i·W, (i+1)·W)`` of its ``(seed, purpose)`` stream whichever
-slice of at most ``CHUNK`` rows draws it, so no sample depends on
-``CHUNK``.  Purpose keys start at 1.  Key 0 is the keyless stream
-``rng(seed)``, which build_star_norm reads: each of its regions through a
-cursor opened at the region's first word.
+Every random draw in twistnorm is a row of a keyed stream: the PCG64
+generator over ``SeedSequence([seed, key])``, one word per uniform.  Row i
+of a sample, W uniforms wide, is the words ``[i·W, (i+1)·W)`` of its
+``(seed, purpose)`` stream, and ``slices`` reads a sample in slices of at
+most ``CHUNK`` rows (or another size), so no row depends on the slice
+that draws it.  Purpose keys run from 1 to 10; the star norm's checks
+(a), (b) and (d) have one each.
 """
 
 from __future__ import annotations
@@ -16,34 +15,43 @@ import math
 
 import numpy as np
 
-__all__ = ["CHUNK", "rng", "stream", "uniforms", "row_width",
+from .seqspace import strict_int
+
+__all__ = ["CHUNK", "rng", "uniforms", "slices", "row_width",
            "signed_log_uniform", "random_rows"]
 
 CHUNK = 65536      # rows per slice, a memory bound
-STAR_NORM = 0      # the keyless stream rng(seed)
 (TRIANGLE, QUASI_LINEAR, QUASI_TRIANGLE, EQUIVALENCE, QUASICONVEX, SUFF,
- PROPERTY_M) = range(1, 8)
+ PROPERTY_M, STAR_RAYS, STAR_TUPLES, STAR_PROBES) = range(1, 11)
 
 
 def rng(seed: int, *keys: int) -> np.random.Generator:
-    """The PCG64 stream keyed by ``(seed, *keys)``."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), *(int(k) for k in keys)])))
-
-
-def stream(seed: int, key: int, offset: int) -> np.random.Generator:
-    """The ``(seed, key)`` stream advanced to word ``offset``: a cursor
-    whose draws read on from there, one word per uniform."""
-    g = rng(seed, key)
-    g.bit_generator.advance(offset)
-    return g
+    """The PCG64 stream keyed by ``(seed, *keys)``.  A seed or key that is
+    not an integer raises ValueError: int() would truncate it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [strict_int(seed, "seed"), *(strict_int(k, "key") for k in keys)])))
 
 
 def uniforms(seed: int, key: int, start: int, n: int,
              width: int) -> np.ndarray:
     """Rows ``start .. start + n`` of the ``(seed, key)`` stream, each row
-    ``width`` uniforms in [0, 1)."""
-    return stream(seed, key, start * width).random((n, width))
+    ``width`` uniforms in [0, 1): the stream advanced to word
+    ``start * width``."""
+    g = rng(seed, key)
+    g.bit_generator.advance(start * width)
+    return g.random((n, width))
+
+
+def slices(seed: int, key: int, first: int, n: int, width: int,
+           size: int | None = None):
+    """Rows ``first .. first + n`` of the ``(seed, key)`` stream, ``width``
+    uniforms each, in slices of at most ``size`` rows (``CHUNK`` when
+    None, read at call time).  Yields ``(start, rows)``, ``start`` the
+    index of the slice's first row in the sample, counted from ``first``."""
+    size = CHUNK if size is None else size
+    for start in range(0, n, size):
+        yield start, uniforms(seed, key, first + start,
+                              min(size, n - start), width)
 
 
 def row_width(dim: int) -> int:

@@ -262,9 +262,8 @@ def _sampled_sup(trials: int, dim_max: int, rng_seed: int, key: int,
     for d_pos, d in enumerate(dims):
         top = 0.0
         width = count * sampling.row_width(d)
-        for start in range(0, share, sampling.CHUNK):
-            u = sampling.uniforms(rng_seed, key, d_pos * share + start,
-                                  min(sampling.CHUNK, share - start), width)
+        for _, u in sampling.slices(rng_seed, key, d_pos * share, share,
+                                    width):
             num, den, rows = draw(*(sampling.random_rows(v, d)
                                     for v in np.split(u, count, axis=1)))
             ok = np.flatnonzero(den > 0.0)
@@ -354,10 +353,9 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
         lo1 = hi1 = None          # extremes at the first part's end
         lo = hi = None            # running extremes
         contained = True
-        for start in range(0, 2 * trials, sampling.CHUNK):
-            n = min(sampling.CHUNK, 2 * trials - start)
-            u = sampling.uniforms(rng_seed, sampling.EQUIVALENCE, start, n,
-                                  2 * sampling.row_width(dim_max))
+        for start, u in sampling.slices(rng_seed, sampling.EQUIVALENCE, 0,
+                                        2 * trials,
+                                        2 * sampling.row_width(dim_max)):
             X, Y = compact_rows(*(sampling.random_rows(v, dim_max)
                                   for v in np.split(u, 2, axis=1)))
             tw = twisted_norm_batch(space, X, Y)
@@ -372,7 +370,7 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
                 r = tw[live] / pn[live]
                 lo = float(r.min()) if lo is None else min(lo, float(r.min()))
                 hi = float(r.max()) if hi is None else max(hi, float(r.max()))
-            if start + n >= trials and lo1 is None:
+            if start + len(u) >= trials and lo1 is None:
                 lo1, hi1 = lo, hi
         if not contained:
             continue

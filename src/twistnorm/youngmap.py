@@ -270,9 +270,8 @@ def quasiconvexity_constant(m: YoungMap, trials: int, rng_seed: int,
     best = -math.inf
     best_w = None
     d, thirds = m.dim, trials // 3
-    for start in range(0, trials, sampling.CHUNK):
-        u = sampling.uniforms(rng_seed, sampling.QUASICONVEX, start,
-                              min(sampling.CHUNK, trials - start), 1 + 4 * d)
+    for start, u in sampling.slices(rng_seed, sampling.QUASICONVEX, 0, trials,
+                                    1 + 4 * d):
         lam = u[:, 0].copy()
         lam[-start % 16::16] = 0.5                # global rows 0, 16, 32, ...
         # local ends of the box and log-magnitude parts of the sample

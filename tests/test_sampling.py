@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from pathlib import Path
@@ -6,14 +7,16 @@ import numpy as np
 import pytest
 
 import twistnorm
-from twistnorm import (build_space, cli, equivalence_certificate,
-                       identity_theta, kalton_peck_map,
-                       quasi_linearity_constant, quasi_triangle_constant,
-                       quasiconvexity_constant, sampling, triangle_violation)
+from twistnorm import (build_space, build_star_norm, cli,
+                       equivalence_certificate, identity_theta,
+                       kalton_peck_map, quasi_linearity_constant,
+                       quasi_triangle_constant, quasiconvexity_constant,
+                       sampling, triangle_violation)
 
 PURPOSES = (sampling.TRIANGLE, sampling.QUASI_LINEAR, sampling.QUASI_TRIANGLE,
             sampling.EQUIVALENCE, sampling.QUASICONVEX, sampling.SUFF,
-            sampling.PROPERTY_M)
+            sampling.PROPERTY_M, sampling.STAR_RAYS, sampling.STAR_TUPLES,
+            sampling.STAR_PROBES)
 
 
 def keyed(seed, key):
@@ -23,14 +26,17 @@ def keyed(seed, key):
 
 @pytest.mark.parametrize("total", [0, 1, 999, 1000, 1001, 3005])
 def test_chunk_sizes_cover_total(monkeypatch, total):
-    # slices of at most CHUNK rows, as every sampler draws them, stack to
-    # the rows of one draw of the keyed stream
+    # the reader's slices of at most CHUNK rows (read at call time), or of
+    # a size passed in, stack to the rows of one draw of the keyed stream
     monkeypatch.setattr(sampling, "CHUNK", 1000)
-    parts = [sampling.uniforms(5, 3, s, min(sampling.CHUNK, total - s), 7)
-             for s in range(0, total, sampling.CHUNK)]
-    assert all(1 <= len(p) <= 1000 for p in parts)
-    assert np.array_equal(np.concatenate([np.empty((0, 7)), *parts]),
-                          keyed(5, 3).random((total, 7)))
+    whole = keyed(5, 3).random((4321 + total, 7))
+    for first, size, most in ((0, None, 1000), (4321, 333, 333)):
+        got = list(sampling.slices(5, 3, first, total, 7, size))
+        parts = [p for _, p in got]
+        assert [start for start, _ in got] == list(range(0, total, most))
+        assert all(1 <= len(p) <= most for p in parts)
+        assert np.array_equal(np.concatenate([np.empty((0, 7)), *parts]),
+                              whole[first:first + total])
 
 
 def test_slices_are_rows_of_one_keyed_stream():
@@ -40,24 +46,31 @@ def test_slices_are_rows_of_one_keyed_stream():
                               whole[start:start + n])
     assert np.array_equal(sampling.rng(3).random(4), np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(3))).random(4))
-    # one stream per purpose; key 0 would be the keyless stream rng(seed)
-    assert len(set(PURPOSES)) == len(PURPOSES) and min(PURPOSES) >= 1
-    assert np.array_equal(keyed(3, 0).random(4), sampling.rng(3).random(4))
+    assert np.array_equal(sampling.rng(np.int64(5), np.int32(1)).random(3),
+                          keyed(5, 1).random(3))
+    # one stream per purpose, keys 1 to 10
+    assert sorted(PURPOSES) == list(range(1, 11))
 
 
-def test_a_stream_reads_on_from_its_word_offset():
-    # a cursor opened at word k draws what one generator from word 0 draws
-    # after k words, whatever shapes its draws take
-    whole = keyed(42, 77).random(5000)
-    cursor = sampling.stream(42, 77, 1234)
-    assert np.array_equal(cursor.random((3, 7)).ravel(), whole[1234:1255])
-    assert np.array_equal(cursor.random(100), whole[1255:1355])
-    assert np.array_equal(sampling.uniforms(42, 77, 5, 9, 11),
-                          whole[55:154].reshape(9, 11))
-    # build_star_norm's keyless stream is key STAR_NORM of the same seed
-    assert sampling.STAR_NORM not in PURPOSES
-    assert np.array_equal(sampling.stream(3, sampling.STAR_NORM, 10).random(4),
-                          sampling.rng(3).random(14)[10:])
+@pytest.mark.parametrize("seed", [1.7, True, 2.0, "3"])
+def test_a_seed_that_is_not_an_integer_raises(seed):
+    # int() would truncate it: rng(1.7) and rng(True) drew seed 1
+    with pytest.raises(ValueError, match=re.escape(repr(seed))):
+        sampling.rng(seed)
+    with pytest.raises(ValueError, match="key must be an integer"):
+        sampling.rng(5, seed)
+
+
+def test_triangle_violation_rejects_a_float_seed(t2_pipe):
+    # it read seed 5 at 5.9
+    with pytest.raises(ValueError, match="seed must be an integer, got 5.9"):
+        triangle_violation(t2_pipe.norm, 100, 5.9)
+
+
+def test_star_norm_rejects_a_float_seed(t2_pipe):
+    # it drew seed 1234 and reported "seed": 1234.6
+    with pytest.raises(ValueError, match="seed must be an integer, got 1234.6"):
+        build_star_norm(t2_pipe.norm.g, rng_seed=1234.6)
 
 
 @pytest.mark.parametrize("lo, hi, a, b", [(1e-4, 1e2, -4.0, 6.0),
@@ -141,4 +154,21 @@ def test_only_sampling_builds_a_generator():
     src = Path(twistnorm.__file__).parent
     offenders = [f.name for f in sorted(src.glob("*.py"))
                  if f.name != "sampling.py" and pattern.search(f.read_text())]
+    assert offenders == []
+
+
+def test_only_sampling_slices_a_sample():
+    # CHUNK and word offsets live in sampling: no other module reads CHUNK
+    # or advances a generator, in code (docstrings may name CHUNK)
+    src = Path(twistnorm.__file__).parent
+    offenders = []
+    for f in sorted(src.glob("*.py")):
+        if f.name == "sampling.py":
+            continue
+        for node in ast.walk(ast.parse(f.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name in ("CHUNK", "advance"):
+                offenders.append(f"{f.name}:{node.lineno} {name}")
     assert offenders == []

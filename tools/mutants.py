@@ -161,26 +161,19 @@ MUTANTS = {
         "renorm", "for start in range(0, len(rays), per_block):",
         "for start in range(0, len(rays) - per_block, per_block):",
         [f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
-    "tuples-offset-from-blocks": (
-        "renorm", "a = 10.0 ** (-3.0 + 6.0 * ua.random(size))",
-        "a = np.roll(10.0 ** (-3.0 + 6.0 * ua.random(size)), 1)",
-        [f"{RN}::test_blocked_checks_are_the_whole_array_checks",
-         f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
-    # (b) reads each region of the keyless stream at its own word offset
-    # N is even in x, so wrong signs move no report: only the spy sees them
-    "signs-at-magnitudes-offset": (
-        "renorm", "cursor(at_mags), cursor(at_mags + n_tuples * dim)",
-        "cursor(at_mags), cursor(at_mags)",
-        [f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
-    "b-from-a-region": (
-        "renorm", "cursor(at_a), cursor(at_a + n_tuples)",
-        "cursor(at_a), cursor(at_a)",
+    # each check reads its sample by rows of its own keyed stream
+    "b-reads-a-column": (
+        "renorm", "b = a * (1.0 + u[:, -1])", "b = a * (1.0 + u[:, -2])",
         [f"{RN}::test_blocked_checks_are_the_whole_array_checks",
          f"{RN}::test_blocked_checks_are_the_whole_array_checks_at_seed_9",
          f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order",
          f"{RN}::test_pipeline_reports_are_pinned"]),
-    "probes-without-b-words": (
-        "renorm", "cursor(at_a + 2 * n_tuples)", "cursor(at_a + n_tuples)",
+    # N is even in x, so wrong signs move no report: only the spy sees them
+    "signs-from-magnitude-columns": (
+        "renorm", "u[:, dim:2 * dim]", "u[:, :dim]",
+        [f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order"]),
+    "probes-on-the-tuples-key": (
+        "renorm", "sampling.STAR_PROBES, 0, 64", "sampling.STAR_TUPLES, 0, 64",
         [f"{RN}::test_blocked_checks_are_the_whole_array_checks",
          f"{RN}::test_blocked_checks_are_the_whole_array_checks_at_seed_9",
          f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order",
@@ -246,13 +239,20 @@ MUTANTS = {
     "fold-checked-assigned": (
         "cli", "checked += margins.size", "checked = margins.size",
         ["tests/test_cli.py::test_certify_walks_trials_in_batches"]),
-    # one keyed stream per purpose, read by rows
+    # one keyed stream per purpose, read by rows, sliced in sampling alone
     "advance-by-rows": (
-        "sampling", "stream(seed, key, start * width)",
-        "stream(seed, key, start)",
+        "sampling", "g.bit_generator.advance(start * width)",
+        "g.bit_generator.advance(start)",
         [f"{SM}::test_slices_are_rows_of_one_keyed_stream",
          f"{SM}::test_chunk_sizes_cover_total",
          f"{SM}::test_results_do_not_depend_on_chunk",
+         "tests/test_cli.py::test_certify_walks_trials_in_batches",
+         f"{RN}::test_blocked_checks_are_the_whole_array_checks"]),
+    "reader-drops-last-partial-slice": (
+        "sampling", "for start in range(0, n, size):",
+        "for start in range(0, n - n % size, size):",
+        [f"{SM}::test_chunk_sizes_cover_total",
+         f"{RN}::test_star_norm_checks_evaluate_each_point_once_in_order",
          "tests/test_cli.py::test_certify_walks_trials_in_batches"]),
     "lambda-half-per-chunk": (
         "youngmap", "lam[-start % 16::16] = 0.5", "lam[::16] = 0.5",

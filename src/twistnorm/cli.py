@@ -1,15 +1,17 @@
 """Command-line front end: norms, envelopes, and seeded certificates.
 
-Every command reads JSON/CSV files, prints a one-line human summary,
-and (with --out) writes a JSON report of the form
+Each command handler reads its JSON files and returns a summary line,
+a report body and an exit code.  ``main`` alone prints the line, then
+writes the JSON report to stdout, or to the --out file:
 
     {"body": {...deterministic given the flags...},
      "meta": {"timestamp": "..."}}
 
 so reruns with identical configuration produce byte-identical bodies.
-Each command and sub-command takes only the flags it reads (_COMMANDS),
-and its body echoes those of --seed, --trials, --resolution and --box
-(certify equivalence reports the box it ran on, which may be larger).
+Each command and sub-command takes only the flags it reads (_COMMANDS);
+``main`` adds those of --seed, --trials, --resolution and --box to the
+body, where a key the command reports itself wins (certify equivalence
+reports the box it ran on, which may be larger).
 Exit codes: 0 success, 1 a certificate ran and failed its tolerance,
 2 malformed input or configuration, 3 a numeric signal (unbounded
 constant, failed bracket, failed construction certificate).
@@ -28,9 +30,9 @@ import numpy as np
 
 from . import sampling
 from .errors import NumericSignal
-from .renorm import (PIPELINES, BlockSeq, build_pipeline, star_iterate,
-                     substitution_differences, suff_criterion_check,
-                     suff_margins, triangle_violation)
+from .renorm import (CHECK_TOL, PIPELINES, BlockSeq, build_pipeline,
+                     star_iterate, substitution_differences,
+                     suff_criterion_check, suff_margins, triangle_violation)
 from .scalarfn import certify, power
 from .seqspace import VecSeq, luxemburg_norm
 from .twisted import (PairSeq, equivalence_certificate, from_preset,
@@ -82,13 +84,6 @@ def write_report(out: str | None, body: dict) -> None:
         print(text)
 
 
-def _read(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise ValueError(f"no such file: {path}")
-    return p.read_text()
-
-
 def _random_blocks(u: np.ndarray, dim: int) -> list:
     """1 + floor(4 u0) blocks per row of u, from 4 dim magnitudes in
     [1e-2, 10] and 4 dim signs.  Trial i of certify suff (then its target,
@@ -100,53 +95,47 @@ def _random_blocks(u: np.ndarray, dim: int) -> list:
 
 
 # --------------------------------------------------------------------------
-# commands
+# commands: each returns (summary line, report body, exit code)
 
 
-def cmd_norm(args) -> int:
-    text = _read(args.seq)
-    seq = VecSeq.from_json(text)
+def cmd_norm(args) -> tuple[str, dict, int]:
+    seq = VecSeq.from_json(Path(args.seq).read_text())
     space = from_preset(args.preset, with_envelope=False)
     if seq.dim == 1:
         value = luxemburg_norm(space.f, seq)
         kind = "luxemburg"
     elif seq.dim == 2:
-        value = twisted_norm(space, PairSeq.from_json(text))
+        pair = PairSeq(seq.indices, seq.vectors[:, 0], seq.vectors[:, 1])
+        value = twisted_norm(space, pair)
         kind = "twisted"
     else:
         raise ValueError("norm expects a dim-1 sequence or a dim-2 pair file")
-    print(f"{kind} norm = {value!r}")
-    write_report(args.out, {
+    return f"{kind} norm = {value!r}", {
         "command": "norm", "kind": kind, "preset": args.preset,
         "input": args.seq, "norm": value,
-    })
-    return 0
+    }, 0
 
 
-def cmd_twisted_norm(args) -> int:
+def cmd_twisted_norm(args) -> tuple[str, dict, int]:
     space = from_preset(args.preset, with_envelope=False)
-    pair = PairSeq.from_json(_read(args.pair))
+    pair = PairSeq.from_json(Path(args.pair).read_text())
     value = twisted_norm(space, pair)
-    print(f"twisted norm = {value!r}")
-    write_report(args.out, {
+    return f"twisted norm = {value!r}", {
         "command": "twisted-norm", "preset": args.preset,
         "input": args.pair, "norm": value,
-    })
-    return 0
+    }, 0
 
 
-def cmd_envelope(args) -> int:
+def cmd_envelope(args) -> tuple[str, dict, int]:
     space = from_preset(args.preset, with_envelope=False)
     grid = convex_envelope(space.phi_kp, args.box_halfwidth, args.resolution)
     out = args.csv or "envelope.csv"
     grid.to_csv(out)
-    print(f"envelope grid ({grid.resolution}x{grid.resolution}) -> {out}")
-    write_report(args.out, {
+    return f"envelope grid ({grid.resolution}x{grid.resolution}) -> {out}", {
         "command": "envelope", "preset": args.preset,
         "csv": out, "support_max": grid.support_max,
-        "ratio_max": grid.ratio_max, **_provenance(args),
-    })
-    return 0
+        "ratio_max": grid.ratio_max,
+    }, 0
 
 
 def _certify_quasiconvex(args) -> tuple[bool, dict]:
@@ -161,7 +150,7 @@ def _certify_quasiconvex(args) -> tuple[bool, dict]:
     return ok, {
         "kind": "quasiconvex", "preset": args.preset, "claimed_type": claimed,
         "L_hat": res.l_hat, "bound": bound, "witness": res.witness_report(),
-        "constants": f.constants.to_report(), **_provenance(args),
+        "constants": f.constants.to_report(),
     }
 
 
@@ -177,7 +166,7 @@ def _certify_equivalence(args) -> tuple[bool, dict]:
     ok = bool(rep["stable"] and rep["ratio_min"] > 0
               and math.isfinite(rep["ratio_max"]))
     return ok, {
-        **_provenance(args), "kind": "equivalence", "preset": args.preset,
+        "kind": "equivalence", "preset": args.preset,
         "c_hat": ql.c_hat, "Q_hat": qt["Q_hat"],
         "ratio": rep["ratio"], "stable": rep["stable"],
         "stability": rep["stability"], "dim_max": args.dim_max,
@@ -195,7 +184,7 @@ def _certify_quasilinear(args) -> tuple[bool, dict]:
     return ok, {
         "kind": "quasilinear", "preset": args.preset, "c_hat": res.c_hat,
         "per_dim": res.per_dim, "dim_spread": spread,
-        "witness": res.witness, "dim_max": args.dim_max, **_provenance(args),
+        "witness": res.witness, "dim_max": args.dim_max,
     }
 
 
@@ -206,7 +195,6 @@ def _certify_triangle(args) -> tuple[bool, dict]:
     return ok, {
         "kind": "triangle", "pipeline": args.pipeline,
         "max_violation": worst, "alpha": pipe.g.alpha, "M": pipe.g.M,
-        **_provenance(args),
     }
 
 
@@ -221,11 +209,11 @@ def _certify_suff(args) -> tuple[bool, dict]:
                                np.where(u[:, -1] > 0.0, u[:, -1], 0.5))
         worst = min(worst, float(margins.min(initial=math.inf)))
         checked += margins.size
-    ok = bool(worst >= -1e-9)
+    ok = bool(worst >= -CHECK_TOL)
     return ok, {
         "kind": "suff", "pipeline": args.pipeline,
         "min_margin": None if worst == math.inf else worst,
-        "steps_checked": checked, **_provenance(args),
+        "steps_checked": checked,
     }
 
 
@@ -241,10 +229,10 @@ def _certify_property_m(args) -> tuple[bool, dict]:
             raise NumericSignal(
                 f"constructed triple failed its precondition: {reason}")
         worst = max(worst, float(diffs.max()))
-    ok = bool(worst <= 1e-9)
+    ok = bool(worst <= CHECK_TOL)
     return ok, {
         "kind": "property-m", "pipeline": args.pipeline,
-        "max_difference": worst, **_provenance(args),
+        "max_difference": worst,
     }
 
 
@@ -258,59 +246,48 @@ _CERTIFIERS = {
 }
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[str, dict, int]:
     ok, body = _CERTIFIERS[args.kind](args)
-    body["pass"] = ok
-    print(f"certify {args.kind}: {'PASS' if ok else 'FAIL'}")
-    write_report(args.out, body)
-    return 0 if ok else 1
+    return (f"certify {args.kind}: {'PASS' if ok else 'FAIL'}",
+            {**body, "pass": ok}, 0 if ok else 1)
 
 
-def cmd_renorm(args) -> int:
+def cmd_renorm(args) -> tuple[str, dict, int]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
     if args.kind == "build":
         worst = triangle_violation(pipe.norm, args.trials, args.seed)
-        body = {
+        line = (f"renorm build {args.pipeline}: alpha={pipe.g.alpha:g} "
+                f"M={pipe.g.M:.12g} triangle_max={worst:.3e}")
+        return line, {
             "command": "renorm build", "pipeline": args.pipeline,
             "alpha": pipe.g.alpha, "M": pipe.g.M,
             "triangle_max_violation": worst,
             "decreasing_ok": pipe.report()["decreasing_ok"],
             "N_unit": pipe.report()["N_unit"],
-            **_provenance(args),
-        }
-        print(f"renorm build {args.pipeline}: alpha={pipe.g.alpha:g} "
-              f"M={pipe.g.M:.12g} triangle_max={worst:.3e}")
-        write_report(args.out, body)
-        return 0
+        }, 0
     # check: the step criterion walks the blocks once; its values give Lambda
-    xi = BlockSeq.from_json(_read(args.blocks))
+    xi = BlockSeq.from_json(Path(args.blocks).read_text())
     rep = suff_criterion_check(pipe.norm, pipe.phitilde, xi)
     lam = max(rep.values) if rep.values else 0.0
-    body = {
+    return f"renorm check: lambda_norm={lam!r} suff_ok={rep.ok}", {
         "command": "renorm check", "pipeline": args.pipeline,
         "input": args.blocks, "values": rep.values, "lambda_norm": lam,
         "suff_ok": rep.ok, "steps_checked": rep.checked,
         "min_margin": (None if rep.min_margin == math.inf
                        else rep.min_margin),
-        "log_products": rep.log_products, **_provenance(args),
-    }
-    print(f"renorm check: lambda_norm={lam!r} suff_ok={rep.ok}")
-    write_report(args.out, body)
-    return 0 if rep.ok else 1
+        "log_products": rep.log_products,
+    }, 0 if rep.ok else 1
 
 
-def cmd_lambda_norm(args) -> int:
+def cmd_lambda_norm(args) -> tuple[str, dict, int]:
     pipe = build_pipeline(args.pipeline, rng_seed=args.seed)
-    xi = BlockSeq.from_json(_read(args.blocks))
+    xi = BlockSeq.from_json(Path(args.blocks).read_text())
     values = star_iterate(pipe.norm, xi)
     lam = max(values) if values else 0.0
-    print(f"lambda norm = {lam!r}")
-    write_report(args.out, {
+    return f"lambda norm = {lam!r}", {
         "command": "lambda-norm", "pipeline": args.pipeline,
         "input": args.blocks, "lambda_norm": lam, "values": values,
-        **_provenance(args),
-    })
-    return 0
+    }, 0
 
 
 # --------------------------------------------------------------------------
@@ -397,7 +374,10 @@ def main(argv=None) -> int:
             raise ValueError("box halfwidth must be positive")
         if "dim_max" in args and args.dim_max < 1:
             raise ValueError("dim-max must be >= 1")
-        return args.func(args)
+        line, body, code = args.func(args)
+        print(line)
+        write_report(args.out, {**_provenance(args), **body})
+        return code
     except NumericSignal as exc:
         print(f"numeric signal: {exc}", file=sys.stderr)
         return 3

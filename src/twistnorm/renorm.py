@@ -386,8 +386,8 @@ def triangle_violation(norm: StarNorm, trials: int, rng_seed: int) -> float:
 
     Pair i is row i of the ``(rng_seed, TRIANGLE)`` stream: the magnitudes
     of p and q, log-uniform in [1e-2, 1e2], then their signs."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if strict_int(trials, "trials") < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
     worst = 0.0
     w = norm.dim + 1
     for _, u in sampling.slices(rng_seed, sampling.TRIANGLE, 0, trials, 4 * w):

@@ -55,7 +55,10 @@ def slices(seed: int, key: int, first: int, n: int, width: int,
 
 
 def row_width(dim: int) -> int:
-    """The uniforms ``random_rows`` reads per row of dimension ``dim``."""
+    """The uniforms ``random_rows`` reads per row of dimension ``dim``, an
+    integer >= 1 (else ValueError naming it)."""
+    if strict_int(dim, "row dimension") < 1:
+        raise ValueError(f"row dimension must be >= 1, got {dim!r}")
     return 1 + dim + 2 * min(8, dim)
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from .errors import NumericSignal
 from . import sampling
 from .scalarfn import OrliczFn, power
-from .seqspace import VecSeq, compact_rows, luxemburg_norm_batch
+from .seqspace import (VecSeq, compact_rows, luxemburg_norm_batch,
+                       strict_int)
 from .youngmap import (EnvelopeGrid, GridMap, LipschitzTheta, YoungMap,
                        convex_envelope, identity_theta, kalton_peck_map,
                        soft_clip_theta)
@@ -252,8 +253,8 @@ def _sampled_sup(trials: int, dim_max: int, rng_seed: int, key: int,
     Returns ``(sup, per_dim, witness)``, the witness holding the dimension,
     the rows of the best pair and its ratio.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if strict_int(trials, "trials") < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
     dims = sorted({d for d in (16, 64, dim_max) if d <= dim_max})
     share = max(1, trials // len(dims))
     per_dim = {}
@@ -343,8 +344,8 @@ def equivalence_certificate(space: TwistedSpace, trials: int, dim_max: int,
     any argument scaled by its Psi-norm escapes the envelope box, the box
     is doubled, the envelope recomputed, and the sampling restarted.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if strict_int(trials, "trials") < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
     for attempt in range(7):
         if attempt:
             space = space.with_box(2.0 * space.box_halfwidth)

@@ -35,6 +35,7 @@ import numpy as np
 from . import sampling
 from .errors import NumericSignal
 from .scalarfn import OrliczFn, ScalarConstants
+from .seqspace import strict_int
 
 __all__ = [
     "LipschitzTheta",
@@ -263,10 +264,14 @@ def quasiconvexity_constant(m: YoungMap, trials: int, rng_seed: int,
     first 8 rows are identity pairs t1 = t2, so the result is >= 1 - 1e-12
     whenever the map is positive at one.  Denominators below 1e-300 are
     skipped.  A deterministic local polish around the first best row is
-    part of the search.
+    part of the search.  The box half-width must be positive and finite,
+    as for the envelope grid.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if strict_int(trials, "trials") < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
+    if not 0.0 < halfwidth < math.inf:
+        raise ValueError("box halfwidth must be positive and finite, "
+                         f"got {halfwidth!r}")
     best = -math.inf
     best_w = None
     d, thirds = m.dim, trials // 3

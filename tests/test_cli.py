@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -482,6 +483,126 @@ def test_equivalence_reports_the_box_it_ran_on(tmp_path):
                "--seed", "3", "--out", str(out)) == 0
     rep = equivalence_certificate(from_preset("z2", 0.25, 9), 300, 16, 3)
     assert body_of(out)["box_halfwidth"] == rep["box_halfwidth"] == 2.0
+
+
+# one small run of each (sub)command in FLAGS_READ
+SMALL_RUNS = {
+    "norm": ("norm", "--seq", "{seq}"),
+    "twisted-norm": ("twisted-norm", "--pair", "{pair}"),
+    "envelope": ("envelope", "--resolution", "9", "--csv", "{tmp}/grid.csv"),
+    "certify quasiconvex": ("certify", "quasiconvex", "--trials", "100"),
+    "certify equivalence": ("certify", "equivalence", "--trials", "40",
+                            "--resolution", "9", "--dim-max", "16"),
+    "certify quasilinear": ("certify", "quasilinear", "--trials", "40",
+                            "--dim-max", "16"),
+    "certify triangle": ("certify", "triangle", "--trials", "100"),
+    "certify suff": ("certify", "suff", "--trials", "10"),
+    "certify property-m": ("certify", "property-m", "--trials", "10"),
+    "renorm build": ("renorm", "build", "--trials", "100"),
+    "renorm check": ("renorm", "check", "--blocks", "{blocks}"),
+    "lambda-norm": ("lambda-norm", "--blocks", "{blocks}"),
+}
+
+
+def test_every_command_has_a_small_run():
+    assert set(SMALL_RUNS) == set(FLAGS_READ)
+
+
+def _fail(monkeypatch, name):
+    """Make the certificate of a (sub)command that has one fail."""
+    kind = name.split()[-1]
+    if kind in cli._CERTIFIERS:
+        real = cli._CERTIFIERS[kind]
+        monkeypatch.setitem(cli._CERTIFIERS, kind,
+                            lambda args: (False, real(args)[1]))
+        return "FAIL", {"pass": False}
+    if name == "renorm check":
+        real = cli.suff_criterion_check
+        monkeypatch.setattr(cli, "suff_criterion_check", lambda *a: (
+            dataclasses.replace(real(*a), ok=False)))
+        return "suff_ok=False", {"suff_ok": False}
+    return None
+
+
+def _report_infinity(monkeypatch, name):
+    """Have the handler of a (sub)command add an infinite report value."""
+    text, func, flags = cli._COMMANDS[name.split()[0]]
+
+    def handler(args):
+        line, body, code = func(args)
+        return line, {**body, "spread": math.inf}, code
+
+    monkeypatch.setitem(cli._COMMANDS, name.split()[0],
+                        (text, handler, flags))
+
+
+@pytest.mark.parametrize("name", list(SMALL_RUNS))
+def test_main_prints_the_line_then_the_report(name, seq_file, pair_file,
+                                               blocks_file, tmp_path, capsys,
+                                               monkeypatch):
+    paths = {"seq": seq_file, "pair": pair_file, "blocks": blocks_file,
+             "tmp": tmp_path}
+    argv = [a.format(**paths) for a in SMALL_RUNS[name]]
+    out = tmp_path / "report.json"
+    # without --out: the summary line, then the report
+    assert run(*argv) == 0
+    line, report = capsys.readouterr().out.split("\n", 1)
+    doc = json.loads(report)
+    assert report == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert set(doc) == {"body", "meta"} and line and "{" not in line
+    # with --out: the line alone, and the same body in the file
+    assert run(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == line + "\n"
+    assert body_of(out) == doc["body"]
+    # a failing certificate exits 1 and still reports
+    failing = _fail(monkeypatch, name)
+    if failing:
+        word, verdict = failing
+        out.unlink()
+        assert run(*argv, "--out", str(out)) == 1
+        assert word in capsys.readouterr().out
+        assert body_of(out) == {**doc["body"], **verdict}
+        monkeypatch.undo()
+    # a value JSON cannot carry exits 3 after the line, writing nothing
+    _report_infinity(monkeypatch, name)
+    out.unlink()
+    assert run(*argv, "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == line + "\n"
+    assert "'spread' holds inf" in captured.err
+    assert not out.exists()
+
+
+def test_norm_parses_a_pair_file_once(pair_file, tmp_path, monkeypatch):
+    calls = []
+    parse = VecSeq.from_json.__func__
+
+    def counted(cls, text):
+        calls.append(text)
+        return parse(cls, text)
+
+    monkeypatch.setattr(VecSeq, "from_json", classmethod(counted))
+    assert run("norm", "--preset", "z2", "--seq", str(pair_file),
+               "--out", str(tmp_path / "report.json")) == 0
+    assert calls == [pair_file.read_text()]
+
+
+def test_a_missing_input_file_exits_two_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run("lambda-norm", "--blocks", str(missing)) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert run("norm", "--seq", str(tmp_path)) == 2      # a directory
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("envelope", "--resolution", "9", "--csv", "{tmp}/grid.csv"),
+    ("certify", "quasiconvex", "--trials", "10"),
+], ids=["envelope", "quasiconvex"])
+def test_an_infinite_box_exits_two(argv, tmp_path, capsys):
+    assert run(*(a.format(tmp=tmp_path) for a in argv), "--box", "inf") == 2
+    assert "box halfwidth must be positive and finite" in \
+        capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 from pathlib import Path
 
@@ -71,6 +72,30 @@ def test_star_norm_rejects_a_float_seed(t2_pipe):
     # it drew seed 1234 and reported "seed": 1234.6
     with pytest.raises(ValueError, match="seed must be an integer, got 1234.6"):
         build_star_norm(t2_pipe.norm.g, rng_seed=1234.6)
+
+
+@pytest.mark.parametrize("case, bad", [
+    ("quasilinear", 0), ("quasitriangle", -5), ("equivalence", 0),
+    ("quasiconvex", -1.0), ("quasiconvex", math.inf), ("triangle", True),
+], ids=["quasilinear-dim-0", "quasitriangle-dim--5", "equivalence-dim-0",
+        "quasiconvex-box--1", "quasiconvex-box-inf", "triangle-trials-True"])
+def test_sampled_certificates_reject_invalid_sizes(case, bad, f2, z2_noenv,
+                                                   t2_pipe):
+    # a row dimension below 1 drew no rows or rows of negative width, a
+    # box off (0, inf) drew points that are not numbers, and a bool ran as
+    # one trial
+    calls = {
+        "quasilinear": lambda: quasi_linearity_constant(z2_noenv, 100, bad, 1),
+        "quasitriangle": lambda: quasi_triangle_constant(z2_noenv, 100, bad,
+                                                         1),
+        "equivalence": lambda: equivalence_certificate(
+            build_space(f2, identity_theta(), resolution=9), 100, bad, 1),
+        "quasiconvex": lambda: quasiconvexity_constant(
+            kalton_peck_map(f2, identity_theta()), 100, 1, halfwidth=bad),
+        "triangle": lambda: triangle_violation(t2_pipe.norm, bad, 1),
+    }
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        calls[case]()
 
 
 @pytest.mark.parametrize("lo, hi, a, b", [(1e-4, 1e2, -4.0, 6.0),

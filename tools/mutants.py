@@ -229,9 +229,13 @@ MUTANTS = {
         [f"{RN}::test_suff_margins_are_the_per_sequence_checks"]),
     # each command takes, and its report echoes, only the flags it reads
     "provenance-after-result": (
-        "cli", "f.constants.to_report(),\n    }",
-        "f.constants.to_report(), **_provenance(args),\n    }",
+        "cli", "{**_provenance(args), **body}", "{**body, **_provenance(args)}",
         [f"{CLI}::test_equivalence_reports_the_box_it_ran_on"]),
+    # main alone prints, writes and returns what a command reports
+    "main-drops-the-exit-code": (
+        "cli", "        return code\n", "        return 0\n",
+        [f"{CLI}::test_certify_failure_exits_one",
+         f"{CLI}::test_main_prints_the_line_then_the_report"]),
     "unread-flag-restored": (
         "cli", 'cmd_norm, "preset seq"),', 'cmd_norm, "preset seq trials"),',
         [f"{CLI}::test_each_command_takes_only_the_flags_it_reads",

@@ -492,23 +492,309 @@ def _grid_nodes(axes) -> tuple:
     return ticks, np.stack([ax[k] for ax, k in zip(axes, ticks.T)], axis=-1)
 
 
+# Every hull decision is the sign of sum(h_i * c_i) over at most four
+# terms: h_i node values, c_i integers (products of tick differences)
+# small enough to be floats exactly.  In floats that sum is off by at most
+# gamma_4 * sum|h_i c_i|, gamma_4 = 4u / (1 - 4u), u = 2**-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, Sec. 3.1); the
+# filter adds one u for the rounding of the magnitude sum itself, and the
+# floor covers products below the normal range.  Inside that band, and on
+# an overflow, the sign is taken exactly on the values' integer ratios
+# (Shewchuk, Discrete Comput. Geom. 18, 1997, for the filter).
+_FILTER = 5.0 * 2.0 ** -53
+_FLOOR = 1e-300
+
+
+def _exact_sign(h, c) -> int:
+    ratios = [v.as_integer_ratio() for v in h]      # denominators: powers of 2
+    den = max(d for _, d in ratios)
+    s = sum(ci * n * (den // d) for ci, (n, d) in zip(c, ratios))
+    return (s > 0) - (s < 0)
+
+
+def _signs(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact signs of the row sums of h * c, both of shape (n, k)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = h * c
+        s = t.sum(axis=1)
+        sure = np.abs(s) > _FILTER * np.abs(t).sum(axis=1) + _FLOOR
+    out = np.where(s > 0, 1, -1)
+    for r in np.flatnonzero(~sure):
+        out[r] = _exact_sign(h[r].tolist(), c[r].tolist())
+    return out
+
+
+def _below(ticks, values, tri: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Exact signs of "node p[r] lies below the plane of triangle tri[r]"
+    (see _Triangulation), for every row r at once."""
+    a, b, c = (ticks[tri[:, k]] - ticks[p] for k in range(3))  # offsets to p
+
+    def cross(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    cof = np.column_stack([cross(b, c), cross(c, a), cross(a, b)])
+    cof = np.column_stack([cof, -cof.sum(axis=1)])
+    return _signs(values[np.column_stack([tri, p])], cof)
+
+
+def _chain(h) -> list:
+    """Monotone-chain lower hull of the points (k, h[k]): the k that are
+    strict vertices, in order.  A point on or above the chord of its hull
+    neighbours is dropped."""
+    hull = []
+    for k, hk in enumerate(h):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            # (k-j) h_i - (k-i) h_j + (j-i) h_k > 0: j below the chord
+            ti, tj, tk = (k - j) * h[i], (k - i) * h[j], (j - i) * hk
+            z = ti - tj + tk
+            if abs(z) > _FILTER * (abs(ti) + abs(tj) + abs(tk)) + _FLOOR:
+                if z > 0:
+                    break
+            elif _exact_sign((h[i], h[j], hk), (k - j, i - k, j - i)) > 0:
+                break
+            hull.pop()
+        hull.append(k)
+    return hull
+
+
+def _lower_segments(values: np.ndarray, where: str) -> np.ndarray:
+    """The lower hull of (k, values[k]) as 2-node simplices."""
+    hull = _chain(values.tolist())
+    n = len(values)
+    k = np.arange(n)
+    # (n-1-k) h_0 - (n-1) h_k + k h_(n-1): 0 when node k is on the chord
+    if len(hull) == 2 and not _signs(
+            np.column_stack([np.full(n, values[0]), values,
+                             np.full(n, values[-1])]),
+            np.column_stack([n - 1 - k, np.full(n, 1 - n), k])).any():
+        raise NumericSignal(f"{where} failed: the lifted nodes are collinear")
+    return np.column_stack([hull[:-1], hull[1:]])
+
+
+class _Triangulation:
+    """Regular triangulation of lifted lattice nodes, built by insertion.
+
+    Triangle t has counter-clockwise vertices ``tv[t]`` and in ``tn[t][k]``
+    the triangle across the edge opposite vertex k, or -1 on the box
+    boundary; a dead triangle has ``tv[t] = None`` and its slot is reused.
+    Node p lies below the plane of triangle (a, b, c) when, with c_a,
+    c_b, c_c the integer 2x2 cofactors orient(b, c, p), orient(c, a, p),
+    orient(a, b, p) and d their sum, h_a c_a + h_b c_b + h_c c_c - h_p d
+    is positive; its sign is taken exactly (see _FILTER).
+    """
+
+    def __init__(self, x, y, h, first, second):
+        """x, y: the nodes' integer ticks, h their values; first, second:
+        (vertices, neighbours) of the two triangles of the box corners."""
+        self.x, self.y, self.h = x, y, h
+        self.tv = [first[0], second[0]]
+        self.tn = [first[1], second[1]]
+        self.free = []
+
+    def locate(self, t, p) -> int:
+        """A triangle holding p (on its boundary or inside), walked to
+        from t; every crossed edge has p strictly on its far side."""
+        x, y, tv, tn = self.x, self.y, self.tv, self.tn
+        px, py = x[p], y[p]
+        for step in range(4 * len(tv) + 8):
+            a, b, c = tv[t]
+            xa, ya, xb, yb = x[a] - px, y[a] - py, x[b] - px, y[b] - py
+            xc, yc = x[c] - px, y[c] - py
+            # orient(b, c, p), orient(c, a, p), orient(a, b, p)
+            sides = (xb * yc - yb * xc, xc * ya - yc * xa, xa * yb - ya * xb)
+            if min(sides) >= 0:
+                return t
+            # the edge tried first turns with each step, which breaks the
+            # cycles a fixed order can walk; the step cap ends any other
+            k = step % 3
+            while sides[k] >= 0:
+                k = (k + 1) % 3
+            t = tn[t][k]
+        raise NumericSignal("hull point location did not terminate")
+
+    def insert(self, p, t) -> int:
+        """Insert node p, located in triangle t, if it lies strictly below
+        the surface; returns a triangle near p to start the next walk.
+
+        The triangles whose planes pass strictly above p (its conflict
+        region) are replaced by the fan from p to the region's boundary:
+        in one step, what Edelsbrunner-Shah's 2->2 flips do edge by edge,
+        and a node all of whose triangles are in conflict drops out, as
+        their 3->1 flip does.  The surface is convex, so along each ray
+        from p the conflict triangles come first: the region is
+        star-shaped from p, and an edge of its boundary inside the box has
+        p strictly on the region's side, since the plane inside passes
+        above p and the one outside does not (``certify`` checks every
+        triangle counter-clockwise).  Only box sides can be collinear with
+        p (p on that side); they get no triangle, and the nodes strictly
+        between p and the side's last boundary node drop out.
+        """
+        x, y, h, tv, tn = self.x, self.y, self.h, self.tv, self.tn
+        px, py, hp = x[p], y[p], h[p]
+        # crossings (triangle o, from triangle s, edge u -> w of s); the
+        # located triangle is entered from nowhere (s = -1)
+        work, region, inside, fan = [(t, -1, 0, 0)], [], {}, []
+        while work:
+            o, s, u, w = work.pop()
+            if o >= 0:
+                hit = inside.get(o)
+                if hit is None:
+                    a, b, c = tv[o]
+                    # cofactors from the corners' offsets to p
+                    xa, ya, xb, yb = x[a] - px, y[a] - py, x[b] - px, y[b] - py
+                    xc, yc = x[c] - px, y[c] - py
+                    ca, cb = xb * yc - yb * xc, xc * ya - yc * xa
+                    cc = xa * yb - ya * xb
+                    d = ca + cb + cc
+                    ta, tb, tc, tp = h[a] * ca, h[b] * cb, h[c] * cc, hp * d
+                    z = ta + tb + tc - tp
+                    if abs(z) > _FILTER * (abs(ta) + abs(tb) + abs(tc)
+                                           + abs(tp)) + _FLOOR:
+                        hit = z > 0
+                    else:
+                        hit = _exact_sign((h[a], h[b], h[c], hp),
+                                          (ca, cb, cc, -d)) > 0
+                    inside[o] = hit
+                    if hit:
+                        region.append(o)
+                        n0, n1, n2 = tn[o]
+                        work += ((n0, o, b, c), (n1, o, c, a), (n2, o, a, b))
+                        continue
+                if hit:
+                    continue
+                if s < 0:
+                    return t
+                # o's slot for s, read before any slot is rewritten
+                fan.append((u, w, o, tn[o].index(s)))
+            elif (x[w] - x[u]) * (py - y[u]) != (y[w] - y[u]) * (px - x[u]):
+                fan.append((u, w, -1, -1))
+        # the fan takes the region's slots, then free ones, then new ones
+        more, free = len(fan) - len(region), self.free
+        ids = region
+        if more < 0:
+            for s in region[more:]:
+                tv[s] = None
+            free += region[more:]
+        elif more:
+            reuse = min(more, len(free))
+            ids += [free.pop() for _ in range(reuse)]
+            ids += range(len(tv), len(tv) + more - reuse)
+            tv += [None] * (more - reuse)
+            tn += [None] * (more - reuse)
+        start = {f[0]: i for f, i in zip(fan, ids)}
+        if len(start) != len(fan):
+            raise NumericSignal("hull conflict region is not simply bounded")
+        for (u, w, o, j), i in zip(fan, ids):
+            tv[i] = (u, w, p)
+            tn[i] = [start.get(w, -1), -1, o]
+            if o >= 0:
+                tn[o][j] = i
+        for i in ids[:len(fan)]:        # the fan's next triangle points back
+            if tn[i][0] >= 0:
+                tn[tn[i][0]][1] = i
+        return i
+
+    def certify(self, ticks, values, where: str) -> np.ndarray:
+        """The live triangles' nodes (F, 3), once each is checked
+        counter-clockwise and every interior edge locally convex with the
+        exact test: the node across an edge never lies strictly below the
+        plane of the triangle on this side."""
+        live = np.array([t for t, v in enumerate(self.tv) if v is not None])
+        verts = np.zeros((len(self.tv), 3), dtype=np.intp)
+        verts[live] = [self.tv[t] for t in live]
+        a, b, c = (ticks[verts[live, k]] for k in range(3))
+        if np.any((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  <= (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])):
+            raise NumericSignal(f"{where} failed: a triangle is not "
+                                "counter-clockwise")
+        nbrs = np.array(self.tn)
+        t, k = np.nonzero(nbrs[live] > live[:, None])
+        t = live[t]
+        o = nbrs[t, k]
+        far = verts[o, np.argmax(nbrs[o] == t[:, None], axis=1)]
+        if np.any(_below(ticks, values, verts[t], far) > 0):
+            raise NumericSignal(
+                f"{where} failed: an edge is not locally convex")
+        return verts[live]
+
+
+def _lower_triangles(ticks: np.ndarray, values: np.ndarray, shape,
+                     where: str) -> np.ndarray:
+    """The lower hull of the lifted lattice nodes as 3-node simplices.
+
+    Only the nodes that are strict vertices of the 1-D lower hulls of
+    their row and of their column can be vertices.  Those are inserted
+    after the four corners, coarse sublattices first, so that triangles
+    stay small and conflict regions few, and each sublattice row by row
+    in snake order, so that each walk starts next to the node before.
+    """
+    nx, ny = shape
+    h = values.tolist()
+    x, y = ticks[:, 0].tolist(), ticks[:, 1].tolist()
+    grid = values.reshape(shape)
+    rows, cols = np.zeros((2,) + shape, dtype=bool)
+    for i in range(nx):
+        rows[i, _chain(grid[i].tolist())] = True
+    for j in range(ny):
+        cols[_chain(grid[:, j].tolist()), j] = True
+    # level: the largest power of two dividing both ticks (30 at 0, 0)
+    i, j = ticks.T
+    bits = i | j
+    level = np.log2(np.where(bits > 0, bits & -bits, 1 << 30)).astype(int)
+    order = np.lexsort((np.where((i >> level) & 1, -j, j), i, -level))
+    c00, c01, c10, c11 = 0, ny - 1, (nx - 1) * ny, nx * ny - 1
+    # the two triangles of the corners, split along the lower diagonal
+    corners = values[[[c00, c11, c01, c10]]]
+    if _signs(corners, np.array([[1, 1, -1, -1]]))[0] <= 0:
+        tri = _Triangulation(x, y, h, ((c00, c10, c11), [-1, 1, -1]),
+                             ((c00, c11, c01), [-1, -1, 0]))
+    else:
+        tri = _Triangulation(x, y, h, ((c00, c10, c01), [1, -1, -1]),
+                             ((c10, c11, c01), [-1, 0, -1]))
+    t = 0
+    try:
+        for p in order[(rows & cols).ravel()[order]].tolist():
+            if p not in (c00, c01, c10, c11):
+                t = tri.insert(p, tri.locate(t, p))
+    except NumericSignal as exc:
+        raise NumericSignal(f"{where} failed: {exc}") from exc
+    simplices = tri.certify(ticks, values, where)
+    if len(simplices) == 2 and not np.any(_below(
+            ticks, values, np.repeat(simplices[:1], len(h), axis=0),
+            np.arange(len(h)))):
+        raise NumericSignal(f"{where} failed: the lifted nodes are coplanar")
+    return simplices
+
+
 def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
     """Grid lower convex envelope as the lower convex hull of the lifted nodes.
 
     Each node value is min sum(alpha_i * v_i) over convex weights on the
     grid nodes reproducing the node, which is the height of the lower
-    convex hull of the points (node, value) above it.  The hull comes
-    from Qhull (scipy.spatial.ConvexHull) in integer grid coordinates;
-    each node is located in a non-degenerate lower simplex whose
-    projection contains it, where its barycentric weights are exact
-    rationals.  The support count is the number of positive weights:
-    1 at a node that is itself a hull vertex, at most dim+1.  The result
-    never exceeds the sampled values; a map whose lifted nodes span no
-    full-dimensional hull (for example one vanishing on the whole grid)
-    raises NumericSignal.
-    """
-    from scipy.spatial import ConvexHull, QhullError
+    convex hull of the points (node, value) above it.  The hull is built
+    here on the integer grid ticks: a monotone chain in dimension 1, a
+    regular triangulation by incremental insertion in dimension 2 (see
+    _Triangulation).  Each of its decisions is the sign of
+    sum(h_i * c_i) with integer cofactors c_i, taken in floats where a
+    stated error bound makes it sure and exactly otherwise (see
+    _FILTER), so lattice ties are decided, never guessed.
 
+    The hull is not trusted, it is checked: every interior edge is
+    locally convex under the same exact test, every node is located in
+    a hull simplex, where its barycentric weights are exact rationals,
+    and the envelope exceeds no value by more than 1e-9.  A locally
+    convex surface over the box is convex; it interpolates the data at
+    its vertices and lies below them at every node, so it is the
+    envelope.  The support count is the number of positive weights: 1
+    at a node that is itself a hull vertex, at most dim+1.  A failed
+    check raises NumericSignal, as does a map whose lifted nodes are
+    collinear or coplanar (for example one vanishing on the whole grid);
+    a map of dimension 3 or more raises ValueError before it is
+    evaluated.
+    """
+    if m.dim not in (1, 2):
+        raise ValueError("convex_envelope supports dimensions 1 and 2 only")
     axes = _grid_axes(m.dim, halfwidth, resolution)
     shape = tuple(ax.size for ax in axes)
     where = (f"lower hull of {m.label or 'map'} on the "
@@ -517,15 +803,12 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
     values = m.evaluate(nodes)
     if not np.all(np.isfinite(values)):
         raise NumericSignal("map produced non-finite values on the envelope grid")
-    try:
-        hull = ConvexHull(np.column_stack([ticks, values]))
-    except QhullError as exc:
-        reason = str(exc).splitlines()[0]
-        raise NumericSignal(f"{where} failed: {reason}") from exc
-    # Lower simplices face down; vertical and zero-volume ones project to
-    # lattice simplices of determinant 0 and are dropped.  With integer
-    # corners, weights are adj @ (k - k0) / det with integer adj and det.
-    simplices = hull.simplices[hull.equations[:, -2] < 0]
+    if m.dim == 1:
+        simplices = _lower_segments(values, where)
+    else:
+        simplices = _lower_triangles(ticks, values, shape, where)
+    # With integer corners, weights are adj @ (k - k0) / det with integer
+    # adj and det; zero-area simplices would have det 0 and are dropped.
     corners = ticks[simplices]                               # (F, dim+1, dim)
     span = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
     det = np.rint(np.linalg.det(span)).astype(np.int64)

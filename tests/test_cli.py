@@ -105,6 +105,19 @@ def test_envelope_command(tmp_path):
     assert run("envelope", "--resolution", "10") == 2
 
 
+def test_envelope_of_zp35_is_certified_at_resolution_9(tmp_path):
+    # the lifted values run from 2.9e-11 to 3.5e18; a floating-point hull
+    # finds them flat, the exact predicate does not
+    csv = tmp_path / "grid.csv"
+    out = tmp_path / "report.json"
+    assert run("envelope", "--preset", "zp:35", "--resolution", "9",
+               "--csv", str(csv), "--out", str(out)) == 0
+    body = body_of(out)
+    assert body["support_max"] <= 3
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.all(rows[:, 3] <= rows[:, 2])
+
+
 # -- certificates -------------------------------------------------------------
 
 def test_certify_quasiconvex_passes(tmp_path, capsys):
@@ -713,13 +726,14 @@ def test_console_script_numeric_signal():
 
 
 def test_import_and_norm_load_no_scipy(seq_file, blocks_file, tmp_path):
-    # scipy is imported only inside the envelope's Qhull hull
+    # the package imports no scipy, the envelope's hull included
     seq, blocks = str(seq_file), str(blocks_file)
-    out = str(tmp_path / "report.json")
+    out, csv = str(tmp_path / "report.json"), str(tmp_path / "grid.csv")
     code = (
         "import json, sys\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "from twistnorm import build_space, certify, identity_theta, power\n"
         "from twistnorm.renorm import PIPELINES, build_pipeline\n"
         "from twistnorm.cli import main\n"
         "seen = {'import': scipy_modules()}\n"
@@ -728,6 +742,14 @@ def test_import_and_norm_load_no_scipy(seq_file, blocks_file, tmp_path):
         "rcs.append(main(['lambda-norm', '--pipeline', 't4-pipeline',\n"
         f"                 '--blocks', {blocks!r}, '--out', {out!r}]))\n"
         "seen['lambda-norm'] = scipy_modules()\n"
+        "rcs.append(main(['envelope', '--resolution', '9',\n"
+        f"                 '--csv', {csv!r}, '--out', {out!r}]))\n"
+        "seen['envelope'] = scipy_modules()\n"
+        "rcs.append(main(['certify', 'equivalence', '--resolution', '9',\n"
+        f"                 '--out', {out!r}]))\n"
+        "seen['certify equivalence'] = scipy_modules()\n"
+        "build_space(certify(power(2.0), 2.0), identity_theta(), 2.0, 9)\n"
+        "seen['build_space'] = scipy_modules()\n"
         "for name in PIPELINES:\n"
         "    build_pipeline(name)\n"
         "    seen[name] = scipy_modules()\n"
@@ -735,8 +757,9 @@ def test_import_and_norm_load_no_scipy(seq_file, blocks_file, tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     rcs, seen = json.loads(proc.stdout.splitlines()[-1])
-    assert rcs == [0, 0]
-    assert set(seen) == {"import", "norm", "lambda-norm", "t2-pipeline",
+    assert rcs == [0, 0, 0, 0]
+    assert set(seen) == {"import", "norm", "lambda-norm", "envelope",
+                         "certify equivalence", "build_space", "t2-pipeline",
                          "t4-pipeline", "r2-pipeline"}
     assert all(mods == [] for mods in seen.values()), seen
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from twistnorm import (GridMap, NumericSignal, YoungMap, build_space, certify,
                        convex_envelope, extend, from_preset, identity_theta,
@@ -15,7 +16,8 @@ from twistnorm import (GridMap, NumericSignal, YoungMap, build_space, certify,
                        luxemburg_norm_batch, mollify, power, power_log,
                        quasiconvexity_constant, radial_power, sampling,
                        soft_clip_theta)
-from twistnorm.youngmap import _BLOCK, _ball_offsets, _grid_axes, _ratio
+from twistnorm.youngmap import (_BLOCK, _Triangulation, _ball_offsets,
+                                _grid_axes, _grid_nodes, _ratio, _signs)
 
 # frozen expected values
 KP_BOUND_Z2 = 7.3307290635716065          # max(1 + 2 + 8 * 4/e^2, 4)
@@ -246,11 +248,26 @@ def test_envelope_hull_matches_lp_oracle(case, f2):
 
 
 def test_envelope_of_cospherical_lattice_is_identity():
-    # lattice points of |x|^2 are cospherical: Qhull's triangulated lower
-    # hull has zero-volume simplices and ties, which must not leak out
-    grid = convex_envelope(radial_power(3, 2.0), 2.0, 9)
-    assert np.max(np.abs(grid.envelope - grid.values)) <= 1e-12
-    assert grid.support_max == 1
+    # the four corners of every lattice cell of |x|^2 are cocircular, so
+    # every cell lifts to a plane up to rounding: those ties are decided
+    # by the exact predicate and must not leak out
+    for resolution in (9, 21):
+        grid = convex_envelope(radial_power(2, 2.0), 2.0, resolution)
+        assert np.max(np.abs(grid.envelope - grid.values)) <= 1e-12
+        assert grid.support_max == 1
+
+
+def test_envelope_rejects_dim_3_before_evaluating():
+    calls = []
+    base = radial_power(3, 2.0)
+
+    def counted(pts):
+        calls.append(pts.shape)
+        return base.fn(pts)
+
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        convex_envelope(dataclasses.replace(base, fn=counted), 2.0, 9)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -260,6 +277,124 @@ def test_envelope_of_flat_map_raises(dim):
     shape = "x".join(["9"] * dim)
     with pytest.raises(NumericSignal, match=f"zero map on the {shape} grid"):
         convex_envelope(zero, 1.0, 9)
+
+
+def qhull_envelope(m, halfwidth, resolution):
+    """Oracle: the envelope on Qhull's lower facets (scipy.spatial), each
+    node located in a non-degenerate facet with exact integer weights."""
+    axes = _grid_axes(m.dim, halfwidth, resolution)
+    shape = tuple(ax.size for ax in axes)
+    ticks, nodes = _grid_nodes(axes)
+    values = m.evaluate(nodes)
+    hull = ConvexHull(np.column_stack([ticks, values]))
+    simplices = hull.simplices[hull.equations[:, -2] < 0]
+    corners = ticks[simplices]
+    span = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
+    det = np.rint(np.linalg.det(span)).astype(np.int64)
+    keep = det != 0
+    simplices, corners, span, det = (simplices[keep], corners[keep],
+                                     span[keep], det[keep])
+    adj = np.rint(np.linalg.inv(span) * det[:, None, None]).astype(np.int64)
+    adj *= np.sign(det)[:, None, None]
+    det = np.abs(det)
+    # every (facet, node) pair with the node in the facet's bounding box
+    lo = corners.min(axis=1)
+    sizes = corners.max(axis=1) - lo + 1
+    counts = np.prod(sizes, axis=1)
+    owner = np.repeat(np.arange(len(simplices)), counts)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    k = np.empty((owner.size, m.dim), dtype=np.int64)
+    for i in reversed(range(m.dim)):
+        k[:, i] = lo[owner, i] + rank % sizes[owner, i]
+        rank //= sizes[owner, i]
+    num = np.einsum("tij,tj->ti", adj[owner], k - corners[owner, 0])
+    weights = np.column_stack([det[owner] - num.sum(axis=1), num])
+    inside = np.all(weights >= 0, axis=1)
+    owner, k, weights = owner[inside], k[inside], weights[inside]
+    located, first = np.unique(np.ravel_multi_index(tuple(k.T), shape),
+                               return_index=True)
+    assert located.size == values.size
+    owner, weights = owner[first], weights[first]
+    env = np.einsum("ti,ti->t", weights, values[simplices[owner]]) / det[owner]
+    support_max = int(np.count_nonzero(weights, axis=1).max())
+    return np.minimum(np.maximum(env, 0.0), values), support_max
+
+
+@pytest.mark.parametrize("case", ["z2@1", "z2@2", "zp:3@1", "zp:3@2",
+                                  "kp-softclip:2,1@1", "kp-softclip:2,1@2",
+                                  "radial_power(2,2)", "double-well"])
+def test_envelope_matches_the_qhull_oracle(case):
+    if case == "radial_power(2,2)":
+        m, halfwidth = radial_power(2, 2.0), 2.0
+    elif case == "double-well":
+        m, halfwidth = double_well(), 3.0
+    else:
+        name, box = case.split("@")
+        m = from_preset(name, with_envelope=False).phi_kp
+        halfwidth = float(box)
+    for resolution in (9, 17, 41, 81):
+        grid = convex_envelope(m, halfwidth, resolution)
+        env, _ = qhull_envelope(m, halfwidth, resolution)
+        gap = np.abs(grid.envelope - env)
+        assert np.all(gap <= np.maximum(4.0 * np.spacing(env), 1e-12 * env))
+        assert grid.support_max <= m.dim + 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([9, 11]), st.data())
+def test_envelope_of_small_integer_heights_matches_lp(n, data):
+    # heights 0..3 on a unit lattice: ties, coplanar cells and collinear
+    # nodes everywhere
+    heights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n,
+                                          max_size=n * n)),
+                       dtype=float).reshape(n, n)
+    half = (n - 1) / 2.0
+
+    def fn(pts):
+        k = np.rint(pts + half).astype(int)
+        return heights[k[..., 0], k[..., 1]]
+
+    m = YoungMap(dim=2, fn=fn, label="heights")
+    i, j = np.indices((n, n))
+    affine = heights[0, 0] + (heights[1, 0] - heights[0, 0]) * i \
+        + (heights[0, 1] - heights[0, 0]) * j
+    if np.array_equal(heights, affine):
+        with pytest.raises(NumericSignal, match="heights on the"):
+            convex_envelope(m, half, n)
+        return
+    grid = convex_envelope(m, half, n)
+    env, _, _ = lp_envelope(m, half, n)
+    assert np.max(np.abs(grid.envelope - env)) <= 1e-9
+    assert grid.support_max <= 3
+
+
+def test_hull_predicate_is_exact_where_floats_cancel():
+    # 1e16 + 1 rounds to 1e16: the float sums read 0, the exact ones +-1;
+    # 4 * 1e308 overflows to inf in floats, and the sum is exactly 0
+    h = np.array([[1e16, 1.0, -1e16, 0.5], [1e16, -1.0, -1e16, 0.5],
+                  [3.0, 2.0, 1.0, 4.0], [1e308, 1e308, 0.0, 0.0]])
+    c = np.array([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, -1], [4, -4, 0, 0]])
+    assert _signs(h, c).tolist() == [1, -1, 1, 0]
+
+
+@pytest.mark.parametrize("diagonal, ok", [((0, 3), False), ((1, 2), True)])
+def test_hull_certificate_checks_every_interior_edge(diagonal, ok):
+    # one lattice cell with its corner (1, 1) raised: only the diagonal
+    # from (0, 1) to (1, 0) is locally convex
+    ticks = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    values = np.array([0.0, 0.0, 0.0, 1.0])
+    if diagonal == (0, 3):
+        first, second = ((0, 2, 3), [-1, 1, -1]), ((0, 3, 1), [-1, -1, 0])
+    else:
+        first, second = ((0, 2, 1), [1, -1, -1]), ((2, 3, 1), [-1, 0, -1])
+    tri = _Triangulation(ticks[:, 0].tolist(), ticks[:, 1].tolist(),
+                         values.tolist(), first, second)
+    if ok:
+        assert tri.certify(ticks, values, "cell").shape == (2, 3)
+    else:
+        with pytest.raises(NumericSignal, match="cell failed: an edge is not"):
+            tri.certify(ticks, values, "cell")
 
 
 @pytest.mark.parametrize("name", ["z2", "zp:3", "kp-softclip:2,1"])

@@ -265,6 +265,34 @@ MUTANTS = {
         "youngmap", "t2[:max(8 - start, 0)] = t1[:max(8 - start, 0)]",
         "t2[:8] = t1[:8]",
         [f"{SM}::test_results_do_not_depend_on_chunk"]),
+    # the envelope's own lower hull: exact predicate, insertion, certificate
+    "hull-predicate-sign-flipped": (
+        "youngmap", "                        hit = z > 0\n",
+        "                        hit = z < 0\n",
+        [f"{YM}::test_envelope_matches_the_qhull_oracle",
+         f"{YM}::test_envelope_hull_matches_lp_oracle"]),
+    "hull-error-bound-halved": (
+        "youngmap", "_FILTER = 5.0 * 2.0 ** -53", "_FILTER = 2.5 * 2.0 ** -53",
+        [f"{YM}::test_hull_predicate_is_exact_where_floats_cancel",
+         f"{YM}::test_envelope_matches_the_qhull_oracle",
+         f"{YM}::test_envelope_of_cospherical_lattice_is_identity"]),
+    "hull-no-exact-fallback": (
+        "youngmap", "s = sum(ci * n * (den // d) for ci, (n, d) in zip(c, ratios))",
+        "s = sum(ci * (n / d) for ci, (n, d) in zip(c, ratios))",
+        [f"{YM}::test_hull_predicate_is_exact_where_floats_cancel"]),
+    # insertion has no separate 3->1 flip: a node drops out when the
+    # conflict region takes its whole star, which this one-ring cap stops
+    "hull-conflict-region-one-ring": (
+        "youngmap", "                    inside[o] = hit\n",
+        "                    hit = hit and s in (-1, t)\n"
+        "                    inside[o] = hit\n",
+        [f"{YM}::test_envelope_matches_the_qhull_oracle",
+         f"{YM}::test_envelope_hull_matches_lp_oracle"]),
+    "hull-certificate-skipped": (
+        "youngmap",
+        "        if np.any(_below(ticks, values, verts[t], far) > 0):\n",
+        "        if False:\n",
+        [f"{YM}::test_hull_certificate_checks_every_interior_edge"]),
 }
 
 

@@ -13,9 +13,11 @@ Growth constants (doubling, subadditivity, the type-p bound and the
 Matuszewska-Orlicz style indices) are certified on explicit log-spaced
 grids.  Every supremum is re-sampled on denser and wider grids; a value
 that grows by more than 10% (``GROWTH_TOL``) in every round is reported
-as unbounded instead of being returned as a number.  ``certify`` states
-the closed forms of the power family, which win over the grid estimates;
-both members of the pair are kept in the report.
+as unbounded instead of being returned as a number.  Each sup walks its
+ratio table in blocks that fill one sweep's scratch buffers in place
+(see _table_sup), bitwise as fresh per-block arrays would.  ``certify``
+states the closed forms of the power family, which win over the grid
+estimates; both members of the pair are kept in the report.
 """
 
 from __future__ import annotations
@@ -84,37 +86,57 @@ def _refined_sup(per_round: Callable[[int], float], what: str,
     return float(max(sups))
 
 
-# Cells per _table_sup block: 2**15 doubles are 256 KiB per temporary, which
-# fits in L2 at every round (a 4096-column round gets 8 rows a block).
+# Cells per _table_sup block: 2**15 doubles are 256 KiB per scratch buffer,
+# which fits in L2 at every round (a 4096-column round gets 8 rows a block).
+# A sweep allocates its buffers once and every block fills views of them, so
+# no block maps, faults in and trims fresh pages above malloc's mmap threshold.
 _BLOCK_CELLS = 1 << 15
 
 
 def _table_sup(shape: tuple[int, int], cell, symmetric: bool = False) -> float:
     """Max of num / den over a table of the given (rows, cols) shape.
 
-    ``cell(r, c)`` returns the numerator and denominator of the block of
-    row slice r and column slice c; the numerator must be a fresh array of
-    the block's shape, as it is overwritten.  Blocks are whole rows of
-    about _BLOCK_CELLS cells.  A symmetric table (cell(r, c) the transpose
-    of cell(c, r)) is walked on the columns j >= the block's first row
-    only, which visits every cell or its mirror.  Entries with den <= 0 or
-    a non-finite numerator are skipped: the block is divided in place and
-    maxed where usable, so no masked copy is made.  A table without a
+    ``cell(r, c, num, den, spare)`` writes the numerator and denominator of
+    the block of row slice r and column slice c into the views num and den,
+    of the block's shape; spare is a third such view it may use as scratch.
+    The views are cut from three flat buffers the sweep owns, so no block
+    allocates.  Blocks are whole rows of about _BLOCK_CELLS cells.  A
+    symmetric table (cell(r, c) the transpose of cell(c, r)) is walked on
+    the columns j >= the block's first row only, which visits every cell or
+    its mirror.  Entries with den <= 0 or a non-finite numerator are
+    skipped: the block is divided in place and maxed where usable.  A block
+    whose den are all positive and finite and whose numerators are all
+    below +inf has no entry to skip and is maxed whole.  A table without a
     usable entry gives -inf.
     """
     n_rows, n_cols = shape
+    size = max(_BLOCK_CELLS, n_cols)
+    # zeroed: a cell that fails to fill its view reads zeros, not garbage
+    bufs = np.zeros((3, size))
+    ok_buf, pos_buf = np.zeros((2, size), dtype=bool)
     best = -math.inf
     i = 0
     # overflow and 0 * inf are expected at the far ends of the grids
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while i < n_rows:
             j = i if symmetric else 0
-            step = max(1, _BLOCK_CELLS // (n_cols - j))
-            num, den = cell(slice(i, i + step), slice(j, n_cols))
-            ok = np.isfinite(num) & (den > 0.0)
+            width = n_cols - j
+            rows = min(max(1, _BLOCK_CELLS // width), n_rows - i)
+            num, den, spare = (b[:rows * width].reshape(rows, width)
+                               for b in bufs)
+            cell(slice(i, i + rows), slice(j, n_cols), num, den, spare)
+            # a masked max costs about 3 plain ones; where=True is plain
+            ok = True
+            if not (den.min() > 0.0 and den.max() < math.inf
+                    and num.max() < math.inf):
+                ok = ok_buf[:num.size].reshape(num.shape)
+                pos = pos_buf[:num.size].reshape(num.shape)
+                np.isfinite(num, out=ok)
+                np.greater(den, 0.0, out=pos)
+                ok &= pos
             np.divide(num, den, out=num)
             best = max(best, float(num.max(where=ok, initial=-math.inf)))
-            i += step
+            i += rows
     return best
 
 
@@ -153,6 +175,21 @@ class OrliczFn:
                 outer = self.base.value_at_1 * t ** self.q
             return np.where(t <= 1.0, inner, outer)
         raise ValueError(f"unknown kind {self.kind!r}")
+
+    def _value_in_place(self, t: np.ndarray, spare: np.ndarray) -> None:
+        """Overwrite the float array t with value(t), bitwise; spare is
+        scratch of t's shape.  The ufuncs run in value's order, and ``**=``
+        takes the same scalar-power path as ``t ** p``."""
+        np.abs(t, out=t)
+        if self.kind == "power":
+            t **= self.p
+        elif self.kind == "power_log":
+            np.log1p(t, out=spare)
+            spare += 1.0
+            t **= self.p
+            t *= spare
+        else:
+            t[...] = self.value(t)
 
     def __call__(self, x):
         return self.value(x)
@@ -302,9 +339,13 @@ def estimate_type_constant(f: OrliczFn, p: float) -> float:
         # f overflows to inf at the far end; no such cell sets the sup
         with np.errstate(over="ignore"):
             phi_s = f.value(s)
-        return _table_sup((lam.size, s.size),
-                          lambda r, c: (f.value(lam[r] * s[c]),
-                                        lam[r] ** p * phi_s[c]))
+
+        def cell(r, c, num, den, spare):
+            np.multiply(lam[r], s[c], out=num)
+            f._value_in_place(num, spare)
+            np.multiply(lam[r] ** p, phi_s[c], out=den)
+
+        return _table_sup((lam.size, s.size), cell)
 
     return _refined_sup(per_round,
                         f"type constant (p={p:g}) for {f.describe()}")
@@ -331,8 +372,14 @@ def delta2_constant(f: OrliczFn, domain: str = "global") -> float:
 
     def per_round(k: int) -> float:
         x = axis(k)[:, None]
-        return _table_sup(x.shape, lambda r, c: (f.value(2.0 * x[r]),
-                                                 f.value(x[r])))
+
+        def cell(r, c, num, den, spare):
+            np.multiply(2.0, x[r], out=num)
+            f._value_in_place(num, spare)
+            np.copyto(den, x[r])
+            f._value_in_place(den, spare)
+
+        return _table_sup(x.shape, cell)
 
     return _refined_sup(per_round,
                         f"doubling constant ({domain}) for {f.describe()}")
@@ -346,16 +393,24 @@ def subadditivity_constant(f: OrliczFn) -> float:
     for a non-doubling f, so that this sup never has to signal on its own.
     """
     delta2_constant(f, "global")  # raises when not satisfied
+    return _subadditivity_sup(f)
+
+
+def _subadditivity_sup(f: OrliczFn) -> float:
+    """subadditivity_constant for an f whose global doubling is certified."""
 
     def per_round(k: int) -> float:
         x = _global_axis(k)
         # f overflows to inf at the far end; no such cell sets the sup
         with np.errstate(over="ignore"):
             phi = f.value(x)
-        return _table_sup((x.size, x.size),
-                          lambda r, c: (f.value(x[r, None] + x[c]),
-                                        phi[r, None] + phi[c]),
-                          symmetric=True)
+
+        def cell(r, c, num, den, spare):
+            np.add(x[r, None], x[c], out=num)
+            f._value_in_place(num, spare)
+            np.add(phi[r, None], phi[c], out=den)
+
+        return _table_sup((x.size, x.size), cell, symmetric=True)
 
     return _refined_sup(per_round,
                         f"subadditivity constant for {f.describe()}",
@@ -415,7 +470,7 @@ def certify(f: OrliczFn, p: float) -> OrliczFn:
     d2_zero = delta2_constant(f, "at_zero")
     d2 = grid["delta2_grid"] = delta2_constant(f, "global")
     grid["delta2_at_zero_grid"] = d2_zero
-    C = grid["C_grid"] = subadditivity_constant(f)
+    C = grid["C_grid"] = _subadditivity_sup(f)  # doubling certified above
     M = grid["M_grid"] = estimate_type_constant(f, p)  # raises when unbounded
     if f.kind == "power":
         # closed forms of |t|**f.p, kept beside the grid values; M = 1 holds

@@ -767,6 +767,13 @@ def _lower_triangles(ticks: np.ndarray, values: np.ndarray, shape,
     return simplices
 
 
+# Rounding bound of an envelope value sum(w_i v_i) / det, relative to
+# sum(w_i |v_i|) / det, with integer weights w_i >= 0: gamma_3 for the sum
+# of 3 products plus u for the division is about 4u; 5u states it with
+# room (u = 2**-53).  The exact value lies at or below the node's value.
+_ENV_ROUNDING = 5.0 * 2.0 ** -53
+
+
 def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
     """Grid lower convex envelope as the lower convex hull of the lifted nodes.
 
@@ -783,7 +790,8 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
     The hull is not trusted, it is checked: every interior edge is
     locally convex under the same exact test, every node is located in
     a hull simplex, where its barycentric weights are exact rationals,
-    and the envelope exceeds no value by more than 1e-9.  A locally
+    and the envelope exceeds no value by more than 1e-9 plus the float
+    error bound of its weighted sum (_ENV_ROUNDING).  A locally
     convex surface over the box is convex; it interpolates the data at
     its vertices and lies below them at every node, so it is the
     envelope.  The support count is the number of positive weights: 1
@@ -840,10 +848,13 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
         raise NumericSignal(f"{where} left {values.size - located.size} "
                             "nodes outside every lower simplex")
     owner, weights = owner[first], weights[first]
-    env = np.einsum("ti,ti->t", weights,
-                    values[simplices[owner]]) / det[owner]
+    corner_values = values[simplices[owner]]
+    env = np.einsum("ti,ti->t", weights, corner_values) / det[owner]
     support_max = int(np.count_nonzero(weights, axis=1).max())
-    if np.any(env > values + 1e-9):
+    # env - values is exact where the two are within a factor 2 (Sterbenz)
+    slack = 1e-9 + _ENV_ROUNDING * np.einsum(
+        "ti,ti->t", weights, np.abs(corner_values)) / det[owner]
+    if np.any(env - values > slack):
         raise NumericSignal("envelope exceeded sampled values beyond tolerance")
     env = np.minimum(np.maximum(env, 0.0), values)
     active = env > 1e-12

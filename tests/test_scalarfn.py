@@ -264,8 +264,11 @@ def dense_sup(num, den):
 
 
 def table_cell(num, den):
-    # _table_sup overwrites the numerator it is handed
-    return lambda r, c: (num[r, c].copy(), den[r, c])
+    # _table_sup hands each block views of its own scratch to fill
+    def cell(r, c, num_out, den_out, spare):
+        num_out[...] = num[r, c]
+        den_out[...] = den[r, c]
+    return cell
 
 
 def hand_table(case):
@@ -336,12 +339,106 @@ def test_subadditivity_half_table_equals_full_table(make, k):
         phi = f.value(x)
         full_num = f.value(x[:, None] + x[None, :])
 
-    def cell(r, c):
-        return f.value(x[r, None] + x[c]), phi[r, None] + phi[c]
+    def cell(r, c, num, den, spare):
+        num[...] = f.value(x[r, None] + x[c])
+        den[...] = phi[r, None] + phi[c]
 
     half = scalarfn._table_sup((x.size, x.size), cell, symmetric=True)
     assert half == scalarfn._table_sup((x.size, x.size), cell)
     assert half == dense_sup(full_num, phi[:, None] + phi[None, :])
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_table_sup_hands_every_block_the_same_scratch(symmetric, monkeypatch):
+    # no block allocates: every block's views start at the same three
+    # addresses, and a partial last block gets a trimmed view
+    monkeypatch.setattr(scalarfn, "_BLOCK_CELLS", 64)
+    num, den = hand_table("plain")
+    upper = np.arange(30)[:, None] <= np.arange(30)[None, :]
+    num = np.where(upper, num[:30], num[:30].T)
+    den = np.where(upper, den[:30], den[:30].T)
+    starts, shapes, fill = set(), [], table_cell(num, den)
+
+    def cell(r, c, *views):
+        starts.add(tuple(v.__array_interface__["data"][0] for v in views))
+        shapes.append({v.shape for v in views})
+        assert shapes[-1] == {(len(range(30)[r]), len(range(30)[c]))}
+        fill(r, c, *views)
+
+    got = scalarfn._table_sup(num.shape, cell, symmetric=symmetric)
+    assert len(starts) == 1 and len(shapes) > 2
+    # 2-row blocks of 30 columns; the symmetric walk's rows narrow down to
+    # a last block of the 4 x 4 corner
+    assert shapes[0] == {(2, 30)}
+    assert shapes[-1] == ({(4, 4)} if symmetric else {(2, 30)})
+    assert got == dense_sup(num, den)
+
+
+# -- the in-place sweeps against the allocating cells they replace -----------
+
+def allocating_table_sup(shape, cell, symmetric=False):
+    """Oracle: the kernel whose cells return a fresh (num, den) per block."""
+    n_rows, n_cols = shape
+    best = -math.inf
+    i = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while i < n_rows:
+            j = i if symmetric else 0
+            step = max(1, scalarfn._BLOCK_CELLS // (n_cols - j))
+            num, den = cell(slice(i, i + step), slice(j, n_cols))
+            ok = np.isfinite(num) & (den > 0.0)
+            np.divide(num, den, out=num)
+            best = max(best, float(num.max(where=ok, initial=-math.inf)))
+            i += step
+    return best
+
+
+def allocating_sweeps(f, p, k):
+    """Round k of the type, global and at-zero doubling, and subadditivity
+    sups, each cell allocating its blocks."""
+    lam, s = scalarfn._unit_axis(k)[:, None], scalarfn._global_axis(k)
+    with np.errstate(over="ignore"):
+        phi_s = f.value(s)
+    sups = [allocating_table_sup((lam.size, s.size),
+                                 lambda r, c: (f.value(lam[r] * s[c]),
+                                               lam[r] ** p * phi_s[c]))]
+    for axis in (scalarfn._global_axis, scalarfn._unit_axis):
+        x = axis(k)[:, None]
+        sups.append(allocating_table_sup(
+            x.shape, lambda r, c: (f.value(2.0 * x[r]), f.value(x[r]))))
+    sups.append(allocating_table_sup(
+        (s.size, s.size), lambda r, c: (f.value(s[r, None] + s[c]),
+                                        phi_s[r, None] + phi_s[c]),
+        symmetric=True))
+    return sups
+
+
+SWEEP_MAPS = {"power(2)": lambda: (power(2.0), 2.0),
+              "power(3)": lambda: (power(3.0), 3.0),
+              "power_log(2)": lambda: (power_log(2.0), 2.0),
+              "extend(power_log(2), 2.5)":
+                  lambda: (extend(power_log(2.0), 2.5), 2.5)}
+
+
+# 300 cells leaves partial last blocks in every sweep, and one-row blocks
+@pytest.mark.parametrize("block_cells", [1 << 15, 300])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", sorted(SWEEP_MAPS))
+def test_in_place_sweeps_are_the_allocating_sweeps(name, k, block_cells,
+                                                    monkeypatch):
+    f, p = SWEEP_MAPS[name]()
+    monkeypatch.setattr(scalarfn, "_BLOCK_CELLS", block_cells)
+    rounds = []
+    monkeypatch.setattr(scalarfn, "_refined_sup",
+                        lambda per_round, what, signal_unbounded=True:
+                        rounds.append(per_round) or 0.0)
+    estimate_type_constant(f, p)
+    delta2_constant(f, "global")
+    delta2_constant(f, "at_zero")
+    scalarfn._subadditivity_sup(f)
+    got = [per_round(k) for per_round in rounds]
+    assert list(map(float.hex, got)) == list(
+        map(float.hex, allocating_sweeps(f, p, k)))
 
 
 # -- certified reports, pinned to the last digit -----------------------------
@@ -399,6 +496,24 @@ GOLDEN_REPORTS = {
 def test_certify_report_is_pinned(name):
     make, p, expected = GOLDEN_REPORTS[name]
     assert certify(make(), p).constants.to_report() == expected
+
+
+def test_certify_runs_the_global_doubling_sweep_once(monkeypatch):
+    calls, real = [], scalarfn.delta2_constant
+
+    def delta2_constant(f, domain="global"):
+        calls.append(domain)
+        return real(f, domain)
+
+    monkeypatch.setattr(scalarfn, "delta2_constant", delta2_constant)
+    make, p, expected = GOLDEN_REPORTS["power_log(2)"]
+    f = make()
+    assert certify(f, p).constants.to_report() == expected
+    assert sorted(calls) == ["at_zero", "global"]
+    # a direct caller still gets the doubling guard
+    calls.clear()
+    subadditivity_constant(f)
+    assert calls == ["global"]
 
 
 def test_certify_large_exponent_is_warning_free():

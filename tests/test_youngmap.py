@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
@@ -15,7 +15,7 @@ from twistnorm import (GridMap, NumericSignal, YoungMap, build_space, certify,
                        kalton_peck_map, kp_theoretical_bound,
                        luxemburg_norm_batch, mollify, power, power_log,
                        quasiconvexity_constant, radial_power, sampling,
-                       soft_clip_theta)
+                       soft_clip_theta, youngmap)
 from twistnorm.youngmap import (_BLOCK, _Triangulation, _ball_offsets,
                                 _grid_axes, _grid_nodes, _ratio, _signs)
 
@@ -228,7 +228,10 @@ def lp_envelope(m, halfwidth, resolution):
         support_max = max(support_max, int(np.count_nonzero(res.x > 1e-8)))
     env = np.minimum(np.maximum(env, 0.0), values)
     active = env > 1e-12
-    return env, support_max, float((values[active] / env[active]).max())
+    # no active node: ratio 1, as convex_envelope reports it
+    ratio_max = float((values[active] / env[active]).max()) if active.any() \
+        else 1.0
+    return env, support_max, ratio_max
 
 
 @pytest.mark.parametrize("case", ["kp-z2", "kp-softclip:2,1", "double-well",
@@ -245,6 +248,23 @@ def test_envelope_hull_matches_lp_oracle(case, f2):
     assert np.max(np.abs(grid.envelope - env)) <= 1e-10
     assert grid.support_max <= m.dim + 1
     assert grid.ratio_max == pytest.approx(ratio_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("ulps, raises", [(1, False), (4, True)])
+def test_envelope_guard_is_the_sums_rounding_bound(ulps, raises, monkeypatch):
+    # a planted hull of the end nodes alone puts the envelope of the middle
+    # node on the chord V, ulps above its value; the guard allows
+    # 1e-9 + 5u * V (3.4 ulps of V near 5.7e9) and nothing more
+    V = 5706581621.086309
+    low = V - ulps * np.spacing(V)
+    m = lambda_map(lambda t: np.where(t == 0.0, low, V))
+    monkeypatch.setattr(youngmap, "_lower_segments",
+                        lambda values, where: np.array([[0, 8]]))
+    if raises:
+        with pytest.raises(NumericSignal, match="beyond tolerance"):
+            convex_envelope(m, 1.0, 9)
+    else:
+        assert convex_envelope(m, 1.0, 9).envelope[4] == low
 
 
 def test_envelope_of_cospherical_lattice_is_identity():
@@ -341,14 +361,19 @@ def test_envelope_matches_the_qhull_oracle(case):
         assert grid.support_max <= m.dim + 1
 
 
+# heights 0..3 on a unit lattice of 9 or 11 nodes a side, row by row
+SMALL_INTEGER_HEIGHTS = st.sampled_from([9, 11]).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+
+
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from([9, 11]), st.data())
-def test_envelope_of_small_integer_heights_matches_lp(n, data):
-    # heights 0..3 on a unit lattice: ties, coplanar cells and collinear
-    # nodes everywhere
-    heights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n,
-                                          max_size=n * n)),
-                       dtype=float).reshape(n, n)
+@given(SMALL_INTEGER_HEIGHTS)
+# zero corners: the envelope is 0 at every node, so no node is active
+@example([0 if i in (0, 8, 72, 80) else 3 for i in range(81)])
+def test_envelope_of_small_integer_heights_matches_lp(cells):
+    # ties, coplanar cells and collinear nodes everywhere
+    n = math.isqrt(len(cells))
+    heights = np.array(cells, dtype=float).reshape(n, n)
     half = (n - 1) / 2.0
 
     def fn(pts):

@@ -293,6 +293,36 @@ MUTANTS = {
         "        if np.any(_below(ticks, values, verts[t], far) > 0):\n",
         "        if False:\n",
         [f"{YM}::test_hull_certificate_checks_every_interior_edge"]),
+    # the envelope's guard: 1e-9 plus the weighted sum's rounding bound
+    "envelope-guard-rounding-dropped": (
+        "youngmap", "slack = 1e-9 + _ENV_ROUNDING * np.einsum(",
+        "slack = 1e-9 + 0.0 * np.einsum(",
+        [f"{YM}::test_envelope_guard_is_the_sums_rounding_bound",
+         f"{CLI}::test_envelope_of_zp35_is_certified_at_resolution_41"]),
+    "envelope-guard-bound-tenfold": (
+        "youngmap", "_ENV_ROUNDING = 5.0 * 2.0 ** -53",
+        "_ENV_ROUNDING = 50.0 * 2.0 ** -53",
+        [f"{YM}::test_envelope_guard_is_the_sums_rounding_bound"]),
+    # certify's sweeps fill views of one sweep's scratch, block by block
+    "scratch-view-untrimmed": (
+        "scalarfn", "rows = min(max(1, _BLOCK_CELLS // width), n_rows - i)",
+        "rows = max(1, _BLOCK_CELLS // width)",
+        [f"{SF}::test_table_sup_matches_dense_oracle",
+         f"{SF}::test_table_sup_hands_every_block_the_same_scratch",
+         f"{SF}::test_in_place_sweeps_are_the_allocating_sweeps"]),
+    "clean-block-with-zero-den": (
+        "scalarfn", "if not (den.min() > 0.0 and", "if not (den.min() >= 0.0 and",
+        [f"{SF}::test_table_sup_matches_dense_oracle"]),
+    # the type cell's power then reads the block before's ratios
+    "type-power-reads-previous-block": (
+        "scalarfn", "np.multiply(lam[r], s[c], out=num)",
+        "np.multiply(lam[r], s[c], out=spare)",
+        [f"{SF}::test_in_place_sweeps_are_the_allocating_sweeps",
+         f"{SF}::test_certify_report_is_pinned"]),
+    "power-log-reads-previous-spare": (
+        "scalarfn", "            np.log1p(t, out=spare)\n", "",
+        [f"{SF}::test_in_place_sweeps_are_the_allocating_sweeps",
+         f"{SF}::test_certify_report_is_pinned"]),
 }
 
 

@@ -33,13 +33,13 @@ from .errors import NumericSignal
 from .renorm import (CHECK_TOL, PIPELINES, BlockSeq, build_pipeline,
                      star_iterate, substitution_differences,
                      suff_criterion_check, suff_margins, triangle_violation)
-from .scalarfn import certify, power
+from .scalarfn import certify
 from .seqspace import VecSeq, luxemburg_norm
 from .twisted import (PairSeq, equivalence_certificate, from_preset,
-                      parse_preset, quasi_linearity_constant,
-                      quasi_triangle_constant, twisted_norm)
-from .youngmap import (convex_envelope, kalton_peck_map,
-                       kp_theoretical_bound, quasiconvexity_constant)
+                      quasi_linearity_constant, quasi_triangle_constant,
+                      twisted_norm)
+from .youngmap import (convex_envelope, kp_theoretical_bound,
+                       quasiconvexity_constant)
 
 __all__ = ["main"]
 
@@ -139,13 +139,12 @@ def cmd_envelope(args) -> tuple[str, dict, int]:
 
 
 def _certify_quasiconvex(args) -> tuple[bool, dict]:
-    p, theta, _ = parse_preset(args.preset)
-    claimed = args.type_p if args.type_p is not None else p
-    f = certify(power(p), claimed)
-    phi = kalton_peck_map(f, theta)
-    res = quasiconvexity_constant(phi, args.trials, args.seed,
+    space = from_preset(args.preset, with_envelope=False)
+    claimed = args.type_p if args.type_p is not None else space.f.p
+    f = certify(space.f, claimed)
+    res = quasiconvexity_constant(space.phi_kp, args.trials, args.seed,
                                   halfwidth=args.box_halfwidth)
-    bound = kp_theoretical_bound(f.constants, theta)
+    bound = kp_theoretical_bound(f.constants, space.theta)
     ok = bool(1.0 < res.l_hat <= bound + 1e-9)
     return ok, {
         "kind": "quasiconvex", "preset": args.preset, "claimed_type": claimed,

@@ -412,6 +412,9 @@ class BlockSeq:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", strict_int(self.dim, "block dim"))
+        if self.dim < 1:
+            raise ValueError(
+                f"block dim must be a positive integer, got {self.dim}")
         b = np.asarray(self.blocks, dtype=float)
         if b.ndim == 1:
             b = b.reshape(-1, self.dim) if b.size else np.zeros((0, self.dim))

@@ -13,9 +13,10 @@ Growth constants (doubling, subadditivity, the type-p bound and the
 Matuszewska-Orlicz style indices) are certified on explicit log-spaced
 grids.  Every supremum is re-sampled on denser and wider grids; a value
 that grows by more than 10% (``GROWTH_TOL``) in every round is reported
-as unbounded instead of being returned as a number.  Each sup walks its
-ratio table in blocks that fill one sweep's scratch buffers in place
-(see _table_sup), bitwise as fresh per-block arrays would.  ``certify``
+as unbounded instead of being returned as a number.  Each family's
+formula is one in-place kernel on |t|, which ``value`` runs on a fresh
+array and each sup on its sweep's scratch buffers, block by block (see
+_table_sup), bitwise as fresh per-block arrays would.  ``certify``
 states the closed forms of the power family, which win over the grid
 estimates; both members of the pair are kept in the report.
 """
@@ -164,32 +165,29 @@ class OrliczFn:
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x) -> np.ndarray:
-        t = np.abs(np.asarray(x, dtype=float))
-        if self.kind == "power":
-            return t ** self.p
-        if self.kind == "power_log":
-            return t ** self.p * (1.0 + np.log1p(t))
-        if self.kind == "extension":
-            inner = self.base.value(np.minimum(t, 1.0))
-            with np.errstate(over="ignore"):
-                outer = self.base.value_at_1 * t ** self.q
-            return np.where(t <= 1.0, inner, outer)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        t = np.abs(x, out=np.empty(np.shape(x)), dtype=float)
+        self._value_in_place(t)
+        return t[()]
 
-    def _value_in_place(self, t: np.ndarray, spare: np.ndarray) -> None:
-        """Overwrite the float array t with value(t), bitwise; spare is
-        scratch of t's shape.  The ufuncs run in value's order, and ``**=``
-        takes the same scalar-power path as ``t ** p``."""
-        np.abs(t, out=t)
+    def _value_in_place(self, t: np.ndarray, spare=None) -> None:
+        """Overwrite the float array t of |x| values with f(t); spare is
+        scratch of t's shape, or None to allocate it (an extension
+        allocates its own).  ``**=`` takes the same scalar-power path as
+        ``t ** p``."""
         if self.kind == "power":
             t **= self.p
         elif self.kind == "power_log":
-            np.log1p(t, out=spare)
+            spare = np.log1p(t, out=spare)
             spare += 1.0
             t **= self.p
             t *= spare
+        elif self.kind == "extension":
+            inner = self.base.value(np.minimum(t, 1.0))
+            with np.errstate(over="ignore"):
+                t[...] = np.where(t <= 1.0, inner,
+                                  self.base.value_at_1 * t ** self.q)
         else:
-            t[...] = self.value(t)
+            raise ValueError(f"unknown kind {self.kind!r}")
 
     def __call__(self, x):
         return self.value(x)

@@ -524,17 +524,31 @@ def _signs(h: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _below(ticks, values, tri: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact signs of "node p[r] lies below the plane of triangle tri[r]"
-    (see _Triangulation), for every row r at once."""
-    a, b, c = (ticks[tri[:, k]] - ticks[p] for k in range(3))  # offsets to p
+def _cofactors(corners: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Integer barycentric cofactors of the points q (n, dim) in the
+    segments or triangles with integer corners (n, dim+1, dim): column i
+    is the signed length or doubled area with corner i moved to q
+    (orient(b, c, q), orient(c, a, q), orient(a, b, q) in a triangle
+    a, b, c), so a row sums to the simplex's own, d, and q is
+    sum(c_i * corner_i) / d."""
+    u = corners - q[:, None, :]                    # the corners' offsets to q
+    if u.shape[2] == 1:
+        return np.column_stack([u[:, 1, 0], -u[:, 0, 0]])
+    a, b, c = u[:, 0], u[:, 1], u[:, 2]
 
-    def cross(u, v):
-        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    def cross(v, w):
+        return v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
 
-    cof = np.column_stack([cross(b, c), cross(c, a), cross(a, b)])
+    return np.column_stack([cross(b, c), cross(c, a), cross(a, b)])
+
+
+def _below(ticks, values, simplices: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Exact signs of "node p[r] lies below the line or plane of the
+    segment or triangle simplices[r]" (see _Triangulation), for every row
+    r at once; the simplices have positive length or area."""
+    cof = _cofactors(ticks[simplices], ticks[p])
     cof = np.column_stack([cof, -cof.sum(axis=1)])
-    return _signs(values[np.column_stack([tri, p])], cof)
+    return _signs(values[np.column_stack([simplices, p])], cof)
 
 
 def _chain(h) -> list:
@@ -561,13 +575,9 @@ def _chain(h) -> list:
 def _lower_segments(values: np.ndarray, where: str) -> np.ndarray:
     """The lower hull of (k, values[k]) as 2-node simplices."""
     hull = _chain(values.tolist())
-    n = len(values)
-    k = np.arange(n)
-    # (n-1-k) h_0 - (n-1) h_k + k h_(n-1): 0 when node k is on the chord
-    if len(hull) == 2 and not _signs(
-            np.column_stack([np.full(n, values[0]), values,
-                             np.full(n, values[-1])]),
-            np.column_stack([n - 1 - k, np.full(n, 1 - n), k])).any():
+    k = np.arange(len(values))
+    if len(hull) == 2 and not _below(
+            k[:, None], values, np.tile([0, k[-1]], (k.size, 1)), k).any():
         raise NumericSignal(f"{where} failed: the lifted nodes are collinear")
     return np.column_stack([hull[:-1], hull[1:]])
 
@@ -703,9 +713,8 @@ class _Triangulation:
         live = np.array([t for t, v in enumerate(self.tv) if v is not None])
         verts = np.zeros((len(self.tv), 3), dtype=np.intp)
         verts[live] = [self.tv[t] for t in live]
-        a, b, c = (ticks[verts[live, k]] for k in range(3))
-        if np.any((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  <= (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])):
+        corners = ticks[verts[live]]
+        if np.any(_cofactors(corners, corners[:, 0]).sum(axis=1) <= 0):
             raise NumericSignal(f"{where} failed: a triangle is not "
                                 "counter-clockwise")
         nbrs = np.array(self.tn)
@@ -789,17 +798,17 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
 
     The hull is not trusted, it is checked: every interior edge is
     locally convex under the same exact test, every node is located in
-    a hull simplex, where its barycentric weights are exact rationals,
-    and the envelope exceeds no value by more than 1e-9 plus the float
-    error bound of its weighted sum (_ENV_ROUNDING).  A locally
-    convex surface over the box is convex; it interpolates the data at
-    its vertices and lies below them at every node, so it is the
-    envelope.  The support count is the number of positive weights: 1
-    at a node that is itself a hull vertex, at most dim+1.  A failed
-    check raises NumericSignal, as does a map whose lifted nodes are
-    collinear or coplanar (for example one vanishing on the whole grid);
-    a map of dimension 3 or more raises ValueError before it is
-    evaluated.
+    a hull simplex, where its weights are the predicate's integer
+    cofactors (see _cofactors) over their sum, and the envelope exceeds
+    no value by more than 1e-9 plus the float error bound of its
+    weighted sum (_ENV_ROUNDING).  A locally convex surface over the
+    box is convex; it interpolates the data at its vertices and lies
+    below them at every node, so it is the envelope.  The support count
+    is the number of positive weights: 1 at a node that is itself a hull
+    vertex, at most dim+1.  A failed check raises NumericSignal, as does
+    a map whose lifted nodes are collinear or coplanar (for example one
+    vanishing on the whole grid); a map of dimension 3 or more raises
+    ValueError before it is evaluated.
     """
     if m.dim not in (1, 2):
         raise ValueError("convex_envelope supports dimensions 1 and 2 only")
@@ -815,18 +824,8 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
         simplices = _lower_segments(values, where)
     else:
         simplices = _lower_triangles(ticks, values, shape, where)
-    # With integer corners, weights are adj @ (k - k0) / det with integer
-    # adj and det; zero-area simplices would have det 0 and are dropped.
-    corners = ticks[simplices]                               # (F, dim+1, dim)
-    span = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
-    det = np.rint(np.linalg.det(span)).astype(np.int64)
-    keep = det != 0
-    simplices, corners, span, det = (simplices[keep], corners[keep],
-                                     span[keep], det[keep])
-    adj = np.rint(np.linalg.inv(span) * det[:, None, None]).astype(np.int64)
-    adj *= np.sign(det)[:, None, None]
-    det = np.abs(det)
     # every (simplex, node) pair with the node in the simplex's bounding box
+    corners = ticks[simplices]                               # (F, dim+1, dim)
     lo = corners.min(axis=1)
     sizes = corners.max(axis=1) - lo + 1
     counts = np.prod(sizes, axis=1)
@@ -837,8 +836,7 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
     for i in reversed(range(m.dim)):
         k[:, i] = lo[owner, i] + rank % sizes[owner, i]
         rank //= sizes[owner, i]
-    num = np.einsum("tij,tj->ti", adj[owner], k - corners[owner, 0])
-    weights = np.column_stack([det[owner] - num.sum(axis=1), num])
+    weights = _cofactors(corners[owner], k)
     inside = np.all(weights >= 0, axis=1)
     owner, k, weights = owner[inside], k[inside], weights[inside]
     # a node on a shared face has the same weights in every simplex holding it
@@ -848,12 +846,13 @@ def convex_envelope(m: YoungMap, halfwidth, resolution: int) -> EnvelopeGrid:
         raise NumericSignal(f"{where} left {values.size - located.size} "
                             "nodes outside every lower simplex")
     owner, weights = owner[first], weights[first]
+    det = weights.sum(axis=1)
     corner_values = values[simplices[owner]]
-    env = np.einsum("ti,ti->t", weights, corner_values) / det[owner]
+    env = np.einsum("ti,ti->t", weights, corner_values) / det
     support_max = int(np.count_nonzero(weights, axis=1).max())
     # env - values is exact where the two are within a factor 2 (Sterbenz)
     slack = 1e-9 + _ENV_ROUNDING * np.einsum(
-        "ti,ti->t", weights, np.abs(corner_values)) / det[owner]
+        "ti,ti->t", weights, np.abs(corner_values)) / det
     if np.any(env - values > slack):
         raise NumericSignal("envelope exceeded sampled values beyond tolerance")
     env = np.minimum(np.maximum(env, 0.0), values)

@@ -618,6 +618,16 @@ def test_a_missing_input_file_exits_two_naming_it(tmp_path, capsys):
     assert str(tmp_path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_renorm_check_on_a_block_dimension_below_one_exits_two(
+        dim, tmp_path, capsys):
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps({"n": dim, "blocks": []}))
+    assert run("renorm", "check", "--blocks", str(blocks)) == 2
+    assert f"block dim must be a positive integer, got {dim}" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("envelope", "--resolution", "9", "--csv", "{tmp}/grid.csv"),
     ("certify", "quasiconvex", "--trials", "10"),

@@ -780,6 +780,15 @@ def test_blockseq_rejects_a_dimension_that_is_not_an_integer(bad):
     assert BlockSeq(np.int64(1), [[1.0]]).dim == 1
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_blockseq_rejects_a_dimension_below_one(dim):
+    msg = rf"^block dim must be a positive integer, got {dim}$"
+    with pytest.raises(ValueError, match=msg):
+        BlockSeq(dim, [])
+    with pytest.raises(ValueError, match=msg):
+        BlockSeq.from_json(f'{{"n": {dim}, "blocks": []}}')
+
+
 def test_blockseq_ops():
     xi = BlockSeq(2, [[1.0, 0.0]])
     assert xi.scaled(3.0).blocks[0, 0] == 3.0

@@ -393,22 +393,37 @@ def allocating_table_sup(shape, cell, symmetric=False):
     return best
 
 
+def allocating_value(f, x):
+    """Oracle: each kind's formula as fresh arrays, one ufunc at a time."""
+    t = np.abs(np.asarray(x, dtype=float))
+    if f.kind == "power":
+        return t ** f.p
+    if f.kind == "power_log":
+        return t ** f.p * (1.0 + np.log1p(t))
+    inner = allocating_value(f.base, np.minimum(t, 1.0))
+    with np.errstate(over="ignore"):
+        outer = f.base.value_at_1 * t ** f.q
+    return np.where(t <= 1.0, inner, outer)
+
+
 def allocating_sweeps(f, p, k):
     """Round k of the type, global and at-zero doubling, and subadditivity
     sups, each cell allocating its blocks."""
     lam, s = scalarfn._unit_axis(k)[:, None], scalarfn._global_axis(k)
     with np.errstate(over="ignore"):
-        phi_s = f.value(s)
-    sups = [allocating_table_sup((lam.size, s.size),
-                                 lambda r, c: (f.value(lam[r] * s[c]),
-                                               lam[r] ** p * phi_s[c]))]
+        phi_s = allocating_value(f, s)
+    sups = [allocating_table_sup(
+        (lam.size, s.size), lambda r, c: (allocating_value(f, lam[r] * s[c]),
+                                          lam[r] ** p * phi_s[c]))]
     for axis in (scalarfn._global_axis, scalarfn._unit_axis):
         x = axis(k)[:, None]
         sups.append(allocating_table_sup(
-            x.shape, lambda r, c: (f.value(2.0 * x[r]), f.value(x[r]))))
+            x.shape, lambda r, c: (allocating_value(f, 2.0 * x[r]),
+                                   allocating_value(f, x[r]))))
     sups.append(allocating_table_sup(
-        (s.size, s.size), lambda r, c: (f.value(s[r, None] + s[c]),
-                                        phi_s[r, None] + phi_s[c]),
+        (s.size, s.size),
+        lambda r, c: (allocating_value(f, s[r, None] + s[c]),
+                      phi_s[r, None] + phi_s[c]),
         symmetric=True))
     return sups
 
@@ -439,6 +454,32 @@ def test_in_place_sweeps_are_the_allocating_sweeps(name, k, block_cells,
     got = [per_round(k) for per_round in rounds]
     assert list(map(float.hex, got)) == list(
         map(float.hex, allocating_sweeps(f, p, k)))
+
+
+# ±0, subnormals, 1 and its neighbours, values whose power overflows, ±inf, nan
+EDGE_INPUTS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300,
+                        np.nextafter(1.0, 0.0), 1.0, -1.0,
+                        np.nextafter(1.0, 2.0), 1e10, -1e100, 1e300, 1.7e308,
+                        np.inf, -np.inf, np.nan, -np.nan])
+VALUE_MAPS = {**SWEEP_MAPS, "power(2.5)": lambda: (power(2.5), 2.5),
+              "power(35)": lambda: (power(35.0), 35.0),
+              "extend(power(1.5), 2)": lambda: (extend(power(1.5), 2.0), 2.0)}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_MAPS))
+def test_value_is_the_allocating_formula_on_edge_inputs(name):
+    f, _ = VALUE_MAPS[name]()
+    x = np.concatenate([EDGE_INPUTS, EDGE_INPUTS[::-1]]).reshape(2, -1)
+    before = x.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = f.value(x)
+        want = allocating_value(f, x)
+        scalars = [f.value(float(v)) for v in EDGE_INPUTS]
+    assert x.tobytes() == before                 # the argument is untouched
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array(scalars).tobytes() == want[0].tobytes()
+    assert all(type(v) is np.float64 for v in scalars)
 
 
 # -- certified reports, pinned to the last digit -----------------------------

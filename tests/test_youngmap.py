@@ -422,6 +422,18 @@ def test_hull_certificate_checks_every_interior_edge(diagonal, ok):
             tri.certify(ticks, values, "cell")
 
 
+def test_hull_certificate_rejects_a_clockwise_triangle():
+    # the cell's lower diagonal, with the first triangle listed clockwise
+    ticks = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    values = np.array([0.0, 0.0, 0.0, 1.0])
+    tri = _Triangulation(ticks[:, 0].tolist(), ticks[:, 1].tolist(),
+                         values.tolist(), ((0, 1, 2), [1, -1, -1]),
+                         ((2, 3, 1), [-1, 0, -1]))
+    with pytest.raises(NumericSignal,
+                       match="cell failed: a triangle is not counter-"):
+        tri.certify(ticks, values, "cell")
+
+
 @pytest.mark.parametrize("name", ["z2", "zp:3", "kp-softclip:2,1"])
 def test_finer_envelope_never_exceeds_the_coarser(name):
     # every node of resolution r is a node of 2r - 1 on the same box, and

@@ -320,9 +320,41 @@ MUTANTS = {
         [f"{SF}::test_in_place_sweeps_are_the_allocating_sweeps",
          f"{SF}::test_certify_report_is_pinned"]),
     "power-log-reads-previous-spare": (
-        "scalarfn", "            np.log1p(t, out=spare)\n", "",
+        "scalarfn", "spare = np.log1p(t, out=spare)",
+        "spare = np.log1p(t) if spare is None else spare",
         [f"{SF}::test_in_place_sweeps_are_the_allocating_sweeps",
          f"{SF}::test_certify_report_is_pinned"]),
+    # one in-place formula per kind, which value runs on a fresh |x|
+    "value-fills-the-callers-array": (
+        "scalarfn", "t = np.abs(x, out=np.empty(np.shape(x)), dtype=float)",
+        "t = np.asarray(x, dtype=float)\n        np.abs(t, out=t)",
+        [f"{SF}::test_value_is_the_allocating_formula_on_edge_inputs"]),
+    "power-log-one-dropped": (
+        "scalarfn", "            spare += 1.0\n", "",
+        [f"{SF}::test_value_is_the_allocating_formula_on_edge_inputs",
+         f"{SF}::test_in_place_sweeps_are_the_allocating_sweeps",
+         f"{SF}::test_certify_report_is_pinned"]),
+    # one cofactor routine for the hull predicate, its checks and the weights
+    "cofactor-columns-rotated": (
+        "youngmap",
+        "np.column_stack([cross(b, c), cross(c, a), cross(a, b)])",
+        "np.column_stack([cross(c, a), cross(a, b), cross(b, c)])",
+        [f"{YM}::test_envelope_matches_the_qhull_oracle",
+         f"{YM}::test_envelope_hull_matches_lp_oracle"]),
+    "segment-cofactors-swapped": (
+        "youngmap", "np.column_stack([u[:, 1, 0], -u[:, 0, 0]])",
+        "np.column_stack([-u[:, 0, 0], u[:, 1, 0]])",
+        [f"{YM}::test_envelope_double_well_oracle"]),
+    "counter-clockwise-check-skipped": (
+        "youngmap", "_cofactors(corners, corners[:, 0]).sum(axis=1) <= 0",
+        "False",
+        [f"{YM}::test_hull_certificate_rejects_a_clockwise_triangle"]),
+    "location-drops-nodes-on-edges": (
+        "youngmap", "inside = np.all(weights >= 0, axis=1)",
+        "inside = np.all(weights > 0, axis=1)",
+        [f"{YM}::test_envelope_matches_the_qhull_oracle",
+         f"{YM}::test_envelope_hull_matches_lp_oracle",
+         f"{YM}::test_envelope_of_cospherical_lattice_is_identity"]),
 }
 
 
